@@ -365,9 +365,7 @@ fn run_once(
 
     let stats = fleet.fleet_stats()?;
     let slices_done = stats.steps();
-    // Exact moments and mergeable quantiles from the latency sketch —
-    // the EWMA this table used to print could not be folded across
-    // shards without step-weighting bias.
+    // Exact moments and mergeable quantiles from the latency sketch.
     let latency = stats.ingest_latency();
     let mean_latency_us = latency.mean();
     let p99_latency_us = latency.p99();

@@ -23,9 +23,6 @@
 //!                    [--ingest N] [--top-drift K] [--shutdown true]
 //! sofia-cli cluster  [--nodes 2] [--base-port 7421] [--shards 2]
 //!                    [--checkpoint-dir DIR] [--rebalance]
-//! sofia-cli bench    [--json] [--out DIR] [--streams 8] [--steps 60]
-//!                    [--shards 2] [--seed 2021] [--conns 1,64,1024]
-//!                    [--pipeline 32] [--compare BASELINE] [--gate-pct 20]
 //! ```
 //!
 //! Boolean flags (`--stats`, `--shutdown`, `--recover`, `--empty`,
@@ -42,16 +39,11 @@
 //! the shell (`--metrics` prints the cluster-wide node-health rollup as
 //! a table, JSON, or Prometheus exposition); `cluster` launches N
 //! `serve` processes from one spec and proves sharding + stream
-//! migration across them; `bench` runs a pinned-seed micro-benchmark of
-//! both the engine and the TCP plane, writing
-//! `BENCH_fleet.json`/`BENCH_net.json` with `--json` — and with
-//! `--compare BASELINE` gates the fresh run against committed baselines,
-//! exiting nonzero on a regression past `--gate-pct` (default ±20%).
+//! migration across them. The serving stack's benchmark lives outside
+//! this binary: `python3 perfbench/run.py` drives `serve` end to end.
 
-mod bench_cmd;
 mod cluster_cmd;
 mod commands;
-mod compare;
 mod fleet_cmd;
 mod format;
 mod net_cmd;
@@ -74,9 +66,7 @@ fn usage() -> &'static str {
      [--timeout-secs N] [--stream ID] [--query \"forecast 4\"] \
      [--ingest N] [--top-drift K] [--shutdown true]\n  \
      sofia-cli cluster [--nodes 2] [--base-port 7421] [--shards 2] [--checkpoint-dir DIR] \
-     [--rebalance]\n  \
-     sofia-cli bench [--json] [--out DIR] [--streams 8] [--steps 60] [--shards 2] [--seed 2021] \
-     [--conns 1,64,1024] [--pipeline 32] [--compare BASELINE] [--gate-pct 20]\n\
+     [--rebalance]\n\
      boolean flags may be given bare: --stats means --stats true"
 }
 
@@ -335,39 +325,6 @@ fn main() -> ExitCode {
                 Err(code) => return code,
             };
             cluster_cmd::cluster(&opts)
-        }
-        "bench" => {
-            let json = match parse_bool_flag(&flags, "json") {
-                Ok(j) => j,
-                Err(code) => return code,
-            };
-            let mut opts = bench_cmd::BenchOpts::default();
-            let parsed = set_parsed(get("streams"), "streams", &mut opts.streams)
-                .and_then(|()| set_parsed(get("steps"), "steps", &mut opts.steps))
-                .and_then(|()| set_parsed(get("shards"), "shards", &mut opts.shards))
-                .and_then(|()| set_parsed(get("seed"), "seed", &mut opts.seed));
-            if let Err(code) =
-                parsed.and_then(|()| set_parsed(get("pipeline"), "pipeline", &mut opts.pipeline))
-            {
-                return code;
-            }
-            if let Some(v) = get("conns") {
-                opts.conns = match parse_usize_list(&v) {
-                    Ok(c) if !c.is_empty() && !c.contains(&0) => c,
-                    _ => return bad_flag("conns", &v),
-                };
-            }
-            if let Some(dir) = get("out") {
-                opts.out = PathBuf::from(dir);
-            }
-            if let Some(v) = get("gate-pct") {
-                match v.parse::<f64>() {
-                    Ok(p) if p.is_finite() && p > 0.0 => opts.gate_pct = p,
-                    _ => return bad_flag("gate-pct", &v),
-                }
-            }
-            opts.compare = get("compare").map(PathBuf::from);
-            bench_cmd::bench(&opts, json)
         }
         "client" => {
             let Some(connect) = get("connect") else {

@@ -7,10 +7,8 @@ use crate::model::ModelHandle;
 use crate::protocol::{Query, QueryResponse, QueryTicket};
 use crate::registry::{Registry, StreamKey};
 use crate::shard::{Command, QueryRequest, ShardHandle};
-use crate::stats::{FleetStats, StreamStats};
-use sofia_core::traits::StepOutput;
-use sofia_core::Sofia;
-use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
+use crate::stats::FleetStats;
+use sofia_tensor::ObservedTensor;
 use std::sync::mpsc;
 
 /// Engine construction parameters.
@@ -123,10 +121,11 @@ impl Fleet {
     /// kind (bare pre-envelope v1 SOFIA files load too). Returns the
     /// engine and the number of streams recovered.
     ///
-    /// Restored models are bit-exact: their subsequent [`StepOutput`]s
-    /// match an uninterrupted run. The latest completed slice is *not*
-    /// part of a checkpoint, so [`Fleet::latest`] returns `None` for a
-    /// recovered stream until its next step.
+    /// Restored models are bit-exact: their subsequent
+    /// [`StepOutput`](sofia_core::traits::StepOutput)s match an
+    /// uninterrupted run. The latest completed slice is *not* part of a
+    /// checkpoint, so [`Query::Latest`] answers `None` for a recovered
+    /// stream until its next step.
     pub fn recover(config: FleetConfig) -> Result<(Fleet, usize), FleetError> {
         let policy = config.checkpoint.clone().ok_or_else(|| {
             FleetError::Io(std::io::Error::new(
@@ -158,18 +157,6 @@ impl Fleet {
         })?;
         ready.recv().map_err(|_| FleetError::ShuttingDown)?;
         Ok(key)
-    }
-
-    /// Convenience: registers a SOFIA model.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `register(id, ModelHandle::sofia(model))` — the uniform \
-                handle constructors cover every model kind, and their \
-                checkpoint envelopes are also what `sofia-net` clients \
-                send to register a stream over TCP"
-    )]
-    pub fn register_sofia(&self, id: &str, model: Sofia) -> Result<StreamKey, FleetError> {
-        self.register(id, ModelHandle::sofia(model))
     }
 
     /// Routing key of a registered stream.
@@ -331,81 +318,6 @@ impl Fleet {
             .into_iter()
             .map(|t| t.expect("every request slot is filled"))
             .collect())
-    }
-
-    /// Latest completed slice (and outliers) of a stream, or `None`
-    /// before its first step (including right after recovery).
-    ///
-    /// Migrate to `query(id, Query::Latest)`: the typed request is what
-    /// pipelines ([`QueryTicket`]), batches ([`Fleet::query_batch`]),
-    /// and travels the wire (`Query::to_wire` /
-    /// `QueryResponse::to_wire`, carried verbatim by the `sofia-net`
-    /// TCP data plane and routed across processes by its cluster
-    /// layer) — this wrapper reaches none of that.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(id, Query::Latest)` — the typed form pipelines, \
-                batches, and is the wire-capable path `sofia-net` serves"
-    )]
-    pub fn latest(&self, id: &str) -> Result<Option<StepOutput>, FleetError> {
-        Ok(self.query(id, Query::Latest)?.wait()?.expect_latest())
-    }
-
-    /// `h`-step-ahead forecast of a stream, or `None` if its model does
-    /// not forecast.
-    ///
-    /// Migrate to `query(id, Query::Forecast { horizon })` — see
-    /// [`Fleet::latest`] for why the typed path is the one worth being
-    /// on (pipelining, batching, and the `sofia-net` wire form).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(id, Query::Forecast { horizon })` — the typed form \
-                pipelines, batches, and is the wire-capable path `sofia-net` \
-                serves"
-    )]
-    pub fn forecast(&self, id: &str, h: usize) -> Result<Option<DenseTensor>, FleetError> {
-        Ok(self
-            .query(id, Query::Forecast { horizon: h })?
-            .wait()?
-            .expect_forecast())
-    }
-
-    /// Boolean mask of entries flagged as outliers in the latest step, or
-    /// `None` before the first step / for models without outlier
-    /// estimates.
-    ///
-    /// Migrate to `query(id, Query::OutlierMask)` — see
-    /// [`Fleet::latest`] for why the typed path is the one worth being
-    /// on (pipelining, batching, and the `sofia-net` wire form).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(id, Query::OutlierMask)` — the typed form \
-                pipelines, batches, and is the wire-capable path `sofia-net` \
-                serves"
-    )]
-    pub fn outlier_mask(&self, id: &str) -> Result<Option<Mask>, FleetError> {
-        Ok(self
-            .query(id, Query::OutlierMask)?
-            .wait()?
-            .expect_outlier_mask())
-    }
-
-    /// Serving statistics of one stream.
-    ///
-    /// Migrate to `query(id, Query::StreamStats)` — see
-    /// [`Fleet::latest`] for why the typed path is the one worth being
-    /// on (pipelining, batching, and the `sofia-net` wire form).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(id, Query::StreamStats)` — the typed form \
-                pipelines, batches, and is the wire-capable path `sofia-net` \
-                serves"
-    )]
-    pub fn stream_stats(&self, id: &str) -> Result<StreamStats, FleetError> {
-        Ok(self
-            .query(id, Query::StreamStats)?
-            .wait()?
-            .expect_stream_stats())
     }
 
     /// Fleet-wide statistics snapshot (one barrier-free query per shard).
@@ -583,9 +495,9 @@ impl Drop for Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::MetricKind;
-    use sofia_core::traits::StreamingFactorizer;
-    use sofia_tensor::Shape;
+    use crate::stats::{MetricKind, StreamStats};
+    use sofia_core::traits::{StepOutput, StreamingFactorizer};
+    use sofia_tensor::{DenseTensor, Shape};
     use std::time::Duration;
 
     /// Test model: completion counts the steps taken, so outputs encode
@@ -673,7 +585,7 @@ mod tests {
     fn register_ingest_flush_query() {
         let fleet = small_fleet(2);
         let key = fleet
-            .register("s1", ModelHandle::boxed(Box::new(Counter::new())))
+            .register("s1", ModelHandle::serve(Counter::new()))
             .unwrap();
         for t in 0..5 {
             fleet.try_ingest(&key, slice(t as f64)).unwrap();
@@ -685,9 +597,6 @@ mod tests {
         assert_eq!(fc.get(&[0]), 5.0);
         let stats = stream_stats(&fleet, "s1").unwrap();
         assert_eq!(stats.steps, 5);
-        #[allow(deprecated)]
-        let ewma = stats.step_latency_ewma_us;
-        assert!(ewma.is_some());
         assert_eq!(stats.ingest_latency.count(), 5);
         assert!(stats.ingest_latency.p99().is_some());
         // Counter forecasts shape [1] against [2, 2] slices: the drift
@@ -721,7 +630,7 @@ mod tests {
 
         let fleet = small_fleet(1);
         let key = fleet
-            .register("drift", ModelHandle::boxed(Box::new(Echo { last: None })))
+            .register("drift", ModelHandle::serve(Echo { last: None }))
             .unwrap();
         // Constant stream of 2s after the first slice: every recorded
         // residual is ‖2−2‖/‖2‖ = 0 except the second step's ‖1−2‖/‖2‖.
@@ -771,10 +680,7 @@ mod tests {
         let keys: Vec<StreamKey> = (0..12)
             .map(|i| {
                 fleet
-                    .register(
-                        &format!("stream-{i}"),
-                        ModelHandle::boxed(Box::new(Counter::new())),
-                    )
+                    .register(&format!("stream-{i}"), ModelHandle::serve(Counter::new()))
                     .unwrap()
             })
             .collect();
@@ -799,10 +705,10 @@ mod tests {
     fn duplicate_and_unknown_streams_error() {
         let fleet = small_fleet(1);
         fleet
-            .register("s1", ModelHandle::boxed(Box::new(Counter::new())))
+            .register("s1", ModelHandle::serve(Counter::new()))
             .unwrap();
         assert!(matches!(
-            fleet.register("s1", ModelHandle::boxed(Box::new(Counter::new()))),
+            fleet.register("s1", ModelHandle::serve(Counter::new())),
             Err(FleetError::DuplicateStream(_))
         ));
         assert!(matches!(
@@ -825,7 +731,7 @@ mod tests {
         })
         .unwrap();
         let key = fleet
-            .register("slow", ModelHandle::boxed(Box::new(Counter::slow(50))))
+            .register("slow", ModelHandle::serve(Counter::slow(50)))
             .unwrap();
         // Fill until the bounded queue pushes back. The worker consumes
         // one slice every 50 ms, so a tight loop must hit Backpressure.
@@ -859,7 +765,7 @@ mod tests {
         })
         .unwrap();
         let key = fleet
-            .register("slow", ModelHandle::boxed(Box::new(Counter::slow(5))))
+            .register("slow", ModelHandle::serve(Counter::slow(5)))
             .unwrap();
         let mut total_retries = 0;
         for t in 0..20 {
@@ -886,10 +792,10 @@ mod tests {
                 .expect("some id routes to each shard")
         };
         let a = fleet
-            .register(&pick(0), ModelHandle::boxed(Box::new(Counter::slow(20))))
+            .register(&pick(0), ModelHandle::serve(Counter::slow(20)))
             .unwrap();
         let b = fleet
-            .register(&pick(1), ModelHandle::boxed(Box::new(Counter::slow(20))))
+            .register(&pick(1), ModelHandle::serve(Counter::slow(20)))
             .unwrap();
         assert_ne!(a.shard(), b.shard());
         let start = std::time::Instant::now();
@@ -929,13 +835,10 @@ mod tests {
         // panics on.
         let fleet = small_fleet(1);
         let bad = fleet
-            .register(
-                "bad",
-                ModelHandle::boxed(Box::new(PanicAfter { steps: 0, after: 2 })),
-            )
+            .register("bad", ModelHandle::serve(PanicAfter { steps: 0, after: 2 }))
             .unwrap();
         let good = fleet
-            .register("good", ModelHandle::boxed(Box::new(Counter::new())))
+            .register("good", ModelHandle::serve(Counter::new()))
             .unwrap();
         for t in 0..3 {
             fleet.try_ingest(&bad, slice(t as f64)).unwrap();
@@ -957,7 +860,7 @@ mod tests {
         assert_eq!(stats.dropped(), 2, "post-panic slices are counted");
         // The id is freed, so a replacement model can take over.
         let bad2 = fleet
-            .register("bad", ModelHandle::boxed(Box::new(Counter::new())))
+            .register("bad", ModelHandle::serve(Counter::new()))
             .unwrap();
         fleet.try_ingest(&bad2, slice(0.0)).unwrap();
         fleet.flush().unwrap();
@@ -988,7 +891,7 @@ mod tests {
 
         let fleet = small_fleet(1);
         let key = fleet
-            .register("s", ModelHandle::boxed(Box::new(AssertingForecast)))
+            .register("s", ModelHandle::serve(AssertingForecast))
             .unwrap();
         fleet.try_ingest(&key, slice(1.0)).unwrap();
         fleet.flush().unwrap();
@@ -1072,7 +975,7 @@ mod tests {
         ));
         // The freed id is immediately reusable.
         source
-            .register("mig", ModelHandle::boxed(Box::new(Counter::new())))
+            .register("mig", ModelHandle::serve(Counter::new()))
             .unwrap();
 
         // Continuing on the target is bit-exact against a control model
@@ -1105,7 +1008,7 @@ mod tests {
         // A transient model has no snapshot capability, hence no
         // exportable envelope — typed rejection, not a panic.
         fleet
-            .register("t", ModelHandle::boxed(Box::new(Counter::new())))
+            .register("t", ModelHandle::serve(Counter::new()))
             .unwrap();
         assert!(matches!(
             fleet.export_stream("t"),
@@ -1117,14 +1020,14 @@ mod tests {
     fn shutdown_is_clean_and_drop_safe() {
         let fleet = small_fleet(2);
         let key = fleet
-            .register("s", ModelHandle::boxed(Box::new(Counter::new())))
+            .register("s", ModelHandle::serve(Counter::new()))
             .unwrap();
         fleet.try_ingest(&key, slice(1.0)).unwrap();
         assert_eq!(fleet.shutdown().unwrap(), 0);
         // Dropping without shutdown must also not hang or panic.
         let fleet2 = small_fleet(1);
         fleet2
-            .register("s", ModelHandle::boxed(Box::new(Counter::new())))
+            .register("s", ModelHandle::serve(Counter::new()))
             .unwrap();
         drop(fleet2);
     }
@@ -1140,7 +1043,7 @@ mod tests {
         // wakeup — the exact interleaving a missing final drain drops.
         let fleet = small_fleet(1);
         let key = fleet
-            .register("slow", ModelHandle::boxed(Box::new(Counter::slow(30))))
+            .register("slow", ModelHandle::serve(Counter::slow(30)))
             .unwrap();
         fleet.try_ingest(&key, slice(1.0)).unwrap();
         let ticket = fleet.query("slow", Query::StreamStats).unwrap();
@@ -1162,70 +1065,10 @@ mod tests {
     };
 
     #[test]
-    fn legacy_wrappers_delegate_to_the_query_plane() {
-        #![allow(deprecated)]
-        let fleet = small_fleet(2);
-        let key = fleet
-            .register("s", ModelHandle::boxed(Box::new(Counter::new())))
-            .unwrap();
-        fleet.try_ingest(&key, slice(1.0)).unwrap();
-        fleet.flush().unwrap();
-
-        // Each deprecated method answers exactly like its typed query.
-        assert_eq!(
-            fleet.latest("s").unwrap().unwrap().completed.data(),
-            latest(&fleet, "s").unwrap().unwrap().completed.data()
-        );
-        assert_eq!(
-            fleet.forecast("s", 2).unwrap().unwrap().data(),
-            forecast(&fleet, "s", 2).unwrap().unwrap().data()
-        );
-        assert!(fleet.outlier_mask("s").unwrap().is_none());
-        assert_eq!(
-            fleet.stream_stats("s").unwrap().steps,
-            stream_stats(&fleet, "s").unwrap().steps
-        );
-        // The wrappers inherit boundary validation too.
-        assert!(matches!(
-            fleet.forecast("s", 0),
-            Err(FleetError::InvalidQuery { .. })
-        ));
-        // And they are counted as plane traffic: 4 wrapper + 3 typed
-        // queries above (the InvalidQuery rejection never reaches a
-        // shard).
-        assert_eq!(fleet.fleet_stats().unwrap().queries().total(), 7);
-
-        // The deprecated `register_sofia` alias must keep compiling and
-        // delegating to the uniform handle constructor (this is its only
-        // remaining coverage; integration tests register through
-        // `ModelHandle::sofia` directly).
-        let stream = sofia_datagen::seasonal::SeasonalStream::paper_fig2(&[4, 3], 2, 4, 11);
-        let startup: Vec<ObservedTensor> = (0..12)
-            .map(|t| {
-                ObservedTensor::fully_observed(sofia_datagen::stream::TensorStream::clean_slice(
-                    &stream, t,
-                ))
-            })
-            .collect();
-        let config = sofia_core::SofiaConfig::new(2, 4)
-            .with_lambdas(0.01, 0.01, 10.0)
-            .with_als_limits(1e-3, 1, 20);
-        let model = sofia_core::Sofia::init(&config, &startup, 5).expect("init");
-        fleet
-            .register_sofia("legacy-sofia", model)
-            .expect("alias registers");
-        assert_eq!(
-            stream_stats(&fleet, "legacy-sofia").unwrap().model,
-            "SOFIA",
-            "alias delegated to ModelHandle::sofia"
-        );
-    }
-
-    #[test]
     fn tickets_poll_and_pipeline() {
         let fleet = small_fleet(1);
         let key = fleet
-            .register("slow", ModelHandle::boxed(Box::new(Counter::slow(30))))
+            .register("slow", ModelHandle::serve(Counter::slow(30)))
             .unwrap();
         // Queries are not FIFO-ordered with in-flight ingests; flush
         // gives read-your-writes, after which every query must see the
@@ -1262,7 +1105,7 @@ mod tests {
         let fleet = small_fleet(2);
         for id in ["a", "b"] {
             let key = fleet
-                .register(id, ModelHandle::boxed(Box::new(Counter::new())))
+                .register(id, ModelHandle::serve(Counter::new()))
                 .unwrap();
             fleet.try_ingest(&key, slice(1.0)).unwrap();
         }
@@ -1290,7 +1133,7 @@ mod tests {
     fn stats_reflect_batching() {
         let fleet = small_fleet(1);
         let key = fleet
-            .register("s", ModelHandle::boxed(Box::new(Counter::slow(10))))
+            .register("s", ModelHandle::serve(Counter::slow(10)))
             .unwrap();
         // While the worker sleeps on the first slice, the rest pile up
         // and must drain as one batch.

@@ -67,7 +67,7 @@
 //! }
 //!
 //! let fleet = Fleet::new(FleetConfig::with_shards(2)).unwrap();
-//! let key = fleet.register("sensor-net-7", ModelHandle::boxed(Box::new(Echo))).unwrap();
+//! let key = fleet.register("sensor-net-7", ModelHandle::serve(Echo)).unwrap();
 //! let slice = ObservedTensor::fully_observed(
 //!     DenseTensor::full(Shape::new(&[2, 3]), 1.5));
 //! fleet.try_ingest(&key, slice).unwrap();
@@ -117,4 +117,4 @@ pub use registry::{shard_of, StreamKey};
 // Re-exported so implementing durability for a custom served model needs
 // only this crate's prelude.
 pub use sofia_core::snapshot::{RestoreModel, SnapshotModel};
-pub use stats::{Ewma, FleetStats, MetricKind, QueryCounters, ShardStats, StreamStats};
+pub use stats::{FleetStats, MetricKind, QueryCounters, ShardStats, StreamStats};

@@ -48,19 +48,6 @@ impl<M: StreamingFactorizer + Send> Served for Transient<M> {
     }
 }
 
-/// An already-boxed model (the pre-envelope registration API).
-impl Served for Box<dyn StreamingFactorizer + Send> {
-    fn factorizer(&self) -> &dyn StreamingFactorizer {
-        self.as_ref()
-    }
-    fn factorizer_mut(&mut self) -> &mut dyn StreamingFactorizer {
-        self.as_mut()
-    }
-    fn snapshot_view(&self) -> Option<&dyn SnapshotModel> {
-        None
-    }
-}
-
 /// A served model whose state survives crashes and eviction.
 struct Durable<M>(M);
 
@@ -111,16 +98,6 @@ impl ModelHandle {
     pub fn sofia(model: Sofia) -> Self {
         let steps = model.dynamic().steps() as u64;
         ModelHandle::durable(model).with_steps(steps)
-    }
-
-    /// Wraps an already-boxed factorizer (transient: the concrete type is
-    /// erased, so no snapshot capability can be attached; use
-    /// [`ModelHandle::durable`] when the type is known and durable).
-    pub fn boxed(model: Box<dyn StreamingFactorizer + Send>) -> Self {
-        ModelHandle {
-            served: Box::new(model),
-            steps: 0,
-        }
     }
 
     /// Overrides the applied-steps counter (restore paths seed it from
@@ -252,7 +229,7 @@ mod tests {
 
     #[test]
     fn transient_handle_serves_and_counts_but_does_not_checkpoint() {
-        let mut h = ModelHandle::boxed(Box::new(Echo));
+        let mut h = ModelHandle::serve(Echo);
         assert_eq!(h.name(), "echo");
         let slice = ObservedTensor::fully_observed(DenseTensor::full(Shape::new(&[2, 2]), 3.0));
         let out = h.step(&slice);

@@ -48,7 +48,7 @@ use crate::error::FleetError;
 use crate::model::ModelHandle;
 use crate::protocol::{Query, QueryResponse};
 use crate::registry::Registry;
-use crate::stats::{Ewma, MetricKind, QueryCounters, ShardStats, StreamStats};
+use crate::stats::{MetricKind, QueryCounters, ShardStats, StreamStats};
 use sofia_core::traits::StepOutput;
 use sofia_sketch::MetricSummary;
 use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
@@ -128,10 +128,9 @@ pub(crate) struct QueryRequest {
 struct StreamSlot {
     model: ModelHandle,
     steps_since_checkpoint: u64,
-    latency: Ewma,
-    /// Mergeable ingest-latency summary (µs per applied slice). Like the
-    /// EWMA it is in-memory observability state, not model state: it is
-    /// not checkpointed and starts fresh on restore.
+    /// Mergeable ingest-latency summary (µs per applied slice). It is
+    /// in-memory observability state, not model state: it is not
+    /// checkpointed and starts fresh on restore.
     ingest_latency: MetricSummary,
     /// Mergeable one-step-ahead forecast-error summary: the relative
     /// residual of the model's own pre-step forecast against the slice
@@ -148,7 +147,6 @@ impl StreamSlot {
         StreamSlot {
             model,
             steps_since_checkpoint: 0,
-            latency: Ewma::default(),
             ingest_latency: MetricSummary::new(),
             forecast_error: MetricSummary::new(),
             last: None,
@@ -213,7 +211,6 @@ pub(crate) struct ShardWorker {
     /// Streams checkpointed and unloaded by the eviction sweep; still
     /// registered, restored lazily on the next ingest/query.
     evicted: HashSet<Arc<str>>,
-    latency: Ewma,
     /// Shard-level mergeable summaries, observed directly by this worker
     /// (not folded from slots, so they also cover streams that were
     /// since evicted or quarantined). These are the canonical per-shard
@@ -340,14 +337,12 @@ impl ShardWorker {
                 })
             })),
             Query::StreamStats => {
-                #[allow(deprecated)]
                 let stats = StreamStats {
                     stream: stream.to_string(),
                     model: slot.model.name().to_string(),
                     shard: self.shard,
                     steps: slot.model.model_steps(),
                     queue_depth: self.depth.load(Ordering::Acquire),
-                    step_latency_ewma_us: slot.latency.value(),
                     steps_since_checkpoint: slot.steps_since_checkpoint,
                     ingest_latency: slot.ingest_latency.clone(),
                     forecast_error: slot.forecast_error.clone(),
@@ -515,8 +510,6 @@ impl ShardWorker {
                     }
                     Ok(out) => {
                         let us = start.elapsed().as_secs_f64() * 1e6;
-                        slot.latency.observe(us);
-                        self.latency.observe(us);
                         slot.ingest_latency.observe(us);
                         self.ingest_latency.observe(us);
                         if let Some(residual) = prediction
@@ -562,7 +555,6 @@ impl ShardWorker {
             // worker.
             Command::PumpQueries => false,
             Command::ShardStats { reply } => {
-                #[allow(deprecated)]
                 let stats = ShardStats {
                     shard: self.shard,
                     streams: self.slots.len(),
@@ -577,7 +569,6 @@ impl ShardWorker {
                     queries: self.queries,
                     query_batches: self.query_batches,
                     query_queue_depth: self.query_depth.load(Ordering::Acquire),
-                    step_latency_ewma_us: self.latency.value(),
                     ingest_latency: self.ingest_latency.clone(),
                     forecast_error: self.forecast_error.clone(),
                     endpoint: None,
@@ -766,7 +757,6 @@ impl ShardHandle {
             registry,
             slots: HashMap::new(),
             evicted: HashSet::new(),
-            latency: Ewma::default(),
             ingest_latency: MetricSummary::new(),
             forecast_error: MetricSummary::new(),
             steps: 0,

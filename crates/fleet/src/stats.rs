@@ -1,10 +1,10 @@
 //! Per-stream and fleet-wide serving statistics.
 //!
 //! Latency and forecast-error observations land in mergeable
-//! [`MetricSummary`] sketches (see `sofia-sketch`): unlike the legacy
-//! EWMAs, sketches from different shards — or different processes —
-//! merge into exactly the summary a single observer would have built,
-//! so p99/p99.9 questions have one answer at every aggregation level.
+//! [`MetricSummary`] sketches (see `sofia-sketch`): sketches from
+//! different shards — or different processes — merge into exactly the
+//! summary a single observer would have built, so p99/p99.9 questions
+//! have one answer at every aggregation level.
 //! The sketches live in memory only: they cover the current process
 //! lifetime and reset on evict/restore and restart.
 
@@ -47,44 +47,6 @@ impl MetricKind {
 impl std::fmt::Display for MetricKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Exponentially weighted moving average of step latency.
-///
-/// `ewma ← α·x + (1−α)·ewma`; the first observation seeds the average so
-/// early readings are not biased toward zero.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// A new average with smoothing factor `alpha ∈ (0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Folds in one observation.
-    pub fn observe(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-        });
-    }
-
-    /// Current average, if any observation has been made.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
-impl Default for Ewma {
-    /// The fleet's default smoothing (`α = 0.1`, ≈ last ~20 steps).
-    fn default() -> Self {
-        Ewma::new(0.1)
     }
 }
 
@@ -168,14 +130,6 @@ pub struct StreamStats {
     /// Slices currently queued on the owning shard (shard-wide: the queue
     /// is per shard, not per stream).
     pub queue_depth: usize,
-    /// EWMA of per-step latency in microseconds, `None` before the first
-    /// step. Still populated for existing dashboards, but step-weighted
-    /// EWMA averages cannot merge exactly across shards or nodes.
-    #[deprecated(
-        note = "read `ingest_latency` instead: its p50/p99/p999 quantiles and \
-                exact moments merge losslessly across shards and nodes"
-    )]
-    pub step_latency_ewma_us: Option<f64>,
     /// Steps applied since the last durable checkpoint (0 right after one;
     /// `u64::MAX` sentinel is never used — non-checkpointable models just
     /// keep counting).
@@ -227,13 +181,6 @@ pub struct ShardStats {
     /// a persistently high gauge means queries arrive faster than the
     /// worker drains them between ingest batches.
     pub query_queue_depth: usize,
-    /// EWMA of per-step latency in microseconds across the shard's
-    /// streams. Still populated, but see the deprecation note.
-    #[deprecated(
-        note = "read `ingest_latency` instead: its p50/p99/p999 quantiles and \
-                exact moments merge losslessly across shards and nodes"
-    )]
-    pub step_latency_ewma_us: Option<f64>,
     /// Mergeable shard-level summary of per-step ingest latency (µs),
     /// fed by the same observations as every resident stream's own
     /// summary. This is the canonical per-shard partial: fleet- and
@@ -335,71 +282,18 @@ impl FleetStats {
         }
         acc
     }
-
-    /// Step-weighted mean of the shard latency EWMAs, in microseconds.
-    #[deprecated(note = "read `ingest_latency()` instead: `.mean()` is the exact mean \
-                and `.quantile(q)` answers the tail questions an EWMA cannot")]
-    pub fn mean_step_latency_us(&self) -> Option<f64> {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for s in &self.shards {
-            #[allow(deprecated)]
-            if let Some(l) = s.step_latency_ewma_us {
-                num += l * s.steps as f64;
-                den += s.steps as f64;
-            }
-        }
-        (den > 0.0).then(|| num / den)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn ewma_seeds_with_first_observation() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.value(), None);
-        e.observe(10.0);
-        assert_eq!(e.value(), Some(10.0));
-    }
-
-    #[test]
-    fn ewma_tracks_smoothly() {
-        let mut e = Ewma::new(0.5);
-        e.observe(10.0);
-        e.observe(20.0);
-        assert_eq!(e.value(), Some(15.0));
-        e.observe(15.0);
-        assert_eq!(e.value(), Some(15.0));
-    }
-
-    #[test]
-    fn ewma_converges_to_constant_input() {
-        let mut e = Ewma::new(0.2);
-        for _ in 0..200 {
-            e.observe(42.0);
-        }
-        assert!((e.value().unwrap() - 42.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_zero_alpha() {
-        Ewma::new(0.0);
-    }
-
     /// A shard snapshot with the given counters and a latency summary
-    /// built from `latencies` (both sketch and EWMA halves populated,
-    /// like the worker does).
-    #[allow(deprecated)]
+    /// built from `latencies`, like the worker does.
     fn shard_stats(shard: usize, latencies: &[f64]) -> ShardStats {
         let mut ingest_latency = MetricSummary::new();
-        let mut ewma = Ewma::default();
         for &l in latencies {
             ingest_latency.observe(l);
-            ewma.observe(l);
         }
         ShardStats {
             shard,
@@ -415,7 +309,6 @@ mod tests {
             queries: QueryCounters::default(),
             query_batches: 0,
             query_queue_depth: 0,
-            step_latency_ewma_us: ewma.value(),
             ingest_latency,
             forecast_error: MetricSummary::new(),
             endpoint: None,
@@ -423,7 +316,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn fleet_stats_aggregates() {
         let mut a = shard_stats(0, &[100.0; 30]);
         a.streams = 2;
@@ -476,8 +368,6 @@ mod tests {
         assert_eq!(stats.queries().total(), 13);
         assert_eq!(stats.query_batches(), 5);
         assert_eq!(stats.query_queue_depth(), 2);
-        let mean = stats.mean_step_latency_us().unwrap();
-        assert!((mean - 125.0).abs() < 1e-9, "step-weighted mean {mean}");
     }
 
     #[test]
@@ -534,10 +424,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn fleet_stats_latency_none_when_no_steps() {
         let stats = FleetStats { shards: vec![] };
-        assert_eq!(stats.mean_step_latency_us(), None);
         assert!(stats.ingest_latency().is_empty());
     }
 }

@@ -345,8 +345,8 @@ impl Client {
     }
 
     /// Writes one `query` frame without reading its reply — the send
-    /// half of [`Client::query_pipelined`], split out so callers (the
-    /// concurrency bench, multi-connection drivers) can put many
+    /// half of [`Client::query_pipelined`], split out so callers
+    /// (load generators, multi-connection drivers) can put many
     /// sockets' queries in flight before settling any. Returns the
     /// request id to pass to [`Client::finish_query`].
     pub fn start_query(&mut self, stream: &str, query: Query) -> Result<u64, ClientError> {

@@ -13,38 +13,39 @@
 //!
 //! ## Migration
 //!
-//! [`ClusterClient::migrate`] moves one stream between processes with
-//! the wire verbs PR 4 already shipped plus the `snapshot` read path:
+//! One sequence moves streams between processes, built from the wire
+//! verbs `flush`, `snapshot`, `register`, and `deregister`:
 //!
-//! 1. `flush` the source (read-your-writes: the snapshot must include
+//! 1. `flush` the source (read-your-writes: the snapshots must include
 //!    every slice acknowledged so far);
-//! 2. `snapshot` the stream — its checkpoint envelope, bit-exact;
-//! 3. `register` the envelope on the target — the same restore path
+//! 2. `snapshot` each stream — its checkpoint envelope, bit-exact;
+//! 3. `register` each envelope on the target — the same restore path
 //!    crash recovery uses, so the model resumes bit-exactly, and the
 //!    target *persists* the arrival before acknowledging (when it runs
-//!    a checkpoint policy), so step 5 never deletes the stream's only
+//!    a checkpoint policy), so step 5 never deletes a stream's only
 //!    durable copy;
-//! 4. flip the map entry ([`ShardMap::set_override`]) so routing
-//!    follows the stream;
-//! 5. `deregister` the old copy — unloaded *and* its checkpoint file
-//!    deleted, so a restart of the source cannot resurrect it.
+//! 4. flip the map so routing follows the streams;
+//! 5. `deregister` the old copies — unloaded *and* their checkpoint
+//!    files deleted, so a restart of the source cannot resurrect them.
 //!
-//! Since the cluster-autonomy revision a migration also **bumps the
-//! map's epoch** and pushes the new map at every member (`remap`), so
-//! servers learn ownership changes instead of serving from a launch-time
-//! table forever.
+//! A failure before the flip rolls back (target copies deregistered,
+//! map untouched); a failure after the flip rolls *forward* — the map
+//! already names the new owner, and any stale copy left on a dead
+//! source is fenced the moment that source learns the current epoch.
 //!
-//! ## Slot migration and rebalancing
-//!
+//! The two entry points differ only in the flip.
+//! [`ClusterClient::migrate`] moves one stream and flips its per-stream
+//! override entry ([`ShardMap::set_override`]); once the map's epoch is
+//! past 0 it also bumps the epoch and pushes the new map at every
+//! member (`remap`), so servers learn ownership changes instead of
+//! serving from a launch-time table forever.
 //! [`ClusterClient::migrate_slot`] moves a whole route slot — every
-//! stream the slot's hash routes to its owner — through the same
-//! flush → snapshot → register sweep, then flips the slot's owner
-//! ([`ShardMap::set_slot_owner`]) and bumps the epoch **exactly once**,
-//! and finally deregisters the source copies. A failure before the flip
-//! rolls back (target copies deregistered, map untouched); a failure
-//! after the flip rolls *forward* — the map already names the new
-//! owner, and any stale copy left on a dead source is fenced the moment
-//! that source learns the current epoch.
+//! stream the slot's hash routes to its owner — and flips the slot's
+//! owner ([`ShardMap::set_slot_owner`]), bumping and pushing the epoch
+//! **exactly once**.
+//!
+//! ## Rebalancing
+//!
 //! [`ClusterClient::rebalance`] drives slot migrations from load: it
 //! merges per-endpoint ingest counters, queue depths, and settle-latency
 //! p99s, then moves the hottest slots off the hottest node until every
@@ -538,13 +539,17 @@ impl ClusterClient {
     /// path, flip the map entry, and unload (+ delete) the old copy.
     /// See the module docs for the ordering and the single-writer
     /// assumption; the target may be any reachable `sofia-net` server,
-    /// in the map or not.
+    /// in the map or not. This is the one-stream case of
+    /// [`Self::migrate_slot`]: the same sequence, with a per-stream
+    /// override as the flip.
     ///
     /// The target must **persist** the arrived stream (run a checkpoint
     /// policy): the final step deletes the source's checkpoint file, so
     /// a memory-only target would leave the stream one crash away from
     /// total loss. A non-durable target rolls the registration back and
-    /// fails the migration with the source untouched.
+    /// fails the migration with the source untouched. A source copy that
+    /// cannot be removed after the flip is reported as an error; the
+    /// stream is already reachable at its new home.
     pub fn migrate(&mut self, stream: &str, to: &str) -> Result<(), ClientError> {
         let from = self.map.endpoint_of(stream).to_string();
         if from == to {
@@ -552,46 +557,27 @@ impl ClusterClient {
                 "stream `{stream}` is already served by `{to}`"
             )));
         }
-        // 1–2: barrier, then read the envelope (bit-exact, includes
-        // every acknowledged slice).
-        self.fenced_at(&from, Client::flush)?;
-        let envelope = self.fenced_at(&from, |source| source.snapshot(stream))?;
-        // 3: the envelope IS the registration payload on the target,
-        // which persists it before acknowledging (or reports that it
-        // cannot).
-        let durable = self.fenced_at(to, |target| target.register_envelope(stream, &envelope))?;
-        if !durable {
-            // Deleting the source's (possibly only) durable copy on the
-            // word of a target that persisted nothing would let a
-            // target crash destroy the stream everywhere. Roll back.
-            let _ = self.fenced_at(to, |target| target.deregister(stream));
-            return Err(ClientError::Protocol(format!(
-                "target `{to}` did not persist `{stream}` (no checkpoint policy); \
-                 migration aborted, the source still serves the stream"
-            )));
-        }
-        // 4: flip the map entry *before* unloading the source, so a
-        // failure below leaves the stream reachable at its new home
-        // (worst case: a stale copy lingers on the source). Moving a
-        // stream back to its hashed slot owner needs no entry at all.
-        if self.map.endpoints()[self.map.shard_of(stream)] == to {
-            self.map.clear_override(stream);
-        } else {
-            self.map.set_override(stream, to);
-        }
-        // Once the cluster is in the epoch era (any slot flip or
-        // publish bumped past 0), an override flip must be published
-        // too: fenced requests for this stream would otherwise bounce
-        // between the members' ownership views. At epoch 0 nothing
-        // fences, so the pre-autonomy contract — other routers learn
-        // the entry by rebuilding their map — stands unchanged.
-        if self.map.epoch() > 0 {
-            self.publish_map();
-        }
-        // 5: unload the old copy; its checkpoint file goes with it, so
-        // a source restart cannot resurrect the stream.
-        self.fenced_at(&from, |source| source.deregister(stream))?;
-        Ok(())
+        let flip = |router: &mut Self| {
+            // Moving a stream back to its hashed slot owner needs no
+            // entry at all.
+            if router.map.endpoints()[router.map.shard_of(stream)] == to {
+                router.map.clear_override(stream);
+            } else {
+                router.map.set_override(stream, to);
+            }
+            // Once the cluster is in the epoch era (any slot flip or
+            // publish bumped past 0), an override flip must be published
+            // too: fenced requests for this stream would otherwise
+            // bounce between the members' ownership views. At epoch 0
+            // nothing fences, so the pre-autonomy contract — other
+            // routers learn the entry by rebuilding their map — stands.
+            if router.map.epoch() > 0 {
+                router.publish_map();
+            }
+            router.map.epoch()
+        };
+        let removed = self.move_streams(&from, to, &[stream.to_string()], flip, |_| {})?;
+        removed.into_iter().collect()
     }
 
     /// Bumps the map's epoch and pushes the result at every member
@@ -636,7 +622,7 @@ impl ClusterClient {
         &mut self,
         slot: usize,
         to: &str,
-        mut observe: impl FnMut(MigrationStep<'_>),
+        observe: impl FnMut(MigrationStep<'_>),
     ) -> Result<usize, ClientError> {
         let slots = self.map.endpoints().len();
         if slot >= slots {
@@ -660,65 +646,92 @@ impl ClusterClient {
         streams.retain(|s| {
             self.map.shard_of(s) == slot && !self.map.overrides().contains_key(s.as_str())
         });
+        // The flip: one ownership change, one epoch bump, one push. A
+        // stale source copy left behind by a failed cleanup is fenced
+        // garbage, not an unreachable stream, so it is not an error.
+        let flip = |router: &mut Self| {
+            router.map.set_slot_owner(slot, to);
+            router.publish_map()
+        };
+        let removed = self.move_streams(&from, to, &streams, flip, observe)?;
+        Ok(removed.len())
+    }
+
+    /// The one migration sequence behind [`Self::migrate`] and
+    /// [`Self::migrate_slot_observed`]: flush `from`; snapshot each
+    /// stream there and register its envelope on `to`, which must
+    /// persist it; `flip` routing (the caller's map change, returning
+    /// the epoch it established); then deregister each source copy.
+    /// Every boundary is reported to `observe` as it is crossed.
+    ///
+    /// Failure semantics follow the flip. Before it, everything rolls
+    /// **back**: the target copies made so far are deregistered, the
+    /// map is untouched, and the source still serves every stream
+    /// (its files included). After it, everything rolls **forward**:
+    /// the map already names the new owner, which holds every stream
+    /// durably, and the result holds each stream's source-removal
+    /// outcome, in `streams` order, for the caller to judge.
+    fn move_streams(
+        &mut self,
+        from: &str,
+        to: &str,
+        streams: &[String],
+        flip: impl FnOnce(&mut Self) -> u64,
+        mut observe: impl FnMut(MigrationStep<'_>),
+    ) -> Result<Vec<Result<(), ClientError>>, ClientError> {
         // Flush once: every acknowledged slice is in the snapshots.
-        self.fenced_at(&from, Client::flush)?;
+        self.fenced_at(from, Client::flush)?;
         observe(MigrationStep::Flushed);
-        // Copy phase (pre-flip, rolls back): snapshot each stream and
-        // register it durably on the target. The source still owns
-        // routing, so readers are served throughout.
+        // Copy phase: the source still owns routing, so readers are
+        // served throughout.
         let mut registered: Vec<&str> = Vec::with_capacity(streams.len());
-        for stream in &streams {
+        for stream in streams {
             let result = self
-                .fenced_at(&from, |source| source.snapshot(stream))
+                .fenced_at(from, |source| source.snapshot(stream))
                 .inspect(|_| observe(MigrationStep::Snapshotted(stream)))
                 .and_then(|envelope| {
                     self.fenced_at(to, |target| target.register_envelope(stream, &envelope))
                 });
-            match result {
+            let failure = match result {
                 Ok(true) => {
                     observe(MigrationStep::Registered(stream));
                     registered.push(stream);
+                    continue;
                 }
+                // Deleting the source's (possibly only) durable copy on
+                // the word of a target that persisted nothing would let
+                // a target crash destroy the stream everywhere.
                 Ok(false) => {
-                    self.rollback_slot_copies(to, &registered);
-                    return Err(ClientError::Protocol(format!(
+                    registered.push(stream);
+                    ClientError::Protocol(format!(
                         "target `{to}` did not persist `{stream}` (no checkpoint \
-                         policy); slot migration aborted, the source still serves \
+                         policy); migration aborted, the source still serves \
                          every stream"
-                    )));
+                    ))
                 }
-                Err(e) => {
-                    self.rollback_slot_copies(to, &registered);
-                    return Err(e);
-                }
+                Err(e) => e,
+            };
+            // Best-effort: the copies hold no routing either way.
+            for copy in &registered {
+                let _ = self.fenced_at(to, |target| target.deregister(copy));
             }
+            return Err(failure);
         }
-        // The flip: one ownership change, one epoch bump, one push.
-        self.map.set_slot_owner(slot, to);
-        let epoch = self.publish_map();
+        let epoch = flip(self);
         observe(MigrationStep::Flipped { epoch });
-        // Cleanup phase (post-flip, rolls forward): unload the stale
-        // source copies. A failure here — say the source died — leaves
-        // fenced garbage, not an unreachable stream.
-        for stream in &streams {
-            if self
-                .fenced_at(&from, |source| source.deregister(stream))
-                .is_ok()
-            {
-                observe(MigrationStep::Deregistered(stream));
-            }
-        }
-        Ok(streams.len())
-    }
-
-    /// Pre-flip rollback of [`Self::migrate_slot_observed`]: deregister
-    /// the target copies already made (the source's copies — files
-    /// included — were never touched). Best-effort: the copies hold no
-    /// routing either way.
-    fn rollback_slot_copies(&mut self, to: &str, registered: &[&str]) {
-        for stream in registered {
-            let _ = self.fenced_at(to, |target| target.deregister(stream));
-        }
+        // Cleanup phase: unload the stale source copies; each one's
+        // checkpoint file goes with it, so a source restart cannot
+        // resurrect the stream.
+        Ok(streams
+            .iter()
+            .map(|stream| {
+                let removed = self.fenced_at(from, |source| source.deregister(stream));
+                if removed.is_ok() {
+                    observe(MigrationStep::Deregistered(stream));
+                }
+                removed
+            })
+            .collect())
     }
 
     /// [`Self::rebalance_with`] under [`RebalanceOptions::default`].

@@ -219,15 +219,30 @@ pub(crate) struct ReqMeta {
     pub(crate) stream: Option<String>,
 }
 
-/// What one [`Conn::pump`] pass left behind, so the event loop can pick
-/// its poll timeout and know whether to come straight back.
+/// The state one [`Conn::pump`] or [`Conn::settle_and_flush`] pass left
+/// behind, so the event loop can pick its poll timeout and know whether
+/// to come straight back.
 pub(crate) struct PumpOutcome {
-    /// The read budget ran out with the socket still hot — re-pump
-    /// before sleeping.
-    pub(crate) read_hungry: bool,
+    /// A pass could make progress right now, without waiting on the
+    /// socket or a shard: the read budget ran out with the socket still
+    /// hot, complete frames wait in the decoder, or the write bound held
+    /// back replies the flush has since made room for — re-pump before
+    /// sleeping.
+    pub(crate) ready: bool,
     /// The front completion is blocked on an unsettled ticket — poll
     /// again soon (tickets resolve off-loop, nothing wakes the poller).
     pub(crate) ticket_blocked: bool,
+}
+
+/// Why [`Conn::settle`] stopped.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Settled {
+    /// Nothing is left to settle (or the peer is gone).
+    Idle,
+    /// The write buffer reached its bound with completions still queued.
+    Full,
+    /// The front completion waits on an in-flight ticket.
+    Ticket,
 }
 
 /// One live connection: socket, decoder, completion queue, write
@@ -366,20 +381,21 @@ impl Conn {
                 }
             }
         }
-        let ticket_blocked = self.settle(shared);
-        self.flush();
-        PumpOutcome {
-            read_hungry: self.readable && self.wants_read(shared),
-            ticket_blocked,
-        }
+        self.settle_and_flush(shared)
     }
 
-    /// Re-settle and flush without touching the socket's read side —
-    /// the ticket-polling half of [`Conn::pump`], cheap enough to spin.
-    pub(crate) fn settle_and_flush(&mut self, shared: &Shared) -> bool {
-        let ticket_blocked = self.settle(shared);
+    /// Settle and flush without touching the socket's read side — the
+    /// ticket-polling half of [`Conn::pump`], cheap enough to spin.
+    pub(crate) fn settle_and_flush(&mut self, shared: &Shared) -> PumpOutcome {
+        let settled = self.settle(shared);
         self.flush();
-        ticket_blocked
+        let reads = self.wants_read(shared);
+        let frames = || !matches!(self.decoder.peek(shared.config.max_frame_bytes), Ok(None));
+        let room = self.write.pending_len() < shared.config.write_buffer_bytes;
+        PumpOutcome {
+            ready: (reads && (self.readable || frames())) || (settled == Settled::Full && room),
+            ticket_blocked: settled == Settled::Ticket,
+        }
     }
 
     /// Decodes every complete buffered frame the bounds allow and
@@ -507,23 +523,22 @@ impl Conn {
     }
 
     /// Settles completions **from the front only** (replies are in
-    /// request order) while the write buffer has room. Returns whether
-    /// the front is blocked on an in-flight ticket.
-    fn settle(&mut self, shared: &Shared) -> bool {
+    /// request order) while the write buffer has room.
+    fn settle(&mut self, shared: &Shared) -> Settled {
         loop {
             if self.peer_gone {
                 // Nothing can reach the peer; drop queued work (the
                 // shard reply channels tolerate dropped receivers).
                 self.pending.clear();
                 self.write.clear();
-                return false;
-            }
-            if self.write.pending_len() >= shared.config.write_buffer_bytes {
-                return false;
+                return Settled::Idle;
             }
             let Some((front, _)) = self.pending.front_mut() else {
-                return false;
+                return Settled::Idle;
             };
+            if self.write.pending_len() >= shared.config.write_buffer_bytes {
+                return Settled::Full;
+            }
             match front {
                 Completion::Ready(_) => {
                     let Some((Completion::Ready(body), meta)) = self.pending.pop_front() else {
@@ -534,7 +549,7 @@ impl Conn {
                 }
                 Completion::Query { id, ticket } => {
                     let Some(result) = ticket.try_take() else {
-                        return true;
+                        return Settled::Ticket;
                     };
                     let id = *id;
                     self.scratch.clear();
@@ -561,7 +576,7 @@ impl Conn {
                         }
                     }
                     if !all_done {
-                        return true;
+                        return Settled::Ticket;
                     }
                     let id = *id;
                     self.scratch.clear();

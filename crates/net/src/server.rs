@@ -78,9 +78,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(200);
 /// whole sleep on the round-trip.
 const SPIN_YIELDS: usize = 128;
 
-/// Cap on back-to-back service passes when sockets stay read-hungry
-/// (budget exhausted with bytes still buffered); after this many the
-/// worker re-polls with a zero timeout so other events get noticed.
+/// Cap on back-to-back service passes while connections stay ready
+/// (work a pass could do without waiting, e.g. a read budget exhausted
+/// with bytes still buffered); after this many the worker re-polls with
+/// a zero timeout so other events get noticed.
 const MAX_SERVICE_ROUNDS: usize = 8;
 
 /// Read chunk size (one `read(2)` call's buffer, reused per worker).
@@ -339,7 +340,7 @@ impl Server {
 
     /// Total serving threads: the pool plus the acceptor. Constant for
     /// the server's lifetime — connections never add threads (the soak
-    /// test and the concurrency bench assert exactly this).
+    /// test in `tests/soak.rs` asserts exactly this).
     pub fn thread_count(&self) -> usize {
         self.pool + 1
     }
@@ -521,31 +522,34 @@ fn worker_loop(shared: Arc<Shared>, mut poller: Poller, inbox: Arc<Inbox>, worke
         }
         // Service passes: each connection reads (budget-bounded, for
         // fairness), decodes, dispatches, settles, flushes. Re-pass
-        // while any socket's budget ran out with bytes still pending.
-        let mut read_hungry = false;
+        // while any connection has work it could do right now.
+        let mut ready = false;
         let mut ticket_blocked = false;
         for round in 0..MAX_SERVICE_ROUNDS {
-            read_hungry = false;
+            ready = false;
             ticket_blocked = false;
             for conn in conns.iter_mut().flatten() {
                 let outcome = conn.pump(&shared, &mut read_buf);
-                read_hungry |= outcome.read_hungry;
+                ready |= outcome.ready;
                 ticket_blocked |= outcome.ticket_blocked;
             }
-            if !read_hungry || round + 1 == MAX_SERVICE_ROUNDS {
+            if !ready || round + 1 == MAX_SERVICE_ROUNDS {
                 break;
             }
         }
         // Tickets settle on shard threads within microseconds under
         // load; a bounded yield-spin picks those up without putting a
-        // timed sleep on every round-trip.
+        // timed sleep on every round-trip. The poll timeout below is
+        // chosen from the state the last settle and flush left.
         let mut spins = 0;
-        while ticket_blocked && spins < SPIN_YIELDS {
+        while ticket_blocked && !ready && spins < SPIN_YIELDS {
             spins += 1;
             std::thread::yield_now();
             ticket_blocked = false;
             for conn in conns.iter_mut().flatten() {
-                ticket_blocked |= conn.settle_and_flush(&shared);
+                let outcome = conn.settle_and_flush(&shared);
+                ready |= outcome.ready;
+                ticket_blocked |= outcome.ticket_blocked;
             }
         }
         // Reap finished connections; the peer sees EOF.
@@ -589,7 +593,7 @@ fn worker_loop(shared: Arc<Shared>, mut poller: Poller, inbox: Arc<Inbox>, worke
                 });
             }
         }
-        let timeout = if read_hungry {
+        let timeout = if ready {
             Duration::ZERO
         } else if ticket_blocked {
             TICKET_POLL

@@ -1077,12 +1077,12 @@ impl ShardMap {
 }
 
 /// Appends fleet-wide statistics: `shards <n>`, then per shard the
-/// `shard`/`queries`/`latency` lines followed by the mergeable sketch
-/// block (`sketches 2` + one [`wire::push_metric_sketch`] block per
-/// metric). The sketch lines carry the shard's canonical summary
-/// partials, so a cluster client can merge them without loss; the
-/// shard's `endpoint` attribution is a client-side label and is *not*
-/// emitted — the receiver knows which connection the reply came in on.
+/// `shard`/`queries` lines followed by the mergeable sketch block
+/// (`sketches 2` + one [`wire::push_metric_sketch`] block per metric).
+/// The sketch lines carry the shard's canonical summary partials, so a
+/// cluster client can merge them without loss; the shard's `endpoint`
+/// attribution is a client-side label and is *not* emitted — the
+/// receiver knows which connection the reply came in on.
 pub fn push_fleet_stats(out: &mut String, stats: &FleetStats) {
     use std::fmt::Write as _;
     let _ = writeln!(out, "shards {}", stats.shards.len());
@@ -1112,14 +1112,6 @@ pub fn push_fleet_stats(out: &mut String, stats: &FleetStats) {
             s.queries.stream_stats,
             s.queries.quantile
         );
-        #[allow(deprecated)]
-        let ewma = s.step_latency_ewma_us;
-        match ewma {
-            Some(l) => {
-                let _ = writeln!(out, "latency {:016x}", l.to_bits());
-            }
-            None => out.push_str("latency none\n"),
-        }
         out.push_str("sketches 2\n");
         wire::push_metric_sketch(out, MetricKind::IngestLatency, &s.ingest_latency);
         wire::push_metric_sketch(out, MetricKind::ForecastError, &s.forecast_error);
@@ -1159,31 +1151,19 @@ pub fn parse_fleet_stats(cur: &mut LineCursor<'_>) -> Result<FleetStats, WireErr
             .ok_or_else(|| WireError::new(format!("bad queries line `{qline}`")))?
             .split_whitespace()
             .collect();
-        // 4 counters from a peer that predates the quantile query kind,
-        // 5 from a current one.
-        if qnums.len() != 4 && qnums.len() != 5 {
-            return Err(WireError::new("queries line needs 4 or 5 counters"));
+        if qnums.len() != 5 {
+            return Err(WireError::new(format!(
+                "queries line carries {} counters, expected 5",
+                qnums.len()
+            )));
         }
         let qint = |i: usize| -> Result<u64, WireError> {
             qnums[i]
                 .parse()
                 .map_err(|_| WireError::new(format!("bad query counter `{}`", qnums[i])))
         };
-        let lline = cur.next("shard latency")?;
-        let step_latency_ewma_us = match lline
-            .strip_prefix("latency ")
-            .ok_or_else(|| WireError::new(format!("bad latency line `{lline}`")))?
-        {
-            "none" => None,
-            hex => Some(f64::from_bits(
-                u64::from_str_radix(hex, 16)
-                    .map_err(|_| WireError::new(format!("bad latency `{hex}`")))?,
-            )),
-        };
-        // Absent on replies from a pre-sketch peer: empty summaries.
         let (ingest_latency, forecast_error) = wire::parse_sketch_block(cur)?;
-        #[allow(deprecated)]
-        let stats = ShardStats {
+        shards.push(ShardStats {
             shard: int(0)? as usize,
             streams: int(1)? as usize,
             evicted: int(2)? as usize,
@@ -1199,16 +1179,14 @@ pub fn parse_fleet_stats(cur: &mut LineCursor<'_>) -> Result<FleetStats, WireErr
                 forecast: qint(1)?,
                 outlier_mask: qint(2)?,
                 stream_stats: qint(3)?,
-                quantile: if qnums.len() == 5 { qint(4)? } else { 0 },
+                quantile: qint(4)?,
             },
             query_batches: int(10)?,
             query_queue_depth: int(11)? as usize,
-            step_latency_ewma_us,
             ingest_latency,
             forecast_error,
             endpoint: None,
-        };
-        shards.push(stats);
+        });
     }
     Ok(FleetStats { shards })
 }
@@ -1708,7 +1686,6 @@ mod tests {
         }
     }
 
-    #[allow(deprecated)]
     fn sample_shard_stats() -> FleetStats {
         use sofia_sketch::MetricSummary;
         let mut latency = MetricSummary::new();
@@ -1739,7 +1716,6 @@ mod tests {
                     },
                     query_batches: 11,
                     query_queue_depth: 1,
-                    step_latency_ewma_us: Some(321.125),
                     ingest_latency: latency,
                     forecast_error: drift,
                     endpoint: None,
@@ -1758,7 +1734,6 @@ mod tests {
                     queries: QueryCounters::default(),
                     query_batches: 0,
                     query_queue_depth: 0,
-                    step_latency_ewma_us: None,
                     ingest_latency: sofia_sketch::MetricSummary::new(),
                     forecast_error: sofia_sketch::MetricSummary::new(),
                     endpoint: None,
@@ -1768,7 +1743,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn fleet_stats_round_trip() {
         let stats = sample_shard_stats();
         let mut out = String::new();
@@ -1780,11 +1754,6 @@ mod tests {
         assert_eq!(back.steps(), 100);
         assert_eq!(back.queries().total(), 35);
         assert_eq!(back.queries().quantile, 9);
-        assert_eq!(
-            back.shards[0].step_latency_ewma_us.map(f64::to_bits),
-            Some(321.125f64.to_bits())
-        );
-        assert_eq!(back.shards[1].step_latency_ewma_us, None);
         // The sketch block is on the wire and the parsed summaries emit
         // byte-identical wire forms (the moment partials are bit-exact).
         assert_eq!(
@@ -1801,28 +1770,41 @@ mod tests {
         assert!(back.shards[1].ingest_latency.is_empty());
     }
 
-    /// A stats reply from a peer that predates sketches — 4 query
-    /// counters, no `sketches` block — still parses, with a zero
-    /// quantile counter and empty summaries.
+    /// The stats record has one wire form. Forms the encoder no longer
+    /// emits — no `sketches` block, a 4-count `queries` line, a
+    /// `latency` line — are typed errors, not silently defaulted.
     #[test]
-    #[allow(deprecated)]
-    fn fleet_stats_parse_accepts_the_pre_sketch_reply_form() {
-        let legacy = "shards 2\n\
-                      shard 0 3 1 100 2 40 9 1 2 1 11 1\n\
-                      queries 5 6 7 8\n\
-                      latency 4074120000000000\n\
-                      shard 1 0 0 0 0 0 0 0 0 0 0 0\n\
-                      queries 0 0 0 0\n\
-                      latency none\n";
-        let mut cur = LineCursor::new(legacy);
-        let back = parse_fleet_stats(&mut cur).unwrap();
-        cur.finish().unwrap();
-        assert_eq!(back.shards.len(), 2);
-        assert_eq!(back.steps(), 100);
-        assert_eq!(back.queries().quantile, 0);
-        assert_eq!(back.queries().total(), 26);
-        assert_eq!(back.shards[0].step_latency_ewma_us, Some(321.125));
-        assert!(back.shards[0].ingest_latency.is_empty());
-        assert!(back.shards[0].forecast_error.is_empty());
+    fn fleet_stats_parse_rejects_retired_and_malformed_forms() {
+        const SHARD: &str = "shard 0 3 1 100 2 40 9 1 2 1 11 1\n";
+        let parse = |text: &str| {
+            let mut cur = LineCursor::new(text);
+            let stats = parse_fleet_stats(&mut cur)?;
+            cur.finish()?;
+            Ok::<_, WireError>(stats)
+        };
+        let current = format!("shards 1\n{SHARD}queries 5 6 7 8 9\nsketches 0\n");
+        assert_eq!(parse(&current).expect("current form").steps(), 100);
+        let cases = [
+            // The pre-sketch reply: 4 counters, a latency line, no sketches.
+            format!("shards 1\n{SHARD}queries 5 6 7 8\nlatency 4074120000000000\n"),
+            // No `sketches` block (with and without the latency line).
+            format!("shards 1\n{SHARD}queries 5 6 7 8 9\nlatency none\n"),
+            format!("shards 1\n{SHARD}queries 5 6 7 8 9\n"),
+            // A 4-count `queries` line.
+            format!("shards 1\n{SHARD}queries 5 6 7 8\nlatency none\nsketches 0\n"),
+            format!("shards 1\n{SHARD}queries 5 6 7 8\nsketches 0\n"),
+            // A record that still carries the `latency` line.
+            format!("shards 1\n{SHARD}queries 5 6 7 8 9\nlatency none\nsketches 0\n"),
+            format!("shards 1\n{SHARD}queries 5 6 7 8 9\nlatency 4074120000000000\nsketches 0\n"),
+            // Structurally broken records.
+            format!("shards 2\n{SHARD}queries 5 6 7 8 9\nsketches 0\n"),
+            "shards 1\nshard 0 3 1\nqueries 5 6 7 8 9\nsketches 0\n".to_string(),
+            format!("shards 1\n{SHARD}queries 5 6 7 8 9 10\nsketches 0\n"),
+            format!("shards 1\n{SHARD}queries 5 6 7 8 x\nsketches 0\n"),
+            format!("shards 1\n{SHARD}queries 5 6 7 8 9\nsketches 9\n"),
+        ];
+        for case in cases {
+            assert!(parse(&case).is_err(), "should reject:\n{case}");
+        }
     }
 }
