@@ -304,9 +304,10 @@ pub fn fleet(opts: &FleetOpts) -> CmdResult {
             .iter()
             .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
             .expect("nonempty");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         println!(
             "\nscaling: {} shards vs {} shards -> {:.2}x wall-clock speedup \
-             (expect ~1x on single-core machines)",
+             ({cores} cores available; shards cannot beat ~{cores}x)",
             fastest.shards,
             slowest.shards,
             slowest.wall_secs / fastest.wall_secs

@@ -182,13 +182,34 @@ impl Fleet {
 
     /// Data plane: hands `slice` to the owning shard without blocking.
     ///
-    /// On a full queue the slice comes back inside
+    /// A slice that fails [`Fleet::check_slice`] is refused before
+    /// anything is enqueued. On a full queue the slice comes back inside
     /// [`IngestError::Backpressure`] — nothing is dropped; the caller
     /// decides whether to retry, shed, or spill. The path takes no lock:
     /// the key carries the route and the bounded queue is the only
     /// synchronization point.
     pub fn try_ingest(&self, key: &StreamKey, slice: ObservedTensor) -> Result<(), IngestError> {
+        Fleet::check_slice(&slice)?;
         self.shards[key.shard()].try_ingest(key.interned(), slice)
+    }
+
+    /// The ingest boundary check: NaN or ±∞ at an observed entry is
+    /// [`IngestError::NonFinite`], because one such value leaves a SOFIA
+    /// stream's factors non-finite for good (and the next periodic
+    /// checkpoint would overwrite the good file). Values at unobserved
+    /// entries are never read, so any bit pattern passes there. Public
+    /// so a front end can check a whole batch before applying any of it.
+    pub fn check_slice(slice: &ObservedTensor) -> Result<(), IngestError> {
+        let values = slice.values();
+        match slice
+            .mask()
+            .observed_offsets()
+            .iter()
+            .find(|&&off| !values.get_flat(off).is_finite())
+        {
+            Some(&offset) => Err(IngestError::NonFinite { offset }),
+            None => Ok(()),
+        }
     }
 
     /// Id-based [`Fleet::try_ingest`] (one registry lookup per call).
@@ -719,6 +740,63 @@ mod tests {
             fleet.try_ingest_id("ghost", slice(0.0)),
             Err(IngestError::UnknownStream(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_observed_values_are_refused_before_enqueue() {
+        use sofia_core::{Sofia, SofiaConfig};
+        use sofia_datagen::seasonal::SeasonalStream;
+        use sofia_datagen::stream::TensorStream;
+
+        let period = 4;
+        let stream = SeasonalStream::paper_fig2(&[3, 3], 2, period, 17);
+        let clean = |t: usize| ObservedTensor::fully_observed(stream.clean_slice(t));
+        let startup: Vec<ObservedTensor> = (0..3 * period).map(clean).collect();
+        let config = SofiaConfig::new(2, period).with_als_limits(1e-4, 2, 50);
+        let model = Sofia::init(&config, &startup, 5).unwrap();
+        let fleet = small_fleet(2);
+        let poisoned = fleet
+            .register("poisoned", ModelHandle::sofia(model.clone()))
+            .unwrap();
+        let control = fleet
+            .register("control", ModelHandle::sofia(model))
+            .unwrap();
+        let t0 = 3 * period;
+        let both = |slice: ObservedTensor| {
+            fleet.try_ingest(&poisoned, slice.clone()).unwrap();
+            fleet.try_ingest(&control, slice).unwrap();
+        };
+        for t in t0..t0 + 3 {
+            both(clean(t));
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut values = stream.clean_slice(t0 + 3);
+            values.set_flat(4, bad);
+            assert!(matches!(
+                fleet.try_ingest(&poisoned, ObservedTensor::fully_observed(values)),
+                Err(IngestError::NonFinite { offset: 4 })
+            ));
+        }
+        // A value at an unobserved entry is never read: any bits pass.
+        let mut values = stream.clean_slice(t0 + 3);
+        values.set_flat(4, f64::NAN);
+        let mut observed = vec![true; values.len()];
+        observed[4] = false;
+        let mask = sofia_tensor::Mask::from_vec(values.shape().clone(), observed);
+        both(ObservedTensor::new(values, mask));
+        for t in t0 + 4..t0 + 7 {
+            both(clean(t));
+        }
+        fleet.flush().unwrap();
+        assert_eq!(stream_stats(&fleet, "poisoned").unwrap().steps, 7);
+        assert_eq!(stream_stats(&fleet, "control").unwrap().steps, 7);
+        let bits = |id: &str, h: usize| -> Vec<u64> {
+            let fc = forecast(&fleet, id, h).unwrap().expect("SOFIA forecasts");
+            fc.data().iter().map(|v| v.to_bits()).collect()
+        };
+        for h in 1..=period {
+            assert_eq!(bits("poisoned", h), bits("control", h), "horizon {h}");
+        }
     }
 
     #[test]

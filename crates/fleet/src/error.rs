@@ -110,6 +110,12 @@ pub enum IngestError {
     UnknownStream(String),
     /// The owning shard has shut down.
     ShuttingDown,
+    /// The slice holds NaN or ±∞ at an observed entry (see
+    /// [`crate::Fleet::check_slice`]); nothing was enqueued.
+    NonFinite {
+        /// Flat offset of the first such entry.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for IngestError {
@@ -118,6 +124,9 @@ impl fmt::Display for IngestError {
             IngestError::Backpressure(_) => write!(f, "ingest queue full (backpressure)"),
             IngestError::UnknownStream(id) => write!(f, "unknown stream `{id}`"),
             IngestError::ShuttingDown => write!(f, "fleet engine is shutting down"),
+            IngestError::NonFinite { offset } => {
+                write!(f, "non-finite value at observed offset {offset}")
+            }
         }
     }
 }

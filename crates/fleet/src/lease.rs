@@ -14,8 +14,10 @@
 //! the node is not participating in lease-managed ownership and serves
 //! every slot freely (the standalone and pre-lease cluster behaviour).
 //! The first grant flips the table to enforcing, and from then on a
-//! slot without an unexpired lease is refused. Time is passed in by the
-//! caller ([`std::time::Instant`]) so expiry is directly testable.
+//! slot without an unexpired lease is refused. No coordinator in this
+//! workspace sends grants yet (only tests do), so shipped nodes stay
+//! non-enforcing. Time is passed in by the caller
+//! ([`std::time::Instant`]) so expiry is directly testable.
 //!
 //! The table holds plain data behind no lock of its own; the serving
 //! layer (`sofia-net`) wraps it in whatever synchronization its

@@ -465,20 +465,6 @@ pub mod wire {
                 .ok_or_else(|| WireError::new(format!("truncated: expected {what}")))
         }
 
-        /// The next line, if any (used by consumers with their own
-        /// framing).
-        pub fn try_next(&mut self) -> Option<&'a str> {
-            self.lines.next()
-        }
-
-        /// The next line **without consuming it** — the probe for
-        /// optional trailing blocks (back-compat extensions like the
-        /// stream-stats sketch block), which must not eat a line that
-        /// belongs to the next concatenated response.
-        pub fn peek(&self) -> Option<&'a str> {
-            self.lines.clone().next()
-        }
-
         /// Rejects trailing content after a complete parse.
         pub fn finish(mut self) -> Result<(), WireError> {
             match self.lines.next() {

@@ -1,6 +1,6 @@
 //! Integration tests of the typed query plane: batched multi-stream
 //! queries costing one queue round-trip per involved shard (the
-//! acceptance criterion, pinned via per-shard query counters), and
+//! acceptance requirement, pinned via per-shard query counters), and
 //! concurrent `query_batch` callers racing a live ingest thread.
 
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
@@ -62,7 +62,7 @@ fn fleet_with_streams(shards: usize, streams: usize) -> (Fleet, Vec<StreamKey>) 
     (fleet, keys)
 }
 
-/// The acceptance criterion: `query_batch` over M streams living on S
+/// The acceptance requirement: `query_batch` over M streams living on S
 /// shards performs exactly one queue round-trip per involved shard,
 /// while M single queries perform M.
 #[test]

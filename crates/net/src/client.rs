@@ -196,9 +196,9 @@ impl Client {
 
     /// Caps the frames this client accepts **and** sizes its ingest
     /// chunks (a chunk targets half the bound, so large batches split
-    /// into several frames instead of tripping the server's oversize
-    /// rejection). Lower it to match a server running a stricter
-    /// `ServerConfig::max_frame_bytes`. Clamped to at least 1 KiB.
+    /// into several frames instead of tripping the server's
+    /// [`MAX_FRAME_BYTES`] rejection). Defaults to [`MAX_FRAME_BYTES`];
+    /// lower it to send smaller frames. Clamped to at least 1 KiB.
     pub fn set_max_frame_bytes(&mut self, bytes: usize) {
         self.max_frame = bytes.max(1024);
     }
@@ -591,9 +591,9 @@ impl Client {
 
     /// Node-health snapshot of the server this client is connected to:
     /// network-core counters, the settle-latency summary, and the
-    /// slow-request ring ([`crate::NetStats`]). The parse tolerates
-    /// fields this client predates (and absent ones), exactly like the
-    /// fleet-stats sketch block.
+    /// slow-request ring ([`crate::NetStats`]). The parse is strict,
+    /// like the fleet-stats sketch block: any block other than the
+    /// `netstats 1` form [`crate::push_net_stats`] writes is an error.
     pub fn metrics(&mut self) -> Result<NetStats, ClientError> {
         let id = self.send(|id| Request::Metrics { id })?;
         let payload = match self.expect_reply(id)? {

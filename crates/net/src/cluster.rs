@@ -69,11 +69,14 @@
 //!   behind is brought up to date (`remap`) and re-asked; a server that
 //!   is ahead hands the newer map over, the router adopts it, re-routes,
 //!   and re-asks ([`ClusterClient`] does this inside every routed call);
-//! * a node partitioned away from its coordinator stops serving on its
-//!   own once its ownership **leases** lapse ([`Client::lease_grant`],
-//!   [`sofia_fleet::LeaseTable`]) — the refusal that closes the
-//!   dual-writer window a migration the node never heard about would
-//!   otherwise open.
+//! * a node can refuse to serve once its ownership **leases** lapse
+//!   ([`Client::lease_grant`], [`sofia_fleet::LeaseTable`]) — the
+//!   refusal that would close the dual-writer window a migration the
+//!   node never heard about opens. Nothing here grants leases, though:
+//!   `ClusterClient`, [`ClusterClient::migrate_slot`],
+//!   [`ClusterClient::rebalance`] and `sofia-cli cluster` never send
+//!   `lease grant`, so shipped clusters serve in the non-enforcing
+//!   mode, and a partitioned node keeps serving.
 //!
 //! Membership changes keep the same philosophy: a crashed node is
 //! restarted and re-attached with [`ClusterClient::repoint`] +
@@ -112,25 +115,13 @@ pub enum MigrationStep<'a> {
     Deregistered(&'a str),
 }
 
-/// Tuning for [`ClusterClient::rebalance_with`].
-#[derive(Debug, Clone)]
-pub struct RebalanceOptions {
-    /// A node is overloaded when its load exceeds `skew ×` the mean
-    /// endpoint load; rebalancing stops once no node is. Must be > 1.
-    pub skew: f64,
-    /// Upper bound on slot migrations per call (each sweeps every
-    /// stream of one slot).
-    pub max_moves: usize,
-}
+/// A node is overloaded when its load exceeds this multiple of the mean
+/// endpoint load; [`ClusterClient::rebalance`] stops once no node is.
+const REBALANCE_SKEW: f64 = 1.25;
 
-impl Default for RebalanceOptions {
-    fn default() -> RebalanceOptions {
-        RebalanceOptions {
-            skew: 1.25,
-            max_moves: 4,
-        }
-    }
-}
+/// Upper bound on slot migrations per [`ClusterClient::rebalance`] call
+/// (each sweeps every stream of one slot).
+const REBALANCE_MAX_MOVES: usize = 4;
 
 /// One slot migration performed by [`ClusterClient::rebalance`].
 #[derive(Debug, Clone)]
@@ -734,16 +725,11 @@ impl ClusterClient {
             .collect())
     }
 
-    /// [`Self::rebalance_with`] under [`RebalanceOptions::default`].
-    pub fn rebalance(&mut self) -> Result<RebalanceReport, ClientError> {
-        self.rebalance_with(RebalanceOptions::default())
-    }
-
     /// Load-aware slot rebalancing: measures per-endpoint load (steps +
     /// queue depth summed over each node's shards, with settle-latency
     /// p99s recorded alongside), then repeatedly migrates the hottest
     /// *movable* slot off the hottest node onto the coldest one until
-    /// no node exceeds `skew ×` the mean load (or `max_moves` is
+    /// no node exceeds 1.25 × the mean load (or four moves are
     /// spent). A slot is movable when shifting its load strictly
     /// shrinks the hot–cold gap — the guard that keeps one giant slot
     /// from ping-ponging between nodes forever.
@@ -752,10 +738,7 @@ impl ClusterClient {
     /// (read via per-stream [`Query::StreamStats`]); steps travel with
     /// a migrated stream (checkpoint envelopes carry the counter), so
     /// the estimate stays meaningful across moves.
-    pub fn rebalance_with(
-        &mut self,
-        opts: RebalanceOptions,
-    ) -> Result<RebalanceReport, ClientError> {
+    pub fn rebalance(&mut self) -> Result<RebalanceReport, ClientError> {
         let skew_of = |load: &[(String, f64)]| -> f64 {
             let total: f64 = load.iter().map(|(_, l)| l).sum();
             let mean = total / load.len() as f64;
@@ -793,7 +776,7 @@ impl ClusterClient {
         let endpoint_load = load.clone();
         let skew_before = skew_of(&load);
         let mut moves = Vec::new();
-        while moves.len() < opts.max_moves && load.len() > 1 {
+        while moves.len() < REBALANCE_MAX_MOVES && load.len() > 1 {
             let total: f64 = load.iter().map(|(_, l)| l).sum();
             if total <= 0.0 {
                 break;
@@ -805,7 +788,7 @@ impl ClusterClient {
             let cold_i = (0..load.len())
                 .min_by(|&a, &b| load[a].1.total_cmp(&load[b].1))
                 .expect("non-empty");
-            if load[hot_i].1 <= opts.skew * mean {
+            if load[hot_i].1 <= REBALANCE_SKEW * mean {
                 break;
             }
             let hot = load[hot_i].0.clone();

@@ -27,7 +27,7 @@
 
 use crate::server::{dispatch, Shared};
 use crate::stats::SlowRequest;
-use crate::wire::{err_body, ok_body, FrameError};
+use crate::wire::{err_body, ok_body, FrameError, MAX_FRAME_BYTES};
 use sofia_fleet::protocol::wire as pwire;
 use sofia_fleet::{FleetError, QueryResponse, QueryTicket};
 use std::collections::VecDeque;
@@ -390,7 +390,7 @@ impl Conn {
         let settled = self.settle(shared);
         self.flush();
         let reads = self.wants_read(shared);
-        let frames = || !matches!(self.decoder.peek(shared.config.max_frame_bytes), Ok(None));
+        let frames = || !matches!(self.decoder.peek(MAX_FRAME_BYTES), Ok(None));
         let room = self.write.pending_len() < shared.config.write_buffer_bytes;
         PumpOutcome {
             ready: (reads && (self.readable || frames())) || (settled == Settled::Full && room),
@@ -405,7 +405,7 @@ impl Conn {
             && self.pending.len() < MAX_PENDING_REPLIES
             && self.write.pending_len() < shared.config.write_buffer_bytes
         {
-            let (start, end) = match self.decoder.peek(shared.config.max_frame_bytes) {
+            let (start, end) = match self.decoder.peek(MAX_FRAME_BYTES) {
                 Ok(Some(range)) => range,
                 Ok(None) => break,
                 Err(e) => {

@@ -58,12 +58,14 @@
 //!   revision the map carries an **epoch**: routed requests stamp it,
 //!   servers fence stale senders with a typed `stale-epoch` reply that
 //!   carries the current map, and the router retries transparently.
-//!   Ownership is additionally guarded by per-slot **leases**
-//!   ([`sofia_fleet::LeaseTable`], the `lease` verb), whole route slots
+//!   Nodes can also enforce per-slot **leases**
+//!   ([`sofia_fleet::LeaseTable`], the `lease` verb), but nothing in
+//!   this workspace grants them, so shipped clusters serve in the
+//!   non-enforcing mode. Whole route slots
 //!   migrate atomically ([`ClusterClient::migrate_slot`], one epoch
 //!   bump per flip), and [`ClusterClient::rebalance`] moves the
-//!   hottest slots off the hottest node until the fleet is within a
-//!   configurable load skew.
+//!   hottest slots off the hottest node until no node carries more
+//!   than 1.25× the mean load.
 //!
 //! ## Loopback in five lines
 //!
@@ -93,9 +95,7 @@ pub mod stats;
 pub mod wire;
 
 pub use client::{Client, ClientError, IngestReport, DEFAULT_READ_TIMEOUT};
-pub use cluster::{
-    ClusterClient, ClusterMetrics, MigrationStep, RebalanceOptions, RebalanceReport, SlotMove,
-};
+pub use cluster::{ClusterClient, ClusterMetrics, MigrationStep, RebalanceReport, SlotMove};
 pub use server::{Server, ServerConfig};
 pub use stats::{parse_net_stats, push_net_stats, NetStats, SlowRequest};
 pub use wire::{FrameError, Request, ShardMap, MAX_FRAME_BYTES};

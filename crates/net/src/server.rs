@@ -36,8 +36,8 @@
 //!
 //! A client `shutdown` frame requests a graceful stop: [`Server::run`]
 //! notices, stops accepting, marks every connection draining (no more
-//! reads; queued replies still settle and flush, bounded by
-//! [`ServerConfig::drain_timeout`]), joins the pool, and finally calls
+//! reads; queued replies still settle and flush, for at most five
+//! seconds), joins the pool, and finally calls
 //! [`Fleet::shutdown`] — every queue drained, final checkpoints
 //! written. [`Server::abort`] is the crash-faithful opposite
 //! (connections torn down both ways, [`Fleet::abort`], no final
@@ -47,7 +47,7 @@
 use crate::conn::{BatchSlot, Completion, Conn};
 use crate::poll::{listener_id, socket_id, Event, Interest, Poller, Waker};
 use crate::stats::{push_net_stats, NetMetrics};
-use crate::wire::{err_body, ok_body, push_fleet_stats, Request, ShardMap, MAX_FRAME_BYTES};
+use crate::wire::{err_body, ok_body, push_fleet_stats, Request, ShardMap};
 use sofia_fleet::durability::restore_handle;
 use sofia_fleet::{Fleet, FleetError, IngestError, LeaseTable};
 use std::io;
@@ -87,11 +87,17 @@ const MAX_SERVICE_ROUNDS: usize = 8;
 /// Read chunk size (one `read(2)` call's buffer, reused per worker).
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Bound on the graceful-shutdown drain: connections whose queued
+/// replies have not settled and flushed by then are torn down.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Capacity of the slow-request ring; the oldest record is evicted (and
+/// counted in [`crate::NetStats::slow_dropped`]) when full.
+const SLOW_RING_CAPACITY: usize = 64;
+
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Reject frames whose announced body exceeds this many bytes.
-    pub max_frame_bytes: usize,
     /// The name this node goes by: the endpoint advertised in a
     /// single-node handshake map, and the name checked against a
     /// [`ServerConfig::cluster`] map's membership. Defaults to the
@@ -120,31 +126,22 @@ pub struct ServerConfig {
     /// into) that connection until the peer drains; the buffer may
     /// overshoot by at most one frame.
     pub write_buffer_bytes: usize,
-    /// Bound on the graceful-shutdown drain: connections whose queued
-    /// replies have not settled and flushed by then are torn down.
-    pub drain_timeout: Duration,
     /// Slow-request threshold in microseconds: a request whose
     /// wire-to-settle latency reaches it is captured in the bounded
     /// slow-request ring (queryable via the `metrics` verb /
     /// [`crate::Client::metrics`]). `0` captures every request —
     /// useful for smoke tests, expensive in allocation terms.
     pub slow_request_us: u64,
-    /// Capacity of the slow-request ring; the oldest record is evicted
-    /// (and counted in [`crate::NetStats::slow_dropped`]) when full.
-    pub slow_ring_capacity: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            max_frame_bytes: MAX_FRAME_BYTES,
             advertise: None,
             cluster: None,
             event_threads: None,
             write_buffer_bytes: 256 * 1024,
-            drain_timeout: Duration::from_secs(5),
             slow_request_us: 10_000,
-            slow_ring_capacity: 64,
         }
     }
 }
@@ -266,7 +263,7 @@ impl Server {
                     .unwrap_or(1)
             })
             .max(1);
-        let metrics = NetMetrics::new(pool, config.slow_request_us, config.slow_ring_capacity);
+        let metrics = NetMetrics::new(pool, config.slow_request_us, SLOW_RING_CAPACITY);
         let shared = Arc::new(Shared {
             fleet,
             map: RwLock::new(map),
@@ -505,7 +502,7 @@ fn worker_loop(shared: Arc<Shared>, mut poller: Poller, inbox: Arc<Inbox>, worke
         }
         if shared.stop.load(Ordering::Acquire) && !draining {
             draining = true;
-            drain_deadline = Instant::now() + shared.config.drain_timeout;
+            drain_deadline = Instant::now() + DRAIN_TIMEOUT;
             for conn in conns.iter_mut().flatten() {
                 conn.begin_drain();
             }
@@ -634,6 +631,14 @@ fn stale_epoch_body(id: u64, map: &ShardMap) -> String {
     let mut body = err_body(id, &FleetError::StaleEpoch { epoch: map.epoch() });
     map.push_wire(&mut body);
     body
+}
+
+/// The wire form of an ingest slice refused by [`Fleet::check_slice`]:
+/// an `invalid-query` naming the slice's sequence number.
+fn non_finite(seq: u64, e: &IngestError) -> FleetError {
+    FleetError::InvalidQuery {
+        reason: format!("ingest slice {seq}: {e}"),
+    }
 }
 
 /// The cluster fencing gate, applied before a stream-addressed request
@@ -799,6 +804,14 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             if let Some(reject) = fence(shared, id, epoch, Some(&stream), true) {
                 return (Completion::Ready(reject), Some(stream), true);
             }
+            // Every slice passes the ingest check before any applies,
+            // so a frame with one bad slice never half-applies.
+            for (seq, slice) in &slices {
+                if let Err(e) = Fleet::check_slice(slice) {
+                    let body = err_body(id, &non_finite(*seq, &e));
+                    return (Completion::Ready(body), Some(stream), true);
+                }
+            }
             // Slices apply in seq order. The first backpressure stops
             // the batch — applying later slices would reorder the
             // stream — and every unapplied seq is handed back, exactly
@@ -821,6 +834,10 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
                     }
                     Err(IngestError::ShuttingDown) => {
                         failure = Some(FleetError::ShuttingDown);
+                        break;
+                    }
+                    Err(e @ IngestError::NonFinite { .. }) => {
+                        failure = Some(non_finite(seq, &e));
                         break;
                     }
                 }

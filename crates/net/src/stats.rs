@@ -26,13 +26,13 @@
 //!
 //! ## Wire form
 //!
-//! The block is versioned and tolerant exactly like the PR 6 sketch
-//! block: a `netstats <version>` header, named `key value` counter
-//! lines, a labelled `settle-latency` metric block, and a counted
-//! `slow <n>` record block. Unknown counter lines are skipped and
-//! absent ones default to zero, so a newer node's reply still parses on
-//! an older client; emit → parse → emit is byte-identical, and the
-//! latency moments travel as IEEE 754 hex bit patterns.
+//! The block is strict, like the stats records' sketch block: a
+//! `netstats 1` header, the eleven named `key value` counter lines in
+//! a fixed order, a labelled `settle-latency` metric block, and a
+//! counted `slow <n>` record block. Any other version, an unknown,
+//! missing or reordered counter, or a missing block is a typed error;
+//! emit → parse → emit is byte-identical, and the latency moments
+//! travel as IEEE 754 hex bit patterns.
 
 use sofia_fleet::durability::{decode_stream_id, encode_stream_id};
 use sofia_fleet::protocol::wire::{LineCursor, WireError};
@@ -43,7 +43,7 @@ use std::sync::Mutex;
 
 /// Upper bound on slow-request records accepted from one wire block (a
 /// second line of defence behind the frame-size bound; servers carry
-/// far fewer — see [`crate::ServerConfig::slow_ring_capacity`]).
+/// far fewer).
 const MAX_SLOW_RECORDS: usize = 65_536;
 
 /// One request the slow-request ring captured: settled at or above the
@@ -168,100 +168,100 @@ pub fn push_net_stats(out: &mut String, stats: &NetStats) {
     }
 }
 
-/// Parses the block written by [`push_net_stats`], consuming the rest
-/// of the cursor. Tolerant like the PR 6 sketch block: unknown counter
-/// lines are skipped, absent counters default to zero, and the
-/// settle-latency / slow blocks may be absent entirely (empty summary,
-/// empty ring) — only the versioned header is mandatory. Total:
-/// malformed headers, counters, metric lines, or slow records are typed
-/// errors, never panics.
+/// Parses exactly the block written by [`push_net_stats`]: the
+/// `netstats 1` header, the eleven counters in emit order, the
+/// settle-latency block, then the slow-request block. Total: anything
+/// else is a typed error, never a panic.
 pub fn parse_net_stats(cur: &mut LineCursor<'_>) -> Result<NetStats, WireError> {
     let head = cur.next("netstats header")?;
-    let _version: u64 = head
-        .strip_prefix("netstats ")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| WireError::new(format!("bad netstats header `{head}`")))?;
-    let mut stats = NetStats::default();
-    let mut seen: Vec<&str> = Vec::new();
-    while let Some(line) = cur.peek() {
-        if line == "settle-latency" {
-            cur.next("settle-latency label")?;
-            let mut lines = [""; METRIC_WIRE_LINES];
-            for slot in lines.iter_mut() {
-                *slot = cur.next("settle-latency metric line")?;
-            }
-            stats.settle_latency =
-                MetricSummary::from_lines(lines).map_err(|e| WireError::new(e.to_string()))?;
-            continue;
-        }
-        if let Some(count) = line.strip_prefix("slow ") {
-            let n: usize = count
-                .parse()
-                .ok()
-                .filter(|&n| n <= MAX_SLOW_RECORDS)
-                .ok_or_else(|| WireError::new(format!("bad slow count `{count}`")))?;
-            cur.next("slow header")?;
-            stats.slow.reserve(n);
-            for _ in 0..n {
-                let rec = cur.next("slow request record")?;
-                let toks: Vec<&str> = rec
-                    .strip_prefix("req ")
-                    .ok_or_else(|| WireError::new(format!("bad slow record `{rec}`")))?
-                    .split_whitespace()
-                    .collect();
-                if toks.len() != 3 && toks.len() != 4 {
-                    return Err(WireError::new(format!("bad slow record `{rec}`")));
-                }
-                let int = |tok: &str| -> Result<u64, WireError> {
-                    tok.parse()
-                        .map_err(|_| WireError::new(format!("bad slow field `{tok}`")))
-                };
-                stats.slow.push(SlowRequest {
-                    verb: toks[0].to_string(),
-                    conn: int(toks[1])?,
-                    latency_us: int(toks[2])?,
-                    stream: match toks.get(3) {
-                        Some(enc) => Some(decode_stream_id(enc).ok_or_else(|| {
-                            WireError::new(format!("undecodable slow stream `{enc}`"))
-                        })?),
-                        None => None,
-                    },
-                });
-            }
-            continue;
-        }
-        let (key, value) = line
-            .split_once(' ')
-            .ok_or_else(|| WireError::new(format!("bad netstats line `{line}`")))?;
-        let slot = match key {
-            "accepted" => Some(&mut stats.accepted),
-            "closed" => Some(&mut stats.closed),
-            "active" => Some(&mut stats.active),
-            "frames" => Some(&mut stats.frames_decoded),
-            "decode-errors" => Some(&mut stats.decode_errors),
-            "read-interest-drops" => Some(&mut stats.read_interest_drops),
-            "write-buffer-highwater" => Some(&mut stats.write_buffer_highwater),
-            "poll-iterations" => Some(&mut stats.poll_iterations),
-            "wakeups" => Some(&mut stats.wakeups),
-            "slow-threshold-us" => Some(&mut stats.slow_threshold_us),
-            "slow-dropped" => Some(&mut stats.slow_dropped),
-            // A counter this build does not know (a newer node's reply):
-            // skipped, exactly like unknown fields of the sketch block's
-            // versioned-by-names scheme.
-            _ => None,
-        };
-        if let Some(slot) = slot {
-            if seen.contains(&key) {
-                return Err(WireError::new(format!("duplicate netstats field `{key}`")));
-            }
-            seen.push(key);
-            *slot = value
-                .parse()
-                .map_err(|_| WireError::new(format!("bad netstats value `{value}`")))?;
-        }
-        cur.next("netstats field")?;
+    if head != "netstats 1" {
+        return Err(WireError::new(format!("bad netstats header `{head}`")));
     }
-    Ok(stats)
+    let accepted = counter(cur, "accepted")?;
+    let closed = counter(cur, "closed")?;
+    let active = counter(cur, "active")?;
+    let frames_decoded = counter(cur, "frames")?;
+    let decode_errors = counter(cur, "decode-errors")?;
+    let read_interest_drops = counter(cur, "read-interest-drops")?;
+    let write_buffer_highwater = counter(cur, "write-buffer-highwater")?;
+    let poll_iterations = counter(cur, "poll-iterations")?;
+    let wakeups = counter(cur, "wakeups")?;
+    let slow_threshold_us = counter(cur, "slow-threshold-us")?;
+    let slow_dropped = counter(cur, "slow-dropped")?;
+
+    let label = cur.next("settle-latency label")?;
+    if label != "settle-latency" {
+        return Err(WireError::new(format!(
+            "expected `settle-latency`, got `{label}`"
+        )));
+    }
+    let mut lines = [""; METRIC_WIRE_LINES];
+    for slot in lines.iter_mut() {
+        *slot = cur.next("settle-latency metric line")?;
+    }
+    let settle_latency =
+        MetricSummary::from_lines(lines).map_err(|e| WireError::new(e.to_string()))?;
+
+    let head = cur.next("slow header")?;
+    let n: usize = head
+        .strip_prefix("slow ")
+        .and_then(|count| count.parse().ok())
+        .filter(|&n| n <= MAX_SLOW_RECORDS)
+        .ok_or_else(|| WireError::new(format!("bad slow header `{head}`")))?;
+    let mut slow = Vec::with_capacity(n);
+    for _ in 0..n {
+        let rec = cur.next("slow request record")?;
+        let toks: Vec<&str> = rec
+            .strip_prefix("req ")
+            .ok_or_else(|| WireError::new(format!("bad slow record `{rec}`")))?
+            .split_whitespace()
+            .collect();
+        if toks.len() != 3 && toks.len() != 4 {
+            return Err(WireError::new(format!("bad slow record `{rec}`")));
+        }
+        let int = |tok: &str| -> Result<u64, WireError> {
+            tok.parse()
+                .map_err(|_| WireError::new(format!("bad slow field `{tok}`")))
+        };
+        slow.push(SlowRequest {
+            verb: toks[0].to_string(),
+            conn: int(toks[1])?,
+            latency_us: int(toks[2])?,
+            stream: match toks.get(3) {
+                Some(enc) => {
+                    Some(decode_stream_id(enc).ok_or_else(|| {
+                        WireError::new(format!("undecodable slow stream `{enc}`"))
+                    })?)
+                }
+                None => None,
+            },
+        });
+    }
+    Ok(NetStats {
+        accepted,
+        closed,
+        active,
+        frames_decoded,
+        decode_errors,
+        read_interest_drops,
+        write_buffer_highwater,
+        poll_iterations,
+        wakeups,
+        settle_latency,
+        slow_threshold_us,
+        slow_dropped,
+        slow,
+        endpoint: None,
+    })
+}
+
+/// Parses the next line as the counter `key <value>`.
+fn counter(cur: &mut LineCursor<'_>, key: &str) -> Result<u64, WireError> {
+    let line = cur.next(key)?;
+    line.strip_prefix(key)
+        .and_then(|rest| rest.strip_prefix(' '))
+        .and_then(|value| value.parse().ok())
+        .ok_or_else(|| WireError::new(format!("expected `{key} <count>`, got `{line}`")))
 }
 
 /// The server's live collector: lock-free relaxed counters on the hot
@@ -332,10 +332,6 @@ impl NetMetrics {
     /// Pushes one record into the bounded ring, evicting (and counting)
     /// the oldest when full.
     pub(crate) fn record_slow(&self, record: SlowRequest) {
-        if self.slow_capacity == 0 {
-            self.slow_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         let mut ring = self.slow.lock().expect("slow ring lock");
         if ring.len() == self.slow_capacity {
             ring.pop_front();
@@ -460,29 +456,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_tolerates_absent_and_unknown_fields() {
-        // A minimal reply (header only): every counter defaults, the
-        // summary is empty, the ring is empty.
-        let mut cur = LineCursor::new("netstats 1\n");
-        let stats = parse_net_stats(&mut cur).unwrap();
-        cur.finish().unwrap();
-        assert_eq!(stats, NetStats::default());
-
-        // A newer node's reply with counters this build never heard of.
-        let text = "netstats 3\naccepted 5\nrdma-completions 99\nwakeups 2\n";
-        let mut cur = LineCursor::new(text);
-        let stats = parse_net_stats(&mut cur).unwrap();
-        cur.finish().unwrap();
-        assert_eq!(stats.accepted, 5);
-        assert_eq!(stats.wakeups, 2);
-        assert_eq!(stats.closed, 0);
-    }
-
-    #[test]
     fn parse_rejects_malformed_blocks() {
-        for text in [
+        let mut full = String::new();
+        push_net_stats(&mut full, &sample());
+        let mut inputs: Vec<String> = [
             "nope 1\n",
             "netstats one\n",
+            "netstats 1\n",
+            "netstats 3\naccepted 5\nrdma-completions 99\nwakeups 2\n",
             "netstats 1\naccepted many\n",
             "netstats 1\naccepted 1\naccepted 2\n",
             "netstats 1\nslow 2\nreq query 1 5\n",
@@ -490,7 +471,20 @@ mod tests {
             "netstats 1\nslow 1\nreq query one 5\n",
             "netstats 1\nsettle-latency\nmoments 1\n",
             "netstats 1\nslow 999999999\n",
-        ] {
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        // Whole blocks with one defect each.
+        inputs.push(full.replacen("accepted 7\n", "accepted 7\nrdma-completions 99\n", 1));
+        inputs.push(full.replacen("accepted 7\nclosed 3\n", "closed 3\naccepted 7\n", 1));
+        inputs.push(full.replacen("netstats 1\n", "netstats 2\n", 1));
+        let lines: Vec<&str> = full.lines().collect();
+        let label = lines.iter().position(|l| *l == "settle-latency").unwrap();
+        let mut no_settle = lines.clone();
+        no_settle.drain(label..=label + METRIC_WIRE_LINES);
+        inputs.push(no_settle.join("\n") + "\n");
+        for text in &inputs {
             let mut cur = LineCursor::new(text);
             assert!(parse_net_stats(&mut cur).is_err(), "accepted `{text}`");
         }

@@ -492,7 +492,7 @@ fn cluster_client_bootstraps_from_a_member_handshake() {
     server.shutdown().expect("shutdown");
 }
 
-/// The observability acceptance criterion: a cluster of two single-shard
+/// The observability acceptance requirement: a cluster of two single-shard
 /// nodes and a single-process two-shard fleet serve the same streams,
 /// the same slices, in the same order — and the cluster-merged
 /// forecast-error **moment partials are bit-exact** against the single

@@ -417,6 +417,65 @@ fn large_ingest_batches_chunk_under_the_frame_bound() {
     server.shutdown().expect("shutdown");
 }
 
+/// One NaN at an observed entry must never reach a model: the server
+/// checks every slice of an `ingest` frame before applying any, so a
+/// frame carrying a bad slice between two good ones is refused whole
+/// with a typed error, and the stream keeps forecasting bit-identically
+/// to a control stream that never saw the frame.
+#[test]
+fn non_finite_ingest_frame_is_refused_whole() {
+    let (startup, streamed) = slices(0);
+    let fleet = Fleet::new(FleetConfig::with_shards(2)).expect("fleet");
+    let server = Server::bind("127.0.0.1:0", fleet).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let ids = ["poisoned", "control"];
+    for id in ids {
+        client.register(id, &handle(0, &startup)).expect("register");
+        client
+            .ingest_blocking(id, streamed[..3].to_vec())
+            .expect("ingest");
+    }
+    let mut values = streamed[3].values().clone();
+    values.set_flat(5, f64::NAN);
+    let frame = vec![
+        streamed[3].clone(),
+        ObservedTensor::fully_observed(values),
+        streamed[4].clone(),
+    ];
+    match client.ingest("poisoned", frame) {
+        Err(ClientError::Fleet(FleetError::InvalidQuery { reason })) => {
+            assert!(reason.contains("non-finite"), "{reason}");
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    for id in ids {
+        client
+            .ingest_blocking(id, streamed[3..].to_vec())
+            .expect("ingest");
+    }
+    client.flush().expect("flush");
+    let steps = |client: &mut Client, id: &str| {
+        client
+            .query(id, Query::StreamStats)
+            .expect("stats")
+            .expect_stream_stats()
+            .steps
+    };
+    assert_eq!(steps(&mut client, "poisoned"), TOTAL as u64);
+    assert_eq!(steps(&mut client, "control"), TOTAL as u64);
+    for h in 1..=PERIOD {
+        let [a, b] = ids.map(|id| {
+            expect_forecast(
+                client
+                    .query(id, Query::Forecast { horizon: h })
+                    .expect("forecast"),
+            )
+        });
+        assert_eq!(a, b, "horizon {h}");
+    }
+    server.shutdown().expect("shutdown");
+}
+
 #[test]
 fn dropping_a_live_server_winds_down_cleanly() {
     let fleet = Fleet::new(FleetConfig::with_shards(1)).expect("fleet");

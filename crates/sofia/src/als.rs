@@ -73,20 +73,6 @@ impl RowSystems {
         }
     }
 
-    /// Sums another accumulator into this one (parallel merge).
-    fn merge(&mut self, other: &RowSystems) {
-        debug_assert_eq!(self.b.len(), other.b.len());
-        for (a, &v) in self.b.iter_mut().zip(&other.b) {
-            *a += v;
-        }
-        for (a, &v) in self.c.iter_mut().zip(&other.c) {
-            *a += v;
-        }
-        for (a, &v) in self.counts.iter_mut().zip(&other.counts) {
-            *a += v;
-        }
-    }
-
     #[inline]
     fn accumulate(&mut self, row: usize, h: &[f64], y: f64) {
         let r = self.rank;
@@ -126,12 +112,11 @@ impl RowSystems {
 /// Accumulates the per-row normal systems of mode `mode` over all observed
 /// entries of `data`, with `values[off]` used as the regressand
 /// (`y* = y − o` in Theorem 1).
-fn accumulate_offsets(
+fn accumulate_mode(
     data: &ObservedTensor,
     values: &DenseTensor,
     factors: &[Matrix],
     mode: usize,
-    offsets: &[usize],
 ) -> RowSystems {
     let shape = data.shape();
     let order = shape.order();
@@ -139,7 +124,7 @@ fn accumulate_offsets(
     let mut sys = RowSystems::new(shape.dim(mode), rank);
     let mut idx = vec![0usize; order];
     let mut h = vec![0.0f64; rank];
-    for &off in offsets {
+    for &off in data.mask().observed_offsets() {
         shape.unravel_into(off, &mut idx);
         // h = ⊛_{l≠mode} u⁽ˡ⁾_{iₗ}
         h.iter_mut().for_each(|v| *v = 1.0);
@@ -153,40 +138,6 @@ fn accumulate_offsets(
             }
         }
         sys.accumulate(idx[mode], &h, values.get_flat(off));
-    }
-    sys
-}
-
-/// Accumulates the per-row normal systems, optionally fanning the observed
-/// entries out over `threads` scoped worker threads with per-thread
-/// accumulators merged at the end. The result is numerically equal to the
-/// serial pass up to floating-point summation order.
-fn accumulate_mode_threaded(
-    data: &ObservedTensor,
-    values: &DenseTensor,
-    factors: &[Matrix],
-    mode: usize,
-    threads: usize,
-) -> RowSystems {
-    let offsets = data.mask().observed_offsets();
-    if threads <= 1 || offsets.len() < 4 * threads {
-        return accumulate_offsets(data, values, factors, mode, offsets);
-    }
-    let chunk = offsets.len().div_ceil(threads);
-    let partials: Vec<RowSystems> = std::thread::scope(|scope| {
-        let handles: Vec<_> = offsets
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || accumulate_offsets(data, values, factors, mode, part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("accumulator thread panicked"))
-            .collect()
-    });
-    let mut iter = partials.into_iter();
-    let mut sys = iter.next().expect("at least one partial");
-    for p in iter {
-        sys.merge(&p);
     }
     sys
 }
@@ -224,20 +175,6 @@ pub fn sofia_als(
     factors: &mut [Matrix],
     opts: &AlsOptions,
 ) -> AlsStats {
-    sofia_als_threaded(data, values, factors, opts, 1)
-}
-
-/// [`sofia_als`] with the per-sweep accumulation passes fanned out over
-/// `threads` workers (std scoped threads). Useful for large
-/// start-up tensors; results agree with the serial path up to
-/// floating-point summation order.
-pub fn sofia_als_threaded(
-    data: &ObservedTensor,
-    values: &DenseTensor,
-    factors: &mut [Matrix],
-    opts: &AlsOptions,
-    threads: usize,
-) -> AlsStats {
     let order = data.shape().order();
     assert_eq!(factors.len(), order, "one factor per mode required");
     assert!(order >= 2, "need at least 2 modes");
@@ -258,7 +195,7 @@ pub fn sofia_als_threaded(
 
         // --- Non-temporal modes: Theorem 1 row updates + renormalization.
         for n in 0..temporal {
-            let sys = accumulate_mode_threaded(data, values, factors, n, threads);
+            let sys = accumulate_mode(data, values, factors, n);
             for i in 0..factors[n].rows() {
                 let (b, c, count) = sys.row_system(i);
                 if count == 0 {
@@ -279,7 +216,7 @@ pub fn sofia_als_threaded(
         }
 
         // --- Temporal mode: Theorem 2 / Eq. (17) row updates.
-        let sys = accumulate_mode_threaded(data, values, factors, temporal, threads);
+        let sys = accumulate_mode(data, values, factors, temporal);
         let rows = factors[temporal].rows();
         let m = opts.period;
         for i in 0..rows {
@@ -568,72 +505,5 @@ mod tests {
                 assert_eq!(after[k].signum(), before[k].signum());
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use sofia_tensor::random::random_factors;
-    use sofia_tensor::Mask;
-
-    #[test]
-    fn threaded_als_matches_serial() {
-        let mut rng = SmallRng::seed_from_u64(91);
-        let truth_f = random_factors(&[8, 7, 12], 3, &mut rng);
-        let refs: Vec<&Matrix> = truth_f.iter().collect();
-        let truth = kruskal::kruskal(&refs);
-        let mask = Mask::random(truth.shape().clone(), 0.3, &mut rng);
-        let data = ObservedTensor::new(truth, mask);
-        let start = random_factors(&[8, 7, 12], 3, &mut rng);
-        let opts = AlsOptions {
-            lambda1: 0.01,
-            lambda2: 0.01,
-            period: 4,
-            tol: 0.0,
-            max_iters: 3,
-        };
-        let mut serial = start.clone();
-        sofia_als(&data, data.values(), &mut serial, &opts);
-        let mut parallel = start.clone();
-        sofia_als_threaded(&data, data.values(), &mut parallel, &opts, 4);
-        for (a, b) in serial.iter().zip(&parallel) {
-            let rel = a.diff_norm(b) / a.frobenius_norm().max(1e-12);
-            assert!(rel < 1e-9, "serial/parallel divergence {rel}");
-        }
-    }
-
-    #[test]
-    fn threaded_with_one_thread_is_serial_path() {
-        let mut rng = SmallRng::seed_from_u64(92);
-        let truth_f = random_factors(&[5, 5, 6], 2, &mut rng);
-        let refs: Vec<&Matrix> = truth_f.iter().collect();
-        let truth = kruskal::kruskal(&refs);
-        let data = ObservedTensor::fully_observed(truth);
-        let start = random_factors(&[5, 5, 6], 2, &mut rng);
-        let opts = AlsOptions::vanilla(0.0, 2);
-        let mut a = start.clone();
-        let mut b = start.clone();
-        sofia_als(&data, data.values(), &mut a, &opts);
-        sofia_als_threaded(&data, data.values(), &mut b, &opts, 1);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.data(), y.data());
-        }
-    }
-
-    #[test]
-    fn threaded_handles_tiny_inputs() {
-        // Fewer observed entries than 4·threads: falls back to serial.
-        let mut rng = SmallRng::seed_from_u64(93);
-        let truth_f = random_factors(&[2, 2, 2], 1, &mut rng);
-        let refs: Vec<&Matrix> = truth_f.iter().collect();
-        let truth = kruskal::kruskal(&refs);
-        let data = ObservedTensor::fully_observed(truth);
-        let mut factors = random_factors(&[2, 2, 2], 1, &mut rng);
-        let opts = AlsOptions::vanilla(1e-9, 5);
-        let stats = sofia_als_threaded(&data, data.values(), &mut factors, &opts, 16);
-        assert!(stats.fitness > 0.9);
     }
 }

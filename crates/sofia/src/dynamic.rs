@@ -176,34 +176,10 @@ impl DynamicState {
         self.steps
     }
 
-    /// Most recent temporal vector `u⁽ᴺ⁾_{t}` (after at least one step, or
-    /// the last initialization vector before any).
-    pub fn last_temporal(&self) -> &[f64] {
-        self.history.back().expect("history is never empty")
-    }
-
     /// The sliding window of the last `m` temporal vectors, oldest first
     /// (`u_{t−m}, …, u_{t−1}`) — exposed for checkpointing.
     pub fn temporal_history(&self) -> Vec<Vec<f64>> {
         self.history.iter().cloned().collect()
-    }
-
-    /// Restores the error-scale tensor (checkpoint loading).
-    ///
-    /// # Panics
-    /// Panics if the shape differs from the slice shape.
-    pub fn set_sigma(&mut self, sigma: DenseTensor) {
-        assert_eq!(
-            sigma.shape(),
-            &self.slice_shape,
-            "sigma shape must match the slice shape"
-        );
-        self.sigma = sigma;
-    }
-
-    /// Restores the step counter (checkpoint loading).
-    pub fn set_steps(&mut self, steps: usize) {
-        self.steps = steps;
     }
 
     /// Processes one streaming subtensor (Algorithm 3 body) and returns the

@@ -55,7 +55,6 @@ pub mod als;
 pub mod checkpoint;
 pub mod config;
 pub mod dynamic;
-pub mod forecast;
 pub mod hw;
 pub mod init;
 pub mod model;

@@ -54,8 +54,6 @@ impl std::error::Error for SofiaError {}
 pub struct Sofia {
     config: SofiaConfig,
     dynamic: DynamicState,
-    init_completed: DenseTensor,
-    init_outliers: DenseTensor,
 }
 
 impl Sofia {
@@ -94,12 +92,7 @@ impl Sofia {
         config: &SofiaConfig,
         init_result: InitResult,
     ) -> Result<Self, SofiaError> {
-        let InitResult {
-            mut factors,
-            completed,
-            outliers,
-            ..
-        } = init_result;
+        let mut factors = init_result.factors;
         let temporal = factors.pop().expect("at least two factors");
         let ti = temporal.rows();
         let m = config.period;
@@ -116,37 +109,21 @@ impl Sofia {
         Ok(Self {
             config: config.clone(),
             dynamic,
-            init_completed: completed,
-            init_outliers: outliers,
         })
     }
 
     /// Rebuilds a model directly from a restored [`DynamicState`]
-    /// (checkpoint loading; see [`crate::checkpoint`]). The init-phase
-    /// inspection tensors are empty placeholders.
+    /// (checkpoint loading; see [`crate::checkpoint`]).
     pub fn from_dynamic(config: &SofiaConfig, dynamic: DynamicState) -> Result<Self, SofiaError> {
-        let placeholder = DenseTensor::zeros(dynamic.slice_shape().with_appended_mode(1).clone());
         Ok(Self {
             config: config.clone(),
             dynamic,
-            init_completed: placeholder.clone(),
-            init_outliers: placeholder,
         })
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SofiaConfig {
         &self.config
-    }
-
-    /// The completed start-up tensor `X̂_init` produced by Algorithm 1.
-    pub fn init_completed(&self) -> &DenseTensor {
-        &self.init_completed
-    }
-
-    /// The outlier tensor `O_init` estimated during initialization.
-    pub fn init_outliers(&self) -> &DenseTensor {
-        &self.init_outliers
     }
 
     /// The streaming state (factors, HW bank, error scales).

@@ -38,7 +38,6 @@
 // loops are the clearest form for them.
 #![allow(clippy::needless_range_loop)]
 
-pub mod coo;
 pub mod dense;
 pub mod kruskal;
 pub mod linalg;
@@ -50,7 +49,6 @@ pub mod random;
 pub mod shape;
 pub mod unfold;
 
-pub use coo::CooTensor;
 pub use dense::DenseTensor;
 pub use mask::Mask;
 pub use matrix::Matrix;

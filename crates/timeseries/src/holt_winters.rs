@@ -322,6 +322,30 @@ mod tests {
     }
 
     #[test]
+    fn hw_with_zero_gamma_equals_double_smoothing() {
+        // HW with γ=0 and zero seasonal state degenerates to Holt's
+        // linear-trend method (double exponential smoothing):
+        //   l_t = α·y_t + (1−α)(l_{t−1} + b_{t−1})
+        //   b_t = β(l_t − l_{t−1}) + (1−β)·b_{t−1}
+        //   ŷ_{t+h|t} = l_t + h·b_t
+        let (alpha, beta) = (0.35, 0.15);
+        let series: Vec<f64> = (0..20).map(|t| (t as f64).sqrt() * 4.0 + 1.0).collect();
+        let mut hw = HoltWinters::new(
+            HwParams::new(alpha, beta, 0.0),
+            HwState::new(1.0, 0.5, vec![0.0; 5], 0),
+        );
+        let (mut level, mut trend) = (1.0, 0.5);
+        for &y in &series {
+            let e_holt = y - (level + trend);
+            let prev_level = level;
+            level = alpha * y + (1.0 - alpha) * (level + trend);
+            trend = beta * (level - prev_level) + (1.0 - beta) * trend;
+            assert!((hw.update(y) - e_holt).abs() < 1e-12);
+        }
+        assert!((hw.forecast(2) - (level + 2.0 * trend)).abs() < 1e-9);
+    }
+
+    #[test]
     fn alpha_one_tracks_level_exactly() {
         // With α=1, β=0, γ=0 and zero season/trend: level = y each step.
         let params = HwParams::new(1.0, 0.0, 0.0);

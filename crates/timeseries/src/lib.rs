@@ -12,12 +12,7 @@
 //!   components from the first seasons of a series;
 //! * [`fit`] — SSE objective and a bounded Nelder-Mead optimizer used to
 //!   estimate the smoothing parameters `(α, β, γ) ∈ [0,1]³` (the paper uses
-//!   L-BFGS-B; see DESIGN.md for the substitution argument);
-//! * [`ets`] — simple and double exponential smoothing, used by baseline
-//!   methods;
-//! * [`snapshot`] — bit-exact text snapshots of the Holt-Winters family
-//!   (additive, multiplicative, damped), the serialization substrate the
-//!   serving layer's checkpoint envelope wraps.
+//!   L-BFGS-B; see DESIGN.md for the substitution argument).
 //!
 //! ## Quick example
 //!
@@ -34,14 +29,10 @@
 //! assert!((f - (0.5 * 32.0)).abs() < 1.0);
 //! ```
 
-pub mod ets;
 pub mod fit;
 pub mod holt_winters;
 pub mod init;
-pub mod intervals;
 pub mod robust;
-pub mod snapshot;
-pub mod variants;
 
 pub use fit::{fit_holt_winters, FittedHoltWinters};
 pub use holt_winters::{HoltWinters, HwParams, HwState};

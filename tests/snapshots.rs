@@ -2,9 +2,7 @@
 //! snapshot-capable model in the workspace, `save → restore → step-N`
 //! must be bit-exact against an uninterrupted run — not just for SOFIA.
 //!
-//! Covered: the Holt-Winters family (additive, multiplicative,
-//! damped-trend) via their `sofia-timeseries` snapshot methods, and the
-//! served models (SOFIA, SMF, OnlineSGD) via the
+//! Covered: the served models (SOFIA, SMF, OnlineSGD) via the
 //! `sofia_core::snapshot::{SnapshotModel, RestoreModel}` capability
 //! traits, round-tripped through the tagged v2 checkpoint envelope
 //! exactly as the fleet's durability layer does it.
@@ -20,8 +18,6 @@ use sofia::datagen::seasonal::SeasonalStream;
 use sofia::datagen::stream::TensorStream;
 use sofia::tensor::random::random_factors;
 use sofia::tensor::{Matrix, ObservedTensor};
-use sofia::timeseries::holt_winters::{HoltWinters, HwParams, HwState};
-use sofia::timeseries::variants::{DampedHw, MultiplicativeHw};
 
 /// Round-trips a served model through the v2 envelope (the exact path
 /// the fleet's durability layer takes) and returns the restored model.
@@ -47,89 +43,6 @@ fn assert_steps_bit_exact<M: StreamingFactorizer>(a: &mut M, b: &mut M, slices: 
             (None, None) => {}
             (Some(x), Some(y)) => assert_eq!(x.data(), y.data(), "outliers diverged at step {t}"),
             _ => panic!("outlier capability diverged at step {t}"),
-        }
-    }
-}
-
-proptest! {
-    #[test]
-    fn additive_hw_roundtrip(
-        seed in 0u64..10_000,
-        period in 2usize..7,
-        warm in 0usize..12,
-    ) {
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-        use rand::Rng as _;
-        let params = HwParams::clamped(rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
-        let seasonal: Vec<f64> = (0..period).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
-        let phase = rng.gen_range(0usize..period);
-        let mut hw = HoltWinters::new(
-            params,
-            HwState::new(rng.gen::<f64>() * 10.0, rng.gen::<f64>() - 0.5, seasonal, phase),
-        );
-        for _ in 0..warm {
-            hw.update(rng.gen::<f64>() * 6.0);
-        }
-        let mut restored = HoltWinters::restore(&hw.snapshot()).expect("restore");
-        prop_assert_eq!(&hw, &restored);
-        for _ in 0..8 {
-            let y = rng.gen::<f64>() * 6.0 - 3.0;
-            prop_assert_eq!(hw.update(y).to_bits(), restored.update(y).to_bits());
-        }
-        for h in 1..=period {
-            prop_assert_eq!(hw.forecast(h).to_bits(), restored.forecast(h).to_bits());
-        }
-    }
-
-    #[test]
-    fn multiplicative_hw_roundtrip(seed in 0u64..10_000, period in 2usize..6) {
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-        use rand::Rng as _;
-        let params = HwParams::clamped(rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
-        let seasonal: Vec<f64> = (0..period).map(|_| 0.5 + rng.gen::<f64>()).collect();
-        let mut hw = MultiplicativeHw::new(
-            params,
-            5.0 + rng.gen::<f64>() * 10.0,
-            rng.gen::<f64>() * 0.4,
-            seasonal,
-            rng.gen_range(0usize..period),
-        );
-        for _ in 0..6 {
-            hw.update(8.0 + rng.gen::<f64>() * 4.0);
-        }
-        let mut restored = MultiplicativeHw::restore(&hw.snapshot()).expect("restore");
-        prop_assert_eq!(&hw, &restored);
-        for _ in 0..8 {
-            let y = 8.0 + rng.gen::<f64>() * 4.0;
-            prop_assert_eq!(hw.update(y).to_bits(), restored.update(y).to_bits());
-        }
-    }
-
-    #[test]
-    fn damped_hw_roundtrip(seed in 0u64..10_000, period in 2usize..6) {
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-        use rand::Rng as _;
-        let params = HwParams::clamped(rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
-        let seasonal: Vec<f64> = (0..period).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-        let mut hw = DampedHw::new(
-            params,
-            0.05 + rng.gen::<f64>() * 0.95,
-            rng.gen::<f64>() * 10.0,
-            rng.gen::<f64>(),
-            seasonal,
-            rng.gen_range(0usize..period),
-        );
-        for _ in 0..6 {
-            hw.update(rng.gen::<f64>() * 6.0);
-        }
-        let mut restored = DampedHw::restore(&hw.snapshot()).expect("restore");
-        prop_assert_eq!(&hw, &restored);
-        for _ in 0..8 {
-            let y = rng.gen::<f64>() * 6.0;
-            prop_assert_eq!(hw.update(y).to_bits(), restored.update(y).to_bits());
-        }
-        for h in 1..=2 * period {
-            prop_assert_eq!(hw.forecast(h).to_bits(), restored.forecast(h).to_bits());
         }
     }
 }
