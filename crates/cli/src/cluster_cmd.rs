@@ -1,8 +1,8 @@
 //! The `cluster` subcommand: launch N `serve` **processes** from one
 //! spec, then prove multi-process sharding end to end — a stream
 //! registered on its owning node is unreachable on any other node, a
-//! migration ships its checkpoint envelope over the wire and flips the
-//! routing entry, and the whole cluster shuts down cleanly.
+//! slot migration ships its checkpoint envelope over the wire and flips
+//! the slot's owner, and the whole cluster shuts down cleanly.
 //!
 //! ```text
 //! sofia-cli cluster [--nodes 2] [--base-port 7421] [--shards 2]
@@ -247,9 +247,12 @@ pub fn cluster(opts: &ClusterOpts) -> CmdResult {
     router.flush()?;
     let before = forecast_bits(&mut router, stream_id)?;
 
-    // --- Migrate: envelope over the wire, map entry flipped, old copy
-    // unloaded (and its checkpoint file deleted on the old owner).
-    router.migrate(stream_id, &other)?;
+    // --- Migrate the stream's route slot (the demo stream is its only
+    // stream so far): envelope over the wire, slot owner flipped and
+    // published, old copy unloaded (and its checkpoint file deleted on
+    // the old owner).
+    let slot = router.map().shard_of(stream_id);
+    router.migrate_slot(slot, &other)?;
     println!("cluster: migrated `{stream_id}` {owner} -> {other}");
     let after = forecast_bits(&mut router, stream_id)?;
     if before != after {
@@ -259,17 +262,13 @@ pub fn cluster(opts: &ClusterOpts) -> CmdResult {
         "cluster: post-migration forecast is bit-exact ({} floats)",
         after.len()
     );
-    let mut direct_old = Client::connect_as(&owner, "cluster-direct-probe")?;
-    match direct_old.query(stream_id, Query::StreamStats) {
-        Err(ClientError::Fleet(FleetError::UnknownStream(_))) => {
-            println!("cluster: old owner {owner} no longer serves `{stream_id}`");
-        }
-        other_result => {
-            return Err(
-                format!("`{stream_id}` should be gone from {owner}, got {other_result:?}").into(),
-            )
-        }
+    // The old owner's fence would refuse the stream even if a copy were
+    // left; its listing proves the copy itself is gone.
+    let held = Client::connect_as(&owner, "cluster-direct-probe")?.stream_ids()?;
+    if held.iter().any(|id| id == stream_id) {
+        return Err(format!("`{stream_id}` should be gone from {owner}, still listed").into());
     }
+    println!("cluster: old owner {owner} no longer holds `{stream_id}`");
     let steps = router
         .query(stream_id, Query::StreamStats)?
         .expect_stream_stats()

@@ -1,16 +1,15 @@
 //! The `fleet` subcommand: serve many synthetic streams through the
-//! sharded engine and report throughput, latency, shard scaling, stream
-//! lifecycle, and mixed-kind crash recovery.
+//! sharded engine and report throughput, latency, stream lifecycle, and
+//! mixed-kind crash recovery.
 
 use crate::commands::CmdResult;
+use crate::net_cmd::engine_config;
 use sofia_baselines::{OnlineSgd, Smf};
 use sofia_core::model::Sofia;
 use sofia_core::SofiaConfig;
 use sofia_datagen::seasonal::SeasonalStream;
 use sofia_datagen::stream::TensorStream;
-use sofia_fleet::{
-    CheckpointPolicy, Fleet, FleetConfig, MetricKind, ModelHandle, Query, StreamKey,
-};
+use sofia_fleet::{Fleet, MetricKind, ModelHandle, Query, StreamKey};
 use sofia_tensor::ObservedTensor;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -33,7 +32,7 @@ pub(crate) fn fmt_q(v: Option<f64>) -> String {
 pub struct FleetOpts {
     /// Number of concurrent synthetic streams.
     pub streams: usize,
-    /// Shard (worker-thread) count for the main run.
+    /// Shard (worker-thread) count.
     pub shards: usize,
     /// Slices streamed per stream after warm-up.
     pub steps: usize,
@@ -59,9 +58,6 @@ pub struct FleetOpts {
     /// SOFIA streams: stream `i` serves kind `[sofia, ..mix][i % (1+n)]`.
     /// Empty = all SOFIA.
     pub mix: Vec<String>,
-    /// Additional shard counts to benchmark on the same workload (e.g.
-    /// `[1]` to demonstrate 1-shard vs `shards`-shard scaling).
-    pub compare_shards: Vec<usize>,
 }
 
 impl Default for FleetOpts {
@@ -79,42 +75,8 @@ impl Default for FleetOpts {
             checkpoint_every: 25,
             evict_idle: None,
             mix: Vec::new(),
-            compare_shards: Vec::new(),
         }
     }
-}
-
-/// One warm-started serving model; concrete so comparison runs can clone
-/// identical initial states into each engine.
-pub(crate) enum MixModel {
-    // Boxed: a warm-started SOFIA is far larger than the baselines and
-    // these live in a Vec.
-    Sofia(Box<Sofia>),
-    Smf(Smf),
-    OnlineSgd(OnlineSgd),
-}
-
-impl MixModel {
-    pub(crate) fn handle(&self) -> ModelHandle {
-        match self {
-            MixModel::Sofia(m) => ModelHandle::sofia((**m).clone()),
-            MixModel::Smf(m) => ModelHandle::durable(m.clone()),
-            MixModel::OnlineSgd(m) => ModelHandle::durable(m.clone()),
-        }
-    }
-}
-
-struct RunOutcome {
-    shards: usize,
-    wall_secs: f64,
-    slices: u64,
-    backpressure_retries: u64,
-    mean_latency_us: Option<f64>,
-    p99_latency_us: Option<f64>,
-    max_batch: usize,
-    checkpoints: usize,
-    evictions: u64,
-    restores: u64,
 }
 
 /// Shared option validation (`fleet` and `serve` accept the same
@@ -128,7 +90,6 @@ pub(crate) fn validate(opts: &FleetOpts) -> CmdResult {
         || opts.queue == 0
         || opts.checkpoint_every == 0
         || opts.evict_idle == Some(0)
-        || opts.compare_shards.contains(&0)
     {
         return Err("shards, queue, checkpoint-every, and evict-idle must be positive".into());
     }
@@ -153,7 +114,7 @@ pub(crate) fn validate(opts: &FleetOpts) -> CmdResult {
 /// available cores. Returns the models, their synthetic source streams,
 /// and the startup-window length (slice `t` of stream `i` is
 /// `streams[i].clean_slice(startup_len + t)`).
-pub(crate) fn warm_start(opts: &FleetOpts) -> (Vec<MixModel>, Vec<SeasonalStream>, usize) {
+pub(crate) fn warm_start(opts: &FleetOpts) -> (Vec<ModelHandle>, Vec<SeasonalStream>, usize) {
     // Stream i serves cycle[i % cycle.len()].
     let cycle: Vec<&str> = std::iter::once("sofia")
         .chain(opts.mix.iter().map(String::as_str))
@@ -176,7 +137,7 @@ pub(crate) fn warm_start(opts: &FleetOpts) -> (Vec<MixModel>, Vec<SeasonalStream
         .unwrap_or(1)
         .min(opts.streams);
     let chunk = opts.streams.div_ceil(workers);
-    let models: Vec<MixModel> = std::thread::scope(|scope| {
+    let models: Vec<ModelHandle> = std::thread::scope(|scope| {
         let handles: Vec<_> = streams
             .chunks(chunk)
             .enumerate()
@@ -193,23 +154,23 @@ pub(crate) fn warm_start(opts: &FleetOpts) -> (Vec<MixModel>, Vec<SeasonalStream
                                 .collect();
                             let seed = opts.seed + i as u64;
                             match cycle[i % cycle.len()] {
-                                "smf" => MixModel::Smf(Smf::init(
+                                "smf" => ModelHandle::durable(Smf::init(
                                     &startup,
                                     opts.rank,
                                     opts.period,
                                     0.1,
                                     seed,
                                 )),
-                                "online-sgd" => MixModel::OnlineSgd(OnlineSgd::init(
+                                "online-sgd" => ModelHandle::durable(OnlineSgd::init(
                                     &startup, opts.rank, 0.1, seed,
                                 )),
-                                _ => MixModel::Sofia(Box::new(
+                                _ => ModelHandle::sofia(
                                     Sofia::init(&model_config, &startup, seed)
                                         .expect("synthetic startup window is well-formed"),
-                                )),
+                                ),
                             }
                         })
-                        .collect::<Vec<MixModel>>()
+                        .collect::<Vec<ModelHandle>>()
                 })
             })
             .collect();
@@ -248,107 +209,11 @@ pub fn fleet(opts: &FleetOpts) -> CmdResult {
         })
         .collect();
 
-    // --- Run once per requested shard count on identical initial models.
-    let mut shard_counts = opts.compare_shards.clone();
-    shard_counts.push(opts.shards);
-    shard_counts.sort_unstable();
-    shard_counts.dedup();
-
-    let mut outcomes = Vec::new();
-    for &shards in &shard_counts {
-        outcomes.push(run_once(opts, shards, &models, &slices)?);
-    }
-
-    println!(
-        "\n{:>6}  {:>8}  {:>10}  {:>12}  {:>11}  {:>12}  {:>9}  {:>11}",
-        "shards",
-        "wall(s)",
-        "slices/s",
-        "mean-lat(us)",
-        "p99-lat(us)",
-        "backpressure",
-        "max-batch",
-        "checkpoints"
-    );
-    for o in &outcomes {
-        println!(
-            "{:>6}  {:>8.3}  {:>10.0}  {:>12}  {:>11}  {:>12}  {:>9}  {:>11}",
-            o.shards,
-            o.wall_secs,
-            o.slices as f64 / o.wall_secs,
-            o.mean_latency_us
-                .map(|l| format!("{l:.1}"))
-                .unwrap_or_else(|| "-".into()),
-            o.p99_latency_us
-                .map(|l| format!("{l:.1}"))
-                .unwrap_or_else(|| "-".into()),
-            o.backpressure_retries,
-            o.max_batch,
-            o.checkpoints
-        );
-    }
-    if opts.evict_idle.is_some() {
-        for o in &outcomes {
-            println!(
-                "lifecycle [{} shard(s)]: {} evictions, {} lazy restores",
-                o.shards, o.evictions, o.restores
-            );
-        }
-    }
-    if outcomes.len() > 1 {
-        let slowest = outcomes
-            .iter()
-            .max_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
-            .expect("nonempty");
-        let fastest = outcomes
-            .iter()
-            .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
-            .expect("nonempty");
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        println!(
-            "\nscaling: {} shards vs {} shards -> {:.2}x wall-clock speedup \
-             ({cores} cores available; shards cannot beat ~{cores}x)",
-            fastest.shards,
-            slowest.shards,
-            slowest.wall_secs / fastest.wall_secs
-        );
-    }
-
-    // --- Crash-recovery report: restore the main run's checkpoint
-    // directory into a fresh engine and break the recovered streams down
-    // by model kind (the v2 envelope dispatch at work).
-    if opts.checkpoint_dir.is_some() {
-        recovery_report(opts)?;
-    }
-    Ok(())
-}
-
-fn fleet_config(opts: &FleetOpts, shards: usize) -> FleetConfig {
-    let checkpoint = opts.checkpoint_dir.as_ref().map(|dir| {
-        // Each shard count gets its own subdirectory so comparison runs
-        // never mix durable state.
-        CheckpointPolicy::new(dir.join(format!("shards-{shards}")), opts.checkpoint_every)
-    });
-    FleetConfig {
-        shards,
-        queue_capacity: opts.queue,
-        checkpoint,
-        evict_idle_after: opts.evict_idle,
-    }
-}
-
-fn run_once(
-    opts: &FleetOpts,
-    shards: usize,
-    models: &[MixModel],
-    slices: &[Vec<ObservedTensor>],
-) -> Result<RunOutcome, Box<dyn std::error::Error>> {
-    let fleet = Fleet::new(fleet_config(opts, shards))?;
-
+    let fleet = Fleet::new(engine_config(opts))?;
     let keys: Vec<StreamKey> = models
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(i, m)| fleet.register(&format!("stream-{i:04}"), m.handle()))
+        .map(|(i, m)| fleet.register(&format!("stream-{i:04}"), m))
         .collect::<Result<_, _>>()?;
 
     // Ingest slice-major (t over all streams) — the arrival order of a
@@ -365,18 +230,13 @@ fn run_once(
     let wall_secs = start.elapsed().as_secs_f64();
 
     let stats = fleet.fleet_stats()?;
-    let slices_done = stats.steps();
     // Exact moments and mergeable quantiles from the latency sketch.
     let latency = stats.ingest_latency();
-    let mean_latency_us = latency.mean();
-    let p99_latency_us = latency.p99();
     let max_batch = stats.shards.iter().map(|s| s.max_batch).max().unwrap_or(0);
-    let evictions = stats.evictions();
-    let restores = stats.restores();
 
-    // Exercise the typed query plane once per run on a sample stream:
-    // all three requests travel to the owning shard in one batched
-    // round-trip (the third is the sketch-backed drift quantile).
+    // Exercise the typed query plane once on a sample stream: all three
+    // requests travel to the owning shard in one batched round-trip
+    // (the third is the sketch-backed drift quantile).
     let sample = "stream-0000";
     let mut responses = fleet
         .query_batch(&[
@@ -407,8 +267,9 @@ fn run_once(
         other => return Err(format!("expected a quantile response, got {other:?}").into()),
     };
     println!(
-        "[{shards} shard(s)] {sample} ({}): {} steps on shard {}, \
+        "[{} shard(s)] {sample} ({}): {} steps on shard {}, \
          forecast(h={}) |x| = {:.3}, latency p50 {} / p99 {}, drift p99 {}",
+        opts.shards,
         sample_stats.model,
         sample_stats.steps,
         sample_stats.shard,
@@ -418,26 +279,58 @@ fn run_once(
         fmt_us(sample_stats.ingest_latency.p99()),
         fmt_q(drift_p99),
     );
-
     let checkpoints = fleet.shutdown()?;
-    Ok(RunOutcome {
-        shards,
+
+    println!(
+        "\n{:>6}  {:>8}  {:>10}  {:>12}  {:>11}  {:>12}  {:>9}  {:>11}",
+        "shards",
+        "wall(s)",
+        "slices/s",
+        "mean-lat(us)",
+        "p99-lat(us)",
+        "backpressure",
+        "max-batch",
+        "checkpoints"
+    );
+    println!(
+        "{:>6}  {:>8.3}  {:>10.0}  {:>12}  {:>11}  {:>12}  {:>9}  {:>11}",
+        opts.shards,
         wall_secs,
-        slices: slices_done,
-        backpressure_retries: retries,
-        mean_latency_us,
-        p99_latency_us,
+        stats.steps() as f64 / wall_secs,
+        latency
+            .mean()
+            .map(|l| format!("{l:.1}"))
+            .unwrap_or_else(|| "-".into()),
+        latency
+            .p99()
+            .map(|l| format!("{l:.1}"))
+            .unwrap_or_else(|| "-".into()),
+        retries,
         max_batch,
-        checkpoints,
-        evictions,
-        restores,
-    })
+        checkpoints
+    );
+    if opts.evict_idle.is_some() {
+        println!(
+            "lifecycle [{} shard(s)]: {} evictions, {} lazy restores",
+            opts.shards,
+            stats.evictions(),
+            stats.restores()
+        );
+    }
+
+    // --- Crash-recovery report: restore the run's checkpoint directory
+    // into a fresh engine and break the recovered streams down by model
+    // kind (the v2 envelope dispatch at work).
+    if opts.checkpoint_dir.is_some() {
+        recovery_report(opts)?;
+    }
+    Ok(())
 }
 
-/// Recovers the main run's checkpoints into a fresh engine and reports
-/// the restored streams per model kind.
+/// Recovers the run's checkpoints into a fresh engine and reports the
+/// restored streams per model kind.
 fn recovery_report(opts: &FleetOpts) -> CmdResult {
-    let (recovered, n) = Fleet::recover(fleet_config(opts, opts.shards))?;
+    let (recovered, n) = Fleet::recover(engine_config(opts))?;
     let mut by_kind: BTreeMap<String, usize> = BTreeMap::new();
     let mut steps_total = 0u64;
     // One batched stats sweep over every recovered stream: a single

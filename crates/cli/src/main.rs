@@ -12,7 +12,6 @@
 //!                    [--queue 256] [--seed 2021]
 //!                    [--checkpoint-dir DIR] [--checkpoint-every 25]
 //!                    [--evict-idle N] [--mix smf,online-sgd]
-//!                    [--compare-shards 1,2]
 //! sofia-cli serve    --bind 127.0.0.1:7411 [--advertise ADDR]
 //!                    [--recover true] [--empty true]
 //!                    [--cluster EP0,EP1,...] [--slow-request-us N]
@@ -30,7 +29,7 @@
 //!
 //! The stream directory format is documented in [`mod@format`]; `fleet` serves
 //! many synthetic streams through the sharded `sofia-fleet` engine and
-//! reports throughput, per-step latency, shard scaling, stream lifecycle
+//! reports throughput, per-step latency, stream lifecycle
 //! (idle eviction + lazy restore), and — when a checkpoint directory is
 //! given — a mixed-kind crash-recovery breakdown. `serve` exposes the
 //! same warm fleet over TCP (the `sofia-net` data plane) until a client
@@ -59,7 +58,7 @@ fn usage() -> &'static str {
      sofia-cli resume --checkpoint FILE --dir DIR [--forecast H] [--save-checkpoint FILE]\n  \
      sofia-cli fleet [--streams N] [--shards N] [--steps N] [--rank R] [--period M] \
      [--dims X,Y] [--queue N] [--seed N] [--checkpoint-dir DIR] [--checkpoint-every N] \
-     [--evict-idle N] [--mix smf,online-sgd] [--compare-shards A,B]\n  \
+     [--evict-idle N] [--mix smf,online-sgd]\n  \
      sofia-cli serve --bind ADDR [--advertise ADDR] [--recover true] [--empty true] \
      [--cluster EP0,EP1,...] [--slow-request-us N] [fleet workload flags]\n  \
      sofia-cli client --connect ADDR [--stats true] [--metrics] [--json | --prom] \
@@ -85,8 +84,8 @@ fn parse_bool_flag(flags: &HashMap<String, String>, flag: &str) -> Result<bool, 
     }
 }
 
-/// Parses a comma-separated list of numbers (`--dims 12,10`,
-/// `--compare-shards 1,4`); shared by every flag that takes one.
+/// Parses a comma-separated list of numbers (`--dims 12,10`); shared by
+/// every flag that takes one.
 fn parse_usize_list(s: &str) -> Result<Vec<usize>, String> {
     s.split(',')
         .map(|p| p.trim().parse().map_err(|_| format!("bad number `{p}`")))
@@ -136,12 +135,6 @@ fn parse_fleet_opts(flags: &HashMap<String, String>) -> Result<fleet_cmd::FleetO
         opts.dims = match parse_usize_list(&v) {
             Ok(d) if !d.is_empty() => d,
             _ => return Err(bad_flag("dims", &v)),
-        };
-    }
-    if let Some(v) = get("compare-shards") {
-        opts.compare_shards = match parse_usize_list(&v) {
-            Ok(s) => s,
-            Err(_) => return Err(bad_flag("compare-shards", &v)),
         };
     }
     if let Some(v) = get("evict-idle") {

@@ -38,8 +38,9 @@ use sofia_net::{Client, ClusterClient, ClusterMetrics, NetStats, Server, ServerC
 use sofia_tensor::ObservedTensor;
 use std::time::Duration;
 
-/// Builds the serve-side engine config from the shared workload opts.
-fn engine_config(opts: &FleetOpts) -> FleetConfig {
+/// Builds the engine config from the shared workload opts (`fleet`
+/// and `serve` size their engines identically).
+pub(crate) fn engine_config(opts: &FleetOpts) -> FleetConfig {
     FleetConfig {
         shards: opts.shards,
         queue_capacity: opts.queue,
@@ -107,13 +108,13 @@ pub fn serve(
     } else {
         let fleet = Fleet::new(engine_config(opts))?;
         let (models, _streams, startup_len) = warm_start(opts);
-        for (i, model) in models.iter().enumerate() {
-            fleet.register(&format!("stream-{i:04}"), model.handle())?;
+        let warm = models.len();
+        for (i, model) in models.into_iter().enumerate() {
+            fleet.register(&format!("stream-{i:04}"), model)?;
         }
         println!(
-            "serve: registered {} warm streams (startup window {startup_len}); \
-             clients drive ingest from slice index {startup_len}",
-            models.len()
+            "serve: registered {warm} warm streams (startup window {startup_len}); \
+             clients drive ingest from slice index {startup_len}"
         );
         fleet
     };

@@ -653,11 +653,10 @@ impl Client {
         }
     }
 
-    /// Lists the stream ids this server currently holds, optionally
-    /// restricted to the streams this client's map routes to `slot`.
-    /// The enumeration a slot migration sweeps over.
-    pub fn stream_ids(&mut self, slot: Option<u64>) -> Result<Vec<String>, ClientError> {
-        let id = self.send(|id| Request::Streams { id, slot })?;
+    /// Lists the stream ids this server currently holds — the
+    /// enumeration a slot migration groups by its own map's route hash.
+    pub fn stream_ids(&mut self) -> Result<Vec<String>, ClientError> {
+        let id = self.send(|id| Request::Streams { id })?;
         let payload = match self.expect_reply(id)? {
             Ok(p) => p,
             Err(e) => return Err(ClientError::Fleet(e)),

@@ -5,16 +5,18 @@
 //! [`sofia_fleet::Fleet`] with its own checkpoint directory) plus one
 //! ownership table: the [`ShardMap`] assigns every route slot — keyed by
 //! the same stable FNV stream hash the engine uses — to one endpoint,
-//! with per-stream **override** entries for migrated streams.
-//! [`ClusterClient`] is the router: it holds the map and one lazy
-//! [`Client`] connection per endpoint, sends `query` / `query_batch` /
-//! `ingest` / `register` / `snapshot` / `deregister` to the owning
-//! server, broadcasts `flush`, and merges `stats` across endpoints.
+//! and a stream lives on its slot's owner. [`ClusterClient`] is the
+//! router: it holds the map and one lazy [`Client`] connection per
+//! endpoint, sends `query` / `query_batch` / `ingest` / `register` /
+//! `snapshot` / `deregister` to the owning server, broadcasts `flush`,
+//! and merges `stats` across endpoints.
 //!
 //! ## Migration
 //!
-//! One sequence moves streams between processes, built from the wire
-//! verbs `flush`, `snapshot`, `register`, and `deregister`:
+//! [`ClusterClient::migrate_slot`] moves a whole route slot — every
+//! stream the slot's hash routes to its owner — between processes, built
+//! from the wire verbs `flush`, `snapshot`, `register`, and
+//! `deregister`:
 //!
 //! 1. `flush` the source (read-your-writes: the snapshots must include
 //!    every slice acknowledged so far);
@@ -24,7 +26,9 @@
 //!    target *persists* the arrival before acknowledging (when it runs
 //!    a checkpoint policy), so step 5 never deletes a stream's only
 //!    durable copy;
-//! 4. flip the map so routing follows the streams;
+//! 4. flip the slot's owner ([`ShardMap::set_slot_owner`]), bump the
+//!    epoch **exactly once**, and push the new map at every member
+//!    (`remap`), so servers learn the ownership change;
 //! 5. `deregister` the old copies — unloaded *and* their checkpoint
 //!    files deleted, so a restart of the source cannot resurrect them.
 //!
@@ -32,17 +36,8 @@
 //! map untouched); a failure after the flip rolls *forward* — the map
 //! already names the new owner, and any stale copy left on a dead
 //! source is fenced the moment that source learns the current epoch.
-//!
-//! The two entry points differ only in the flip.
-//! [`ClusterClient::migrate`] moves one stream and flips its per-stream
-//! override entry ([`ShardMap::set_override`]); once the map's epoch is
-//! past 0 it also bumps the epoch and pushes the new map at every
-//! member (`remap`), so servers learn ownership changes instead of
-//! serving from a launch-time table forever.
-//! [`ClusterClient::migrate_slot`] moves a whole route slot — every
-//! stream the slot's hash routes to its owner — and flips the slot's
-//! owner ([`ShardMap::set_slot_owner`]), bumping and pushing the epoch
-//! **exactly once**.
+//! Moving one stream means moving its slot; the slots-per-node count
+//! of [`ShardMap::round_robin`] sets the granularity.
 //!
 //! ## Rebalancing
 //!
@@ -211,13 +206,13 @@ impl ClusterClient {
         }
     }
 
-    /// The routing table (slots + overrides) this client is using.
+    /// The routing table this client is using.
     pub fn map(&self) -> &ShardMap {
         &self.map
     }
 
-    /// The endpoint currently owning a stream (override entry first,
-    /// hashed slot otherwise).
+    /// The endpoint currently owning a stream (its hashed slot's
+    /// owner).
     pub fn endpoint_of(&self, stream: &str) -> &str {
         self.map.endpoint_of(stream)
     }
@@ -516,59 +511,10 @@ impl ClusterClient {
         self.fenced(stream, |client, s| client.snapshot(s))
     }
 
-    /// Removes a stream from its owner and drops its override entry if
-    /// one existed (a later registration of the same id routes by hash
-    /// again).
+    /// Removes a stream from its owner (model unloaded, checkpoint
+    /// file deleted).
     pub fn deregister(&mut self, stream: &str) -> Result<(), ClientError> {
-        self.fenced(stream, |client, s| client.deregister(s))?;
-        self.map.clear_override(stream);
-        Ok(())
-    }
-
-    /// Moves one stream to another endpoint: flush the source, ship its
-    /// checkpoint envelope over the wire into the target's `register`
-    /// path, flip the map entry, and unload (+ delete) the old copy.
-    /// See the module docs for the ordering and the single-writer
-    /// assumption; the target may be any reachable `sofia-net` server,
-    /// in the map or not. This is the one-stream case of
-    /// [`Self::migrate_slot`]: the same sequence, with a per-stream
-    /// override as the flip.
-    ///
-    /// The target must **persist** the arrived stream (run a checkpoint
-    /// policy): the final step deletes the source's checkpoint file, so
-    /// a memory-only target would leave the stream one crash away from
-    /// total loss. A non-durable target rolls the registration back and
-    /// fails the migration with the source untouched. A source copy that
-    /// cannot be removed after the flip is reported as an error; the
-    /// stream is already reachable at its new home.
-    pub fn migrate(&mut self, stream: &str, to: &str) -> Result<(), ClientError> {
-        let from = self.map.endpoint_of(stream).to_string();
-        if from == to {
-            return Err(ClientError::Protocol(format!(
-                "stream `{stream}` is already served by `{to}`"
-            )));
-        }
-        let flip = |router: &mut Self| {
-            // Moving a stream back to its hashed slot owner needs no
-            // entry at all.
-            if router.map.endpoints()[router.map.shard_of(stream)] == to {
-                router.map.clear_override(stream);
-            } else {
-                router.map.set_override(stream, to);
-            }
-            // Once the cluster is in the epoch era (any slot flip or
-            // publish bumped past 0), an override flip must be published
-            // too: fenced requests for this stream would otherwise
-            // bounce between the members' ownership views. At epoch 0
-            // nothing fences, so the pre-autonomy contract — other
-            // routers learn the entry by rebuilding their map — stands.
-            if router.map.epoch() > 0 {
-                router.publish_map();
-            }
-            router.map.epoch()
-        };
-        let removed = self.move_streams(&from, to, &[stream.to_string()], flip, |_| {})?;
-        removed.into_iter().collect()
+        self.fenced(stream, |client, s| client.deregister(s))
     }
 
     /// Bumps the map's epoch and pushes the result at every member
@@ -591,7 +537,14 @@ impl ClusterClient {
     /// slot's hash routes to its current owner is swept through
     /// flush → snapshot → register, then the slot's owner flips and the
     /// epoch bumps **exactly once**, then the source copies are
-    /// deregistered. Returns the number of streams moved.
+    /// deregistered. Returns the number of streams moved. The target
+    /// may be any reachable `sofia-net` server, in the map or not.
+    ///
+    /// The target must **persist** the arrived streams (run a
+    /// checkpoint policy): the final step deletes the source's
+    /// checkpoint files, so a memory-only target would leave them one
+    /// crash away from total loss. A non-durable target rolls the
+    /// registrations back and fails the move with the source untouched.
     ///
     /// Failure semantics follow the flip: before it, everything rolls
     /// **back** (target copies deregistered, map untouched, source
@@ -599,9 +552,6 @@ impl ClusterClient {
     /// already names the new owner, the new owner already holds every
     /// stream durably, and a stale copy left on an unreachable source
     /// is fenced the moment that source learns the current epoch.
-    ///
-    /// Streams with an override entry are skipped: their routing does
-    /// not follow the slot, so the flip neither moves nor strands them.
     pub fn migrate_slot(&mut self, slot: usize, to: &str) -> Result<usize, ClientError> {
         self.migrate_slot_observed(slot, to, |_| {})
     }
@@ -613,7 +563,7 @@ impl ClusterClient {
         &mut self,
         slot: usize,
         to: &str,
-        observe: impl FnMut(MigrationStep<'_>),
+        mut observe: impl FnMut(MigrationStep<'_>),
     ) -> Result<usize, ClientError> {
         let slots = self.map.endpoints().len();
         if slot >= slots {
@@ -627,62 +577,23 @@ impl ClusterClient {
                 "slot {slot} is already owned by `{to}`"
             )));
         }
-        // Enumerate the slot's hashed population on the source, minus
-        // override-routed streams (their routing ignores the flip).
-        // Filtering happens against the *router's* map: the server's
-        // own slot filter reflects the server's map, whose slot count
-        // need not match (a plainly-bound member holds a single-node
-        // map until a `remap` reaches it).
-        let mut streams = self.fenced_at(&from, |source| source.stream_ids(None))?;
-        streams.retain(|s| {
-            self.map.shard_of(s) == slot && !self.map.overrides().contains_key(s.as_str())
-        });
-        // The flip: one ownership change, one epoch bump, one push. A
-        // stale source copy left behind by a failed cleanup is fenced
-        // garbage, not an unreachable stream, so it is not an error.
-        let flip = |router: &mut Self| {
-            router.map.set_slot_owner(slot, to);
-            router.publish_map()
-        };
-        let removed = self.move_streams(&from, to, &streams, flip, observe)?;
-        Ok(removed.len())
-    }
-
-    /// The one migration sequence behind [`Self::migrate`] and
-    /// [`Self::migrate_slot_observed`]: flush `from`; snapshot each
-    /// stream there and register its envelope on `to`, which must
-    /// persist it; `flip` routing (the caller's map change, returning
-    /// the epoch it established); then deregister each source copy.
-    /// Every boundary is reported to `observe` as it is crossed.
-    ///
-    /// Failure semantics follow the flip. Before it, everything rolls
-    /// **back**: the target copies made so far are deregistered, the
-    /// map is untouched, and the source still serves every stream
-    /// (its files included). After it, everything rolls **forward**:
-    /// the map already names the new owner, which holds every stream
-    /// durably, and the result holds each stream's source-removal
-    /// outcome, in `streams` order, for the caller to judge.
-    fn move_streams(
-        &mut self,
-        from: &str,
-        to: &str,
-        streams: &[String],
-        flip: impl FnOnce(&mut Self) -> u64,
-        mut observe: impl FnMut(MigrationStep<'_>),
-    ) -> Result<Vec<Result<(), ClientError>>, ClientError> {
+        // Enumerate the slot's population on the source, grouped by the
+        // *router's* map: the server's own map need not share its slot
+        // count (a plainly-bound member holds a single-node map until a
+        // `remap` reaches it).
+        let mut streams = self.fenced_at(&from, Client::stream_ids)?;
+        streams.retain(|s| self.map.shard_of(s) == slot);
         // Flush once: every acknowledged slice is in the snapshots.
-        self.fenced_at(from, Client::flush)?;
+        self.fenced_at(&from, Client::flush)?;
         observe(MigrationStep::Flushed);
         // Copy phase: the source still owns routing, so readers are
         // served throughout.
         let mut registered: Vec<&str> = Vec::with_capacity(streams.len());
-        for stream in streams {
+        for stream in &streams {
             let result = self
-                .fenced_at(from, |source| source.snapshot(stream))
+                .fenced_at(&from, |source| source.snapshot(stream))
                 .inspect(|_| observe(MigrationStep::Snapshotted(stream)))
-                .and_then(|envelope| {
-                    self.fenced_at(to, |target| target.register_envelope(stream, &envelope))
-                });
+                .and_then(|envelope| self.register_on(to, stream, &envelope));
             let failure = match result {
                 Ok(true) => {
                     observe(MigrationStep::Registered(stream));
@@ -708,21 +619,43 @@ impl ClusterClient {
             }
             return Err(failure);
         }
-        let epoch = flip(self);
+        // The flip: one ownership change, one epoch bump, one push.
+        self.map.set_slot_owner(slot, to);
+        let epoch = self.publish_map();
         observe(MigrationStep::Flipped { epoch });
         // Cleanup phase: unload the stale source copies; each one's
         // checkpoint file goes with it, so a source restart cannot
-        // resurrect the stream.
-        Ok(streams
-            .iter()
-            .map(|stream| {
-                let removed = self.fenced_at(from, |source| source.deregister(stream));
-                if removed.is_ok() {
-                    observe(MigrationStep::Deregistered(stream));
-                }
-                removed
-            })
-            .collect())
+        // resurrect the stream. A copy a failed cleanup leaves behind is
+        // fenced garbage, not an unreachable stream, so it does not fail
+        // the move.
+        for stream in &streams {
+            if self
+                .fenced_at(&from, |source| source.deregister(stream))
+                .is_ok()
+            {
+                observe(MigrationStep::Deregistered(stream));
+            }
+        }
+        Ok(streams.len())
+    }
+
+    /// Registers a migrating stream's envelope on the target; returns
+    /// whether the target persisted it. A copy the target already holds
+    /// is stale by construction while the router's map still routes
+    /// the stream elsewhere — e.g. one a crashed node resurrected from
+    /// its checkpoints after its slot flipped away — so it is
+    /// deregistered and the envelope registered once more.
+    fn register_on(&mut self, to: &str, stream: &str, envelope: &str) -> Result<bool, ClientError> {
+        let register = |target: &mut Client| target.register_envelope(stream, envelope);
+        match self.fenced_at(to, register) {
+            Err(ClientError::Fleet(FleetError::DuplicateStream(_)))
+                if self.map.endpoint_of(stream) != to =>
+            {
+                self.fenced_at(to, |target| target.deregister(stream))?;
+                self.fenced_at(to, register)
+            }
+            other => other,
+        }
     }
 
     /// Load-aware slot rebalancing: measures per-endpoint load (steps +
@@ -798,10 +731,8 @@ impl ClusterClient {
             let headroom = load[hot_i].1 - load[cold_i].1;
             let owners = self.map.endpoints().to_vec();
             // One enumeration per round, grouped by the *router's* slot
-            // hash (the server's own slot filter reflects the server's
-            // map, which may lag behind this one).
-            let mut hot_streams = self.fenced_at(&hot, |c| c.stream_ids(None))?;
-            hot_streams.retain(|s| !self.map.overrides().contains_key(s.as_str()));
+            // hash (the server's own map may lag behind this one).
+            let hot_streams = self.fenced_at(&hot, Client::stream_ids)?;
             let mut by_slot: Vec<Vec<String>> = vec![Vec::new(); owners.len()];
             for stream in hot_streams {
                 let slot = self.map.shard_of(&stream);
@@ -860,12 +791,11 @@ impl ClusterClient {
         })
     }
 
-    /// Follows a restarted node to its new address: rewrites every map
-    /// entry owned by `from` (slots and overrides) to `to` and drops
-    /// the dead connection. Returns how many entries changed. The epoch
-    /// does not bump here — call [`Self::publish_map`] after the
-    /// re-attachment is complete to fence out anyone still holding the
-    /// dead address.
+    /// Follows a restarted node to its new address: rewrites every slot
+    /// owned by `from` to `to` and drops the dead connection. Returns
+    /// how many slots changed. The epoch does not bump here — call
+    /// [`Self::publish_map`] after the re-attachment is complete to
+    /// fence out anyone still holding the dead address.
     pub fn repoint(&mut self, from: &str, to: &str) -> usize {
         self.conns.remove(from);
         let changed = self.map.repoint(from, to);

@@ -44,26 +44,24 @@
 //!   many queries in flight on one socket.
 //! * [`ShardMap`] — the stream-route → endpoint ownership table served
 //!   in the handshake: route slots (stable cross-process FNV stream
-//!   hash) assigned to endpoints, plus per-stream override entries for
-//!   migrated streams. A standalone server advertises a single-node
-//!   map; cluster members advertise the full spec
-//!   ([`ServerConfig::cluster`]).
+//!   hash) assigned to endpoints; a stream lives on its slot's owner.
+//!   A standalone server advertises a single-node map; cluster members
+//!   advertise the full spec ([`ServerConfig::cluster`]).
 //! * [`cluster`] — multi-process sharding over that table:
 //!   [`ClusterClient`] routes `query`/`ingest`/`register` to the owning
-//!   server, merges `stats`, broadcasts `flush`, and **migrates**
-//!   streams between processes (flush → `snapshot` the checkpoint
-//!   envelope → `register` it on the target → flip the map entry →
-//!   `deregister` the old copy) — a minimal single-writer coordinator,
-//!   deliberately without consensus. Since the cluster-autonomy
-//!   revision the map carries an **epoch**: routed requests stamp it,
-//!   servers fence stale senders with a typed `stale-epoch` reply that
-//!   carries the current map, and the router retries transparently.
-//!   Nodes can also enforce per-slot **leases**
+//!   server, merges `stats`, broadcasts `flush`, and **migrates** whole
+//!   route slots between processes ([`ClusterClient::migrate_slot`]:
+//!   flush → `snapshot` each stream's checkpoint envelope → `register`
+//!   it on the target → flip the slot's owner → `deregister` the old
+//!   copies) — a minimal single-writer coordinator, deliberately
+//!   without consensus. The map carries an **epoch**, bumped and
+//!   pushed at every member (`remap`) once per flip: routed requests
+//!   stamp it, servers fence stale senders with a typed `stale-epoch`
+//!   reply that carries the current map, and the router retries
+//!   transparently. Nodes can also enforce per-slot **leases**
 //!   ([`sofia_fleet::LeaseTable`], the `lease` verb), but nothing in
 //!   this workspace grants them, so shipped clusters serve in the
-//!   non-enforcing mode. Whole route slots
-//!   migrate atomically ([`ClusterClient::migrate_slot`], one epoch
-//!   bump per flip), and [`ClusterClient::rebalance`] moves the
+//!   non-enforcing mode. [`ClusterClient::rebalance`] moves the
 //!   hottest slots off the hottest node until no node carries more
 //!   than 1.25× the mean load.
 //!

@@ -113,9 +113,10 @@ pub struct ServerConfig {
     /// node's advertised name ([`ServerConfig::advertise`], default the
     /// bound address) — advertising a map that never routes here would
     /// strand every stream this node owns, so [`Server::bind_with`]
-    /// rejects it. The table is the launch-time spec: this minimal
-    /// single-writer coordinator does not push later migrations back
-    /// into it (see [`crate::cluster`]).
+    /// rejects it. This is the launch-time table only: a coordinator's
+    /// `remap` (sent by [`crate::ClusterClient::publish_map`] after
+    /// every slot flip) replaces the served map, and later handshakes
+    /// carry the replacement (see [`crate::cluster`]).
     pub cluster: Option<ShardMap>,
     /// Event-loop worker threads. `None` (the default) uses available
     /// parallelism; the count is fixed at bind time — connections never
@@ -913,22 +914,10 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             });
             (Completion::Ready(body), None, true)
         }
-        Request::Streams { id, slot } => {
-            // Slot membership is judged by this node's own map, which
-            // may lag the coordinator's (a plainly-bound node holds a
-            // single-node map until a `remap` arrives) — which is why
-            // the sweep coordinator fetches the unfiltered list and
-            // groups by its *own* map's hash instead.
-            let map = shared.map.read().expect("map lock");
-            let ids: Vec<String> = fleet
-                .stream_ids()
-                .into_iter()
-                .filter(|s| match slot {
-                    Some(want) => map.shard_of(s) as u64 == want,
-                    None => true,
-                })
-                .collect();
-            drop(map);
+        Request::Streams { id } => {
+            // Unfiltered: slot membership is the coordinator's call,
+            // made with its own map (this node's may lag behind it).
+            let ids = fleet.stream_ids();
             let body = ok_body(id, |out| {
                 use std::fmt::Write as _;
                 let _ = writeln!(out, "streams {}", ids.len());

@@ -29,7 +29,7 @@
 //! remap <req-id>                       rest of body = shard-map block to install
 //! lease <req-id> grant <slot> <ttl-ms> grant/renew a slot ownership lease
 //! lease <req-id> revoke <slot>         fence a slot off immediately
-//! streams <req-id> [slot <s>]          list held stream ids (slot enumeration)
+//! streams <req-id>                     list held stream ids (slot enumeration)
 //! flush <req-id>                       read-your-writes barrier
 //! stats <req-id>                       fleet-wide statistics
 //! metrics <req-id>                     node-health snapshot (NetStats)
@@ -306,14 +306,11 @@ pub enum Request {
         /// Route slot to fence off.
         slot: u64,
     },
-    /// List the stream ids this node currently holds, optionally
-    /// restricted to one route slot of the server's map — the slot
-    /// enumeration a slot-granularity migration sweeps over.
+    /// List the stream ids this node currently holds — the enumeration
+    /// a slot migration groups by its own map's route hash.
     Streams {
         /// Pipelining id.
         id: u64,
-        /// Restrict the listing to this route slot.
-        slot: Option<u64>,
     },
     /// Read-your-writes barrier ([`sofia_fleet::Fleet::flush`] over TCP).
     Flush {
@@ -353,7 +350,7 @@ impl Request {
             | Request::Remap { id, .. }
             | Request::LeaseGrant { id, .. }
             | Request::LeaseRevoke { id, .. }
-            | Request::Streams { id, .. }
+            | Request::Streams { id }
             | Request::Flush { id }
             | Request::Stats { id }
             | Request::Metrics { id }
@@ -458,14 +455,9 @@ impl Request {
             Request::LeaseRevoke { id, slot } => {
                 let _ = writeln!(out, "lease {id} revoke {slot}");
             }
-            Request::Streams { id, slot } => match slot {
-                Some(s) => {
-                    let _ = writeln!(out, "streams {id} slot {s}");
-                }
-                None => {
-                    let _ = writeln!(out, "streams {id}");
-                }
-            },
+            Request::Streams { id } => {
+                let _ = writeln!(out, "streams {id}");
+            }
             Request::Flush { id } => {
                 let _ = writeln!(out, "flush {id}");
             }
@@ -661,17 +653,9 @@ impl Request {
                     }
                 }
             }
-            "streams" => {
-                let id = int(&mut toks, verb, "request id")?;
-                let slot = match toks.next() {
-                    None => None,
-                    Some("slot") => Some(int(&mut toks, verb, "slot")?),
-                    Some(other) => {
-                        return Err(WireError::new(format!("bad streams clause `{other}`")))
-                    }
-                };
-                Request::Streams { id, slot }
-            }
+            "streams" => Request::Streams {
+                id: int(&mut toks, verb, "request id")?,
+            },
             "flush" => Request::Flush {
                 id: int(&mut toks, verb, "request id")?,
             },
@@ -796,23 +780,18 @@ pub fn split_reply(body: &str) -> Result<(ReplyHead, &str), WireError> {
 }
 
 /// The shard-ownership table a server hands its clients at handshake:
-/// stream route → endpoint, plus per-stream **overrides** for migrated
-/// streams.
+/// route slot → endpoint.
 ///
-/// Routing is two-layered:
-///
-/// 1. **Slots** — the stable FNV stream route
-///    ([`sofia_fleet::shard_of`]) picks a slot, and each slot names the
-///    endpoint owning it. A single-node map points every slot at the
-///    one server; a cluster map spreads slots over many endpoints
-///    (multiple slots per endpoint is the normal shape —
-///    [`ShardMap::round_robin`] builds one from a spec). The route
-///    agrees across processes, so every router holding the same map
-///    picks the same owner.
-/// 2. **Overrides** — an explicit stream-id → endpoint entry that beats
-///    the slot table. Migration flips exactly one such entry
-///    ([`ShardMap::set_override`]): the stream's envelope moves to the
-///    new owner, the entry records it, everything else stays hashed.
+/// The route slot is the one unit of placement: the stable FNV stream
+/// route ([`sofia_fleet::shard_of`]) picks a slot, and each slot names
+/// the endpoint owning it, so a stream lives on its slot's owner. A
+/// single-node map points every slot at the one server; a cluster map
+/// spreads slots over many endpoints (multiple slots per endpoint is
+/// the normal shape — [`ShardMap::round_robin`] builds one from a
+/// spec). The route agrees across processes, so every router holding
+/// the same map picks the same owner. Migration moves whole slots
+/// ([`ShardMap::set_slot_owner`]); the slots-per-endpoint count sets
+/// its granularity.
 ///
 /// A slot count need not match any server's internal shard count: slots
 /// route *between* processes; each fleet re-hashes over its own shards
@@ -827,7 +806,6 @@ pub fn split_reply(body: &str) -> Result<(ReplyHead, &str), WireError> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     endpoints: Vec<String>,
-    overrides: std::collections::BTreeMap<String, String>,
     epoch: u64,
 }
 
@@ -838,20 +816,6 @@ impl ShardMap {
         let endpoint = endpoint.into();
         ShardMap {
             endpoints: vec![endpoint; shards],
-            overrides: std::collections::BTreeMap::new(),
-            epoch: 0,
-        }
-    }
-
-    /// A map with one endpoint per slot (the multi-node seam).
-    pub fn from_endpoints(endpoints: Vec<String>) -> ShardMap {
-        assert!(
-            !endpoints.is_empty(),
-            "a shard map needs at least one shard"
-        );
-        ShardMap {
-            endpoints,
-            overrides: std::collections::BTreeMap::new(),
             epoch: 0,
         }
     }
@@ -870,7 +834,6 @@ impl ShardMap {
             endpoints: (0..slots)
                 .map(|i| endpoints[i % endpoints.len()].clone())
                 .collect(),
-            overrides: std::collections::BTreeMap::new(),
             epoch: 0,
         }
     }
@@ -910,19 +873,14 @@ impl ShardMap {
         &self.endpoints
     }
 
-    /// Per-stream overrides (migrated streams), stream id → endpoint.
-    pub fn overrides(&self) -> &std::collections::BTreeMap<String, String> {
-        &self.overrides
-    }
-
-    /// Every endpoint the map can route to, in first-appearance order
-    /// (slot owners first, then override-only endpoints), deduplicated.
+    /// Every endpoint the map can route to, in first-appearance slot
+    /// order, deduplicated.
     /// Membership is hashed, not scanned — a handshake-supplied map may
     /// legitimately carry up to 2^20 slots.
     pub fn distinct_endpoints(&self) -> Vec<&str> {
         let mut seen = std::collections::HashSet::new();
         let mut ordered = Vec::new();
-        for ep in self.endpoints.iter().chain(self.overrides.values()) {
+        for ep in &self.endpoints {
             if seen.insert(ep.as_str()) {
                 ordered.push(ep.as_str());
             }
@@ -931,46 +889,22 @@ impl ShardMap {
     }
 
     /// The slot a stream id routes to (same stable hash the engine
-    /// uses). Overrides bypass the slot table — check
-    /// [`ShardMap::endpoint_of`] for actual ownership.
+    /// uses).
     pub fn shard_of(&self, stream_id: &str) -> usize {
         shard_of(stream_id, self.endpoints.len())
     }
 
-    /// The endpoint serving a stream id: its override entry if one
-    /// exists (the stream was migrated), its hashed slot's owner
-    /// otherwise.
+    /// The endpoint serving a stream id: its hashed slot's owner.
     pub fn endpoint_of(&self, stream_id: &str) -> &str {
-        if let Some(ep) = self.overrides.get(stream_id) {
-            return ep;
-        }
         &self.endpoints[self.shard_of(stream_id)]
     }
 
-    /// Records that `stream_id` is now served by `endpoint` regardless
-    /// of its hashed slot — the map half of a migration.
-    pub fn set_override(&mut self, stream_id: impl Into<String>, endpoint: impl Into<String>) {
-        self.overrides.insert(stream_id.into(), endpoint.into());
-    }
-
-    /// Drops a stream's override (it routes by hash again); returns
-    /// whether one existed.
-    pub fn clear_override(&mut self, stream_id: &str) -> bool {
-        self.overrides.remove(stream_id).is_some()
-    }
-
-    /// Replaces every occurrence of endpoint `from` (slot owners and
-    /// overrides) with `to`; returns how many entries changed. This is
-    /// how a router follows a restarted node to its new address.
+    /// Replaces every slot owner `from` with `to`; returns how many
+    /// slots changed. This is how a router follows a restarted node to
+    /// its new address.
     pub fn repoint(&mut self, from: &str, to: &str) -> usize {
         let mut changed = 0;
         for ep in &mut self.endpoints {
-            if ep == from {
-                *ep = to.to_string();
-                changed += 1;
-            }
-        }
-        for ep in self.overrides.values_mut() {
             if ep == from {
                 *ep = to.to_string();
                 changed += 1;
@@ -980,39 +914,25 @@ impl ShardMap {
     }
 
     /// Appends the map's wire form. The header is
-    /// `shardmap <n> [epoch <e>] [overrides <m>]` with each clause
-    /// omitted when zero/empty — so an epoch-0, override-free map emits
-    /// exactly the original single-header form, byte-identical to what
-    /// pre-cluster servers sent, and any map re-emits byte-identically
-    /// after a parse.
+    /// `shardmap <n> [epoch <e>]` with the clause omitted at epoch 0 —
+    /// so an epoch-0 map emits exactly the original single-header form,
+    /// byte-identical to what pre-cluster servers sent, and any map
+    /// re-emits byte-identically after a parse.
     pub fn push_wire(&self, out: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(out, "shardmap {}", self.endpoints.len());
         if self.epoch > 0 {
             let _ = write!(out, " epoch {}", self.epoch);
         }
-        if !self.overrides.is_empty() {
-            let _ = write!(out, " overrides {}", self.overrides.len());
-        }
         out.push('\n');
         for (i, ep) in self.endpoints.iter().enumerate() {
             let _ = writeln!(out, "endpoint {i} {}", encode_stream_id(ep));
         }
-        for (stream, ep) in &self.overrides {
-            let _ = writeln!(
-                out,
-                "override {} {}",
-                encode_stream_id(stream),
-                encode_stream_id(ep)
-            );
-        }
     }
 
-    /// Parses the block written by [`ShardMap::push_wire`] — every
-    /// clause combination, including the plain pre-autonomy handshake
-    /// forms: no `epoch` clause parses as epoch 0 (the pre-epoch PR 5
-    /// form), no `overrides` clause as no overrides (the pre-cluster
-    /// PR 4 form).
+    /// Parses the block written by [`ShardMap::push_wire`], including
+    /// the clause-free epoch-0 handshake form. A header carrying any
+    /// clause other than `epoch` is a typed error.
     pub fn parse(cur: &mut LineCursor<'_>) -> Result<ShardMap, WireError> {
         let head = cur.next("shardmap header")?;
         let bad = || WireError::new(format!("bad shardmap header `{head}`"));
@@ -1020,25 +940,15 @@ impl ShardMap {
         if toks.next() != Some("shardmap") {
             return Err(bad());
         }
-        let parse_count = |tok: Option<&str>| -> Result<usize, WireError> {
-            tok.and_then(|d| d.parse().ok())
-                .filter(|&n| n <= 1 << 20)
-                .ok_or_else(bad)
-        };
-        let n = parse_count(toks.next()).and_then(|n| if n > 0 { Ok(n) } else { Err(bad()) })?;
-        let mut clause = toks.next();
-        let epoch = match clause {
-            Some("epoch") => {
-                // Epochs are versions, not sizes: the full u64 range.
-                let e = toks.next().and_then(|d| d.parse().ok()).ok_or_else(bad)?;
-                clause = toks.next();
-                e
-            }
-            _ => 0,
-        };
-        let m = match clause {
+        let n = toks
+            .next()
+            .and_then(|d| d.parse().ok())
+            .filter(|&n: &usize| n > 0 && n <= 1 << 20)
+            .ok_or_else(bad)?;
+        let epoch = match toks.next() {
             None => 0,
-            Some("overrides") => parse_count(toks.next())?,
+            // Epochs are versions, not sizes: the full u64 range.
+            Some("epoch") => toks.next().and_then(|d| d.parse().ok()).ok_or_else(bad)?,
             Some(_) => return Err(bad()),
         };
         if toks.next().is_some() {
@@ -1054,25 +964,7 @@ impl ShardMap {
                 decode_stream_id(rest).ok_or_else(|| WireError::new("undecodable endpoint"))?,
             );
         }
-        let mut overrides = std::collections::BTreeMap::new();
-        for _ in 0..m {
-            let line = cur.next("shardmap override")?;
-            let (stream, ep) = line
-                .strip_prefix("override ")
-                .and_then(|r| r.split_once(' '))
-                .ok_or_else(|| WireError::new(format!("bad override line `{line}`")))?;
-            overrides.insert(
-                decode_stream_id(stream)
-                    .ok_or_else(|| WireError::new("undecodable override stream"))?,
-                decode_stream_id(ep)
-                    .ok_or_else(|| WireError::new("undecodable override endpoint"))?,
-            );
-        }
-        Ok(ShardMap {
-            endpoints,
-            overrides,
-            epoch,
-        })
+        Ok(ShardMap { endpoints, epoch })
     }
 }
 
@@ -1263,7 +1155,7 @@ mod tests {
     fn requests_round_trip() {
         let mut remap_map = ShardMap::round_robin(&["h0:1".into(), "h 1:2".into()], 2);
         remap_map.set_epoch(9);
-        remap_map.set_override("moved α", "h 1:2");
+        remap_map.set_slot_owner(0, "h 1:2");
         let requests = vec![
             Request::Hello {
                 client: "bench client/1".into(),
@@ -1338,11 +1230,7 @@ mod tests {
                 ttl_ms: 1500,
             },
             Request::LeaseRevoke { id: 19, slot: 0 },
-            Request::Streams { id: 20, slot: None },
-            Request::Streams {
-                id: 21,
-                slot: Some(2),
-            },
+            Request::Streams { id: 20 },
             Request::Flush { id: 11 },
             Request::Stats { id: 12 },
             Request::Metrics { id: 16 },
@@ -1446,6 +1334,7 @@ mod tests {
             "streams x",
             "streams 1 slot",
             "streams 1 slot x",
+            "streams 1 slot 0",
             "streams 1 slot 2 extra",
             "streams 1 bogus",
             "streams 1\nstray",
@@ -1506,7 +1395,7 @@ mod tests {
         assert_eq!(map.endpoint_of("any-stream"), "127.0.0.1:7000");
         assert_eq!(map.shard_of("s"), shard_of("s", 4));
 
-        let multi = ShardMap::from_endpoints(vec!["h0:1".into(), "h1:2".into()]);
+        let multi = ShardMap::round_robin(&["h0:1".into(), "h1:2".into()], 1);
         let mut out = String::new();
         multi.push_wire(&mut out);
         let mut cur = LineCursor::new(&out);
@@ -1537,6 +1426,9 @@ mod tests {
             "shardmap 1 overrides 1\nendpoint 0 a\noverride onlyonetoken",
             "shardmap 1 overrides 1\nendpoint 0 a\noverride %zz b",
             "shardmap 1 overrides 2\nendpoint 0 a\noverride s b",
+            // Well-formed in the retired per-stream override grammar.
+            "shardmap 1 overrides 1\nendpoint 0 a\noverride s b",
+            "shardmap 1 epoch 3 overrides 1\nendpoint 0 a\noverride s b",
         ] {
             let mut cur = LineCursor::new(bad);
             assert!(ShardMap::parse(&mut cur).is_err(), "{bad:?}");
@@ -1544,73 +1436,67 @@ mod tests {
     }
 
     #[test]
-    fn multi_endpoint_map_with_overrides_round_trips() {
-        // Two nodes, two slots each, plus two migrated streams — ids
-        // with spaces and separators to exercise the shared
-        // percent-encoding on every field.
-        let mut map = ShardMap::round_robin(&["host-a:7421".into(), "host b:7422".into()], 2);
+    fn multi_endpoint_map_round_trips_and_repoints() {
+        // Two nodes, two slots each — endpoint names with spaces to
+        // exercise the shared percent-encoding.
+        let map = ShardMap::round_robin(&["host-a:7421".into(), "host b:7422".into()], 2);
         assert_eq!(map.shards(), 4);
         assert_eq!(map.endpoints()[0], "host-a:7421");
         assert_eq!(map.endpoints()[1], "host b:7422");
         assert_eq!(map.endpoints()[2], "host-a:7421");
-        map.set_override("moved/α", "host b:7422");
-        map.set_override("also moved", "host-c:7");
 
         let mut out = String::new();
         map.push_wire(&mut out);
-        assert!(out.starts_with("shardmap 4 overrides 2\n"), "{out}");
+        assert!(out.starts_with("shardmap 4\n"), "{out}");
+        assert_eq!(out.lines().count(), 5, "header + one line per slot: {out}");
         let mut cur = LineCursor::new(&out);
         let back = ShardMap::parse(&mut cur).unwrap();
         cur.finish().unwrap();
         assert_eq!(back, map);
-        assert_eq!(back.endpoint_of("moved/α"), "host b:7422");
-        assert_eq!(back.endpoint_of("also moved"), "host-c:7");
-        // Non-overridden streams route by hash, agreeing across copies.
-        for id in ["x", "y", "z"] {
+        // Every stream routes to its hashed slot's owner, agreeing
+        // across copies.
+        for id in ["x", "y", "z", "moved/α"] {
             assert_eq!(back.endpoint_of(id), map.endpoint_of(id));
             assert_eq!(back.endpoint_of(id), back.endpoints()[shard_of(id, 4)]);
         }
-        // Distinct endpoints: slot owners first, override-only last.
+        // Distinct endpoints in first-appearance slot order.
         assert_eq!(
             back.distinct_endpoints(),
-            vec!["host-a:7421", "host b:7422", "host-c:7"]
-        );
-
-        // Clearing the override returns the stream to its hashed slot.
-        let mut cleared = back.clone();
-        assert!(cleared.clear_override("moved/α"));
-        assert!(!cleared.clear_override("moved/α"));
-        assert_eq!(
-            cleared.endpoint_of("moved/α"),
-            cleared.endpoints()[shard_of("moved/α", 4)]
+            vec!["host-a:7421", "host b:7422"]
         );
 
         // Repointing follows a restarted node to its new address in
-        // both layers.
+        // every slot it owned, and only there.
         let mut repointed = back.clone();
-        let changed = repointed.repoint("host b:7422", "host-b:9999");
-        assert_eq!(changed, 3, "two slots + one override");
-        assert_eq!(repointed.endpoint_of("moved/α"), "host-b:9999");
+        assert_eq!(repointed.repoint("host b:7422", "host-b:9999"), 2);
+        assert_eq!(
+            repointed.endpoints(),
+            ["host-a:7421", "host-b:9999", "host-a:7421", "host-b:9999"]
+        );
+        assert_eq!(repointed.repoint("gone:1", "x:2"), 0);
+        assert_eq!(
+            repointed.distinct_endpoints(),
+            vec!["host-a:7421", "host-b:9999"]
+        );
     }
 
     #[test]
     fn shard_map_parse_accepts_the_pre_cluster_handshake_form() {
         // Byte-for-byte what a PR 4 server sends in its handshake
-        // (endpoints percent-encoded, `:` → `%3A`): no `overrides`
-        // clause, no `override` lines. The parser must keep accepting
-        // it, and a map without overrides must keep *writing* it, so
-        // old and new peers interoperate in both directions.
+        // (endpoints percent-encoded, `:` → `%3A`): no clause after the
+        // slot count. The parser must keep accepting it, and an epoch-0
+        // map must keep *writing* it, so old and new peers interoperate
+        // in both directions.
         let legacy = "shardmap 2\nendpoint 0 127.0.0.1%3A7411\nendpoint 1 127.0.0.1%3A7411\n";
         let mut cur = LineCursor::new(legacy);
         let map = ShardMap::parse(&mut cur).unwrap();
         cur.finish().unwrap();
         assert_eq!(map, ShardMap::single_node("127.0.0.1:7411", 2));
-        assert!(map.overrides().is_empty());
         assert_eq!(map.epoch(), 0, "the epoch-free form parses as epoch 0");
 
         let mut out = String::new();
         map.push_wire(&mut out);
-        assert_eq!(out, legacy, "epoch-0, override-free wire form is unchanged");
+        assert_eq!(out, legacy, "epoch-0 wire form is unchanged");
     }
 
     #[test]
@@ -1628,23 +1514,12 @@ mod tests {
         assert_eq!(back.epoch(), 7);
         assert_eq!(back.endpoints(), ["b:2", "b:2"]);
         assert_eq!(back.clone().bump_epoch(), 8);
-
-        // Epoch + overrides together, clause order pinned.
-        map.set_override("moved", "a:1");
-        let mut both = String::new();
-        map.push_wire(&mut both);
-        assert!(
-            both.starts_with("shardmap 2 epoch 7 overrides 1\n"),
-            "{both}"
-        );
-        let mut cur = LineCursor::new(&both);
-        assert_eq!(ShardMap::parse(&mut cur).unwrap(), map);
     }
 
     mod shard_map_epoch_property {
         //! The satellite acceptance property: the epoch-carrying wire
         //! form round-trips emit → parse → emit **byte-identically**
-        //! over arbitrary epochs and overrides (epoch 0 exercises the
+        //! over arbitrary epochs and slot owners (epoch 0 exercises the
         //! clause-free back-compat form along the way).
         use super::*;
         use proptest::prelude::*;
@@ -1656,20 +1531,13 @@ mod tests {
             fn epoch_carrying_map_round_trips_byte_identically(
                 epoch in 0u64..u64::MAX,
                 slots in 1usize..9,
-                overrides in 0usize..5,
                 seed in 0u64..1_000,
             ) {
                 let endpoints: Vec<String> = (0..slots)
                     .map(|i| format!("host {}:7{:02}", (seed + i as u64) % 4, i))
                     .collect();
-                let mut map = ShardMap::from_endpoints(endpoints);
+                let mut map = ShardMap::round_robin(&endpoints, 1);
                 map.set_epoch(epoch);
-                for k in 0..overrides {
-                    map.set_override(
-                        format!("stream {seed}/{k}"),
-                        format!("override-host:{}", seed % 7),
-                    );
-                }
 
                 let mut wire = String::new();
                 map.push_wire(&mut wire);

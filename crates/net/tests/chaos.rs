@@ -20,7 +20,9 @@
 //!
 //! A kill before the flip must roll the migration back (typed error,
 //! map untouched, epoch unchanged); a kill after the flip must roll it
-//! forward (the sweep returns Ok, the slot serves from the target).
+//! forward (the sweep returns Ok, the slot serves from the target) —
+//! and the slot must still be able to move back onto the recovered
+//! node, whose resurrected copies of its streams are stale by then.
 
 use sofia_baselines::Smf;
 use sofia_core::config::SofiaConfig;
@@ -41,6 +43,9 @@ const RANK: usize = 2;
 /// bit-exactness needs no tail replay.
 const STEPS: usize = 6;
 const EVERY: u64 = 2;
+/// Slices each stream takes after the post-flip recovery, so the copies
+/// the recovered source resurrected lag the live streams.
+const LATE: usize = 2;
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sofia-chaos-{tag}-{}", std::process::id()));
@@ -60,7 +65,7 @@ fn slices(i: usize) -> (Vec<ObservedTensor>, Vec<ObservedTensor>) {
     let startup = (0..t0)
         .map(|t| ObservedTensor::fully_observed(s.clean_slice(t)))
         .collect();
-    let streamed = (t0..t0 + STEPS)
+    let streamed = (t0..t0 + STEPS + LATE)
         .map(|t| ObservedTensor::fully_observed(s.clean_slice(t)))
         .collect();
     (startup, streamed)
@@ -91,6 +96,37 @@ fn forecast_bits(resp: QueryResponse) -> Vec<u64> {
         .iter()
         .map(|v| v.to_bits())
         .collect()
+}
+
+/// Every stream answers through `router` at `steps` steps, with
+/// forecasts bit-exact against the control fleet.
+fn assert_matches_control(
+    router: &mut ClusterClient,
+    control: &Fleet,
+    ids: &[String],
+    steps: usize,
+    what: &str,
+) {
+    for (i, id) in ids.iter().enumerate() {
+        let stats = router
+            .query(id, Query::StreamStats)
+            .unwrap_or_else(|e| panic!("{what}: {id} unreachable: {e:?}"))
+            .expect_stream_stats();
+        assert_eq!(stats.steps as usize, steps, "{what}: {id} lost steps");
+        let routed = forecast_bits(
+            router
+                .query(id, Query::Forecast { horizon: 3 })
+                .expect("routed forecast"),
+        );
+        let local = forecast_bits(
+            control
+                .query(id, Query::Forecast { horizon: 3 })
+                .expect("query")
+                .wait()
+                .expect("control forecast"),
+        );
+        assert_eq!(routed, local, "{what}: {id} (stream {i}) diverged");
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -176,8 +212,10 @@ fn source_killed_at(kill: KillPoint) {
         evict_idle_after: None,
     })
     .expect("control");
+    let mut late = Vec::new();
     for (i, id) in ids.iter().enumerate() {
-        let (startup, streamed) = slices(i);
+        let (startup, mut streamed) = slices(i);
+        late.push(streamed.split_off(STEPS));
         cluster
             .register(id, &handle(i, &startup))
             .expect("register");
@@ -240,26 +278,7 @@ fn source_killed_at(kill: KillPoint) {
         epoch,
         "member handshake serves the epoch"
     );
-    for (i, id) in ids.iter().enumerate() {
-        let stats = fresh
-            .query(id, Query::StreamStats)
-            .unwrap_or_else(|e| panic!("{kill:?}: {id} unreachable: {e:?}"))
-            .expect_stream_stats();
-        assert_eq!(stats.steps as usize, STEPS, "{kill:?}: {id} lost steps");
-        let routed = forecast_bits(
-            fresh
-                .query(id, Query::Forecast { horizon: 3 })
-                .expect("routed forecast"),
-        );
-        let local = forecast_bits(
-            control
-                .query(id, Query::Forecast { horizon: 3 })
-                .expect("query")
-                .wait()
-                .expect("control forecast"),
-        );
-        assert_eq!(routed, local, "{kill:?}: {id} (stream {i}) diverged");
-    }
+    assert_matches_control(&mut fresh, &control, &ids, STEPS, &format!("{kill:?}"));
 
     // --- Exactly one node serves each stream. Direct probes adopt the
     // probed node's (epoch-carrying) map from the handshake, so the
@@ -283,6 +302,33 @@ fn source_killed_at(kill: KillPoint) {
                 );
             }
         }
+    }
+
+    // --- Post-flip, the recovered source holds fenced copies of slot
+    // 0's streams. Let the live streams move on, then move the slot
+    // back onto that node: its stale copies are replaced by the live
+    // envelopes, not mistaken for an obstacle.
+    if let KillPoint::Flip = kill {
+        for (i, id) in ids.iter().enumerate() {
+            cluster
+                .ingest_blocking(id, late[i].clone())
+                .expect("late ingest");
+            for slice in &late[i] {
+                control
+                    .try_ingest_id(id, slice.clone())
+                    .expect("control ingest");
+            }
+        }
+        cluster.flush().expect("cluster flush");
+        control.flush().expect("control flush");
+        assert_eq!(
+            cluster
+                .migrate_slot(0, &ep_a2)
+                .expect("slot 0 moves back onto its stale copies"),
+            2
+        );
+        assert_eq!(cluster.map().endpoint_of(&ids[0]), ep_a2);
+        assert_matches_control(&mut cluster, &control, &ids, STEPS + LATE, "move back");
     }
 
     server_a2.shutdown().expect("drain a2");

@@ -6,10 +6,11 @@
 //!
 //! * a stream registered on node A is **unreachable** on node B (a
 //!   direct client gets a typed `UnknownStream`, the router finds it);
-//! * [`ClusterClient::migrate`] moves the stream to node B by shipping
-//!   its checkpoint envelope through the wire `snapshot` → `register`
-//!   path, after which node A serves `UnknownStream` and node B serves
-//!   the stream at its full pre-migration step count;
+//! * [`ClusterClient::migrate_slot`] moves the stream's route slot to
+//!   node B by shipping its checkpoint envelope through the wire
+//!   `snapshot` → `register` path, after which node A no longer holds
+//!   the stream and node B serves it at its full pre-migration step
+//!   count;
 //! * node A then **crash-aborts** and restarts from its checkpoint
 //!   directory: the migrated stream does *not* resurrect there (its
 //!   checkpoint file left with it), the surviving streams replay their
@@ -100,8 +101,8 @@ fn expect_unknown(result: Result<QueryResponse, ClientError>, what: &str) {
 }
 
 /// The acceptance scenario: register on A → unreachable on B → migrate
-/// to B → crash A → recover A → bit-exact vs an unmigrated, uncrashed
-/// single-process fleet.
+/// its slot to B → crash A → recover A → bit-exact vs an unmigrated,
+/// uncrashed single-process fleet.
 #[test]
 fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
     let dir_a = tempdir("node-a");
@@ -125,28 +126,21 @@ fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
     let mut cluster =
         ClusterClient::from_map(ShardMap::round_robin(&[ep_a.clone(), ep_b.clone()], 2));
 
-    // Pick two stream ids hashed onto each node (the route is the
-    // stable FNV hash, so ownership is a property of the id).
-    let (mut ids_a, mut ids_b) = (Vec::new(), Vec::new());
+    // Pick one stream id per route slot (the route is the stable FNV
+    // hash, so ownership is a property of the id): slots 0,2 are A's,
+    // 1,3 are B's, and every slot move below carries exactly one stream.
+    let mut per_slot: Vec<Option<String>> = vec![None; cluster.map().shards()];
     for k in 0.. {
         let id = format!("stream-{k}");
-        let owner = cluster.map().endpoint_of(&id).to_string();
-        if owner == ep_a && ids_a.len() < 2 {
-            ids_a.push(id);
-        } else if owner == ep_b && ids_b.len() < 2 {
-            ids_b.push(id);
-        }
-        if ids_a.len() == 2 && ids_b.len() == 2 {
+        per_slot[cluster.map().shard_of(&id)].get_or_insert(id);
+        if per_slot.iter().all(Option::is_some) {
             break;
         }
     }
     // Fixed registration order: [A, B, A, B] → SOFIA, SMF, SOFIA, SMF.
-    let ids = [
-        ids_a[0].clone(),
-        ids_b[0].clone(),
-        ids_a[1].clone(),
-        ids_b[1].clone(),
-    ];
+    let ids: [String; 4] = std::array::from_fn(|slot| per_slot[slot].clone().expect("filled"));
+    let ids_a = [ids[0].clone(), ids[2].clone()];
+    let ids_b = [ids[1].clone(), ids[3].clone()];
 
     // --- Single-process control fleet: same ids, same models, same
     // slices; never migrated, never crashed, never serialized.
@@ -251,12 +245,19 @@ fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
     assert!(matches!(batch[2], Err(FleetError::UnknownStream(_))));
     assert!(matches!(batch[3], Ok(QueryResponse::Forecast(Some(_)))));
 
-    // --- Migration: ship the SOFIA stream from A to B over the wire.
-    // The snapshot is taken from the *live* model (5 steps), not the
-    // last periodic checkpoint (4) — nothing is lost to checkpoint lag.
+    // --- Migration: ship the SOFIA stream's slot from A to B over the
+    // wire. The snapshot is taken from the *live* model (5 steps), not
+    // the last periodic checkpoint (4) — nothing is lost to checkpoint
+    // lag.
     let mig = ids_a[0].clone();
-    cluster.migrate(&mig, &ep_b).expect("migrate");
-    assert_eq!(cluster.endpoint_of(&mig), ep_b, "map entry flipped");
+    let mig_slot = cluster.map().shard_of(&mig);
+    assert_eq!(
+        cluster.migrate_slot(mig_slot, &ep_b).expect("migrate"),
+        1,
+        "the slot carries exactly one stream"
+    );
+    assert_eq!(cluster.endpoint_of(&mig), ep_b, "slot owner flipped");
+    assert_eq!(cluster.map().epoch(), 1, "one epoch bump per flip");
     // No durability window: the target persisted the arrived envelope
     // before the coordinator deleted the source's file, so a crash of
     // EITHER node right now cannot lose the stream.
@@ -269,10 +270,13 @@ fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
         "source's checkpoint left with the stream"
     );
     {
+        // The old node's fence would refuse the stream even if a copy
+        // were left; its listing proves the copy itself is gone.
         let mut direct_a = Client::connect(server_a.local_addr()).expect("direct a");
-        expect_unknown(
-            direct_a.query(&mig, Query::StreamStats),
-            "migrated stream on its old node",
+        assert_eq!(
+            direct_a.stream_ids().expect("list a"),
+            vec![ids_a[1].clone()],
+            "the migrated stream left its old node"
         );
         let mut direct_b = Client::connect(server_b.local_addr()).expect("direct b");
         let stats = direct_b
@@ -292,7 +296,7 @@ fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
     )
     .expect("bind transient");
     let ep_t = transient.local_addr().to_string();
-    match cluster.migrate(&ids_b[0], &ep_t) {
+    match cluster.migrate_slot(cluster.map().shard_of(&ids_b[0]), &ep_t) {
         Err(ClientError::Protocol(msg)) => {
             assert!(msg.contains("did not persist"), "{msg}")
         }
@@ -309,15 +313,14 @@ fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
     );
     transient.shutdown().expect("transient down");
 
-    // Migrating to the current owner is a typed error, and migrating an
-    // unknown stream surfaces the server's UnknownStream.
+    // Migrating a slot to its current owner, or a slot the map does not
+    // have, is a typed error.
     assert!(matches!(
-        cluster.migrate(&mig, &ep_b),
+        cluster.migrate_slot(mig_slot, &ep_b),
         Err(ClientError::Protocol(_))
     ));
-    match cluster.migrate("ghost", &ep_b) {
-        Err(ClientError::Fleet(FleetError::UnknownStream(_))) => {}
-        Err(ClientError::Protocol(_)) => {} // "ghost" may hash to B already
+    match cluster.migrate_slot(cluster.map().shards(), &ep_b) {
+        Err(ClientError::Protocol(msg)) => assert!(msg.contains("out of range"), "{msg}"),
         other => panic!("expected a typed failure, got {other:?}"),
     }
 
@@ -334,9 +337,9 @@ fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
     let server_a2 = Server::bind("127.0.0.1:0", recovered).expect("rebind a");
     let ep_a2 = server_a2.local_addr().to_string();
     // The router follows the restarted node to its new address; the
-    // migrated stream's override keeps pointing at B.
+    // migrated stream's slot keeps pointing at B.
     let changed = cluster.repoint(&ep_a, &ep_a2);
-    assert_eq!(changed, 2, "node A owned two route slots");
+    assert_eq!(changed, 1, "node A owns one route slot after the move");
     assert_eq!(cluster.endpoint_of(&mig), ep_b);
 
     // --- Replay and continue: the surviving A stream resumes at the
@@ -393,21 +396,17 @@ fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
         );
     }
 
-    // Migrating the stream back to its hashed slot owner clears the
-    // override instead of accumulating a redundant entry, and the
-    // forecast survives the round trip bit-exactly (`latest` resets,
-    // as after any restore — which is why this runs after the latest
-    // comparisons above).
+    // Moving the slot back home keeps the forecast bit-exact across the
+    // round trip (`latest` resets, as after any restore — which is why
+    // this runs after the latest comparisons above).
     let home_before = forecast_bits(
         cluster
             .query(&mig, Query::Forecast { horizon: 3 })
             .expect("pre-move forecast"),
     );
-    cluster.migrate(&mig, &ep_a2).expect("migrate home");
-    assert!(
-        cluster.map().overrides().is_empty(),
-        "no residual override after a round trip"
-    );
+    cluster
+        .migrate_slot(mig_slot, &ep_a2)
+        .expect("migrate home");
     assert_eq!(cluster.endpoint_of(&mig), ep_a2);
     let home_after = forecast_bits(
         cluster

@@ -10,8 +10,9 @@
 //!   TCP);
 //! * pipelined queries on one socket, settled in request order;
 //! * flush as the read-your-writes barrier over TCP;
-//! * malformed frames and bodies: typed errors, not panics — including
-//!   a vendored-proptest fuzz over random byte lines.
+//! * malformed frames, bodies and `register` envelopes: typed errors,
+//!   not panics — including a vendored-proptest fuzz over random byte
+//!   lines.
 
 use sofia_baselines::Smf;
 use sofia_core::config::SofiaConfig;
@@ -22,9 +23,10 @@ use sofia_fleet::{
     CheckpointPolicy, Fleet, FleetConfig, FleetError, ModelHandle, Query, QueryResponse,
 };
 use sofia_net::wire::{read_frame, write_frame, Request};
-use sofia_net::{Client, ClientError, Server};
+use sofia_net::{Client, ClientError, Server, ServerConfig};
 use sofia_tensor::ObservedTensor;
 use std::path::PathBuf;
+use std::time::Duration;
 
 const PERIOD: usize = 4;
 const RANK: usize = 2;
@@ -473,6 +475,67 @@ fn non_finite_ingest_frame_is_refused_whole() {
         });
         assert_eq!(a, b, "horizon {h}");
     }
+    server.shutdown().expect("shutdown");
+}
+
+/// A `register` envelope that parses line by line but describes an
+/// impossible model (one temporal history row for period 4) is refused
+/// with a typed `corrupt` reply by the event-loop thread that restores
+/// it. With a one-thread pool, that connection and a fresh one (dealt
+/// to the same worker) keep being served.
+#[test]
+fn malformed_register_envelope_is_refused_and_the_loop_keeps_serving() {
+    let fleet = Fleet::new(FleetConfig::with_shards(1)).expect("fleet");
+    let config = ServerConfig {
+        event_threads: Some(1),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_with("127.0.0.1:0", fleet, config).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let (startup, streamed) = slices(0);
+    let envelope = handle(0, &startup)
+        .checkpoint_text()
+        .expect("SOFIA is durable");
+    // Keep one of the PERIOD temporal history rows.
+    let mut lines: Vec<&str> = envelope.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("history "))
+        .expect("history block");
+    lines[at] = "history 1";
+    lines.drain(at + 2..at + 1 + PERIOD);
+    let bad = lines.join("\n") + "\n";
+    match client.register_envelope("bad", &bad) {
+        Err(ClientError::Fleet(FleetError::Corrupt { stream, .. })) => assert_eq!(stream, "bad"),
+        other => panic!("expected a typed corrupt reply, got {other:?}"),
+    }
+
+    // The same connection keeps its service…
+    client
+        .register("good", &handle(0, &startup))
+        .expect("register after the refusal");
+    client
+        .ingest_blocking("good", streamed[..2].to_vec())
+        .expect("ingest");
+    client.flush().expect("flush");
+    let stats = client
+        .query("good", Query::StreamStats)
+        .expect("stats")
+        .expect_stream_stats();
+    assert_eq!(stats.steps, 2);
+    // …and so does a fresh one.
+    let mut fresh = Client::connect(server.local_addr()).expect("fresh connect");
+    fresh
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    assert_eq!(
+        fresh.stats().expect("fresh stats").streams(),
+        1,
+        "the refused stream was never registered"
+    );
     server.shutdown().expect("shutdown");
 }
 

@@ -115,8 +115,14 @@ pub fn save(model: &Sofia) -> String {
 /// Restores a streaming SOFIA model from the v1 text format.
 ///
 /// The init-phase tensors (`X̂_init`, `O_init`) are not part of the
-/// checkpoint (they are inspection artifacts, not state); the restored
-/// model carries empty placeholders for them.
+/// checkpoint (they are inspection artifacts, not state).
+///
+/// Total over its input: besides line syntax, every shape the model's
+/// constructors assert (rank and period ≥ 1, `rank`-column factors,
+/// `period` history rows of `rank` values, `rank` Holt-Winters models
+/// of `period` seasonals, a sigma shaped like the factor rows) is
+/// checked here, so a malformed file — or a malformed envelope off the
+/// wire — is a [`CheckpointError::Malformed`], never a panic.
 pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
     let mut lines = text.lines();
     let mut next = |what: &str| {
@@ -138,7 +144,13 @@ pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
     if floats.len() != 7 {
         return Err(CheckpointError::Malformed("config floats".into()));
     }
-    let mut config = SofiaConfig::new(ints[0], ints[1]);
+    let (rank, period) = (ints[0], ints[1]);
+    if rank == 0 || period == 0 {
+        return Err(CheckpointError::Malformed(
+            "rank and period must be positive".into(),
+        ));
+    }
+    let mut config = SofiaConfig::new(rank, period);
     config.init_seasons = ints[2];
     config.max_als_iters = ints[3];
     config.max_outer_iters = ints[4];
@@ -156,6 +168,11 @@ pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
     let n_factors = *n_factors
         .first()
         .ok_or_else(|| CheckpointError::Malformed("factor count".into()))?;
+    if n_factors == 0 {
+        return Err(CheckpointError::Malformed(
+            "need at least one factor".into(),
+        ));
+    }
     // Counts below come from the file: clamp pre-allocations so a
     // corrupt header errors on the missing lines instead of panicking in
     // `with_capacity` (restores may run on serving threads).
@@ -165,8 +182,11 @@ pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
         if dims.len() != 2 {
             return Err(CheckpointError::Malformed("factor dims".into()));
         }
+        if dims[0] == 0 || dims[1] != rank {
+            return Err(CheckpointError::Malformed("factor dims".into()));
+        }
         let data = parse_f64s(next("factor data")?, "data")?;
-        if data.len() != dims[0] * dims[1] {
+        if dims[0].checked_mul(dims[1]) != Some(data.len()) {
             return Err(CheckpointError::Malformed("factor data length".into()));
         }
         factors.push(Matrix::from_vec(dims[0], dims[1], data));
@@ -177,9 +197,18 @@ pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
     let n_hist = *n_hist
         .first()
         .ok_or_else(|| CheckpointError::Malformed("history count".into()))?;
+    if n_hist != period {
+        return Err(CheckpointError::Malformed(
+            "history must hold one row per period step".into(),
+        ));
+    }
     let mut history = Vec::with_capacity(n_hist.min(4096));
     for _ in 0..n_hist {
-        history.push(parse_f64s(next("history row")?, "u")?);
+        let row = parse_f64s(next("history row")?, "u")?;
+        if row.len() != rank {
+            return Err(CheckpointError::Malformed("history row length".into()));
+        }
+        history.push(row);
     }
 
     // --- HW bank
@@ -187,6 +216,11 @@ pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
     let n_hw = *n_hw
         .first()
         .ok_or_else(|| CheckpointError::Malformed("hw count".into()))?;
+    if n_hw != rank {
+        return Err(CheckpointError::Malformed(
+            "need one hw model per component".into(),
+        ));
+    }
     let mut models = Vec::with_capacity(n_hw.min(4096));
     for _ in 0..n_hw {
         let p = parse_f64s(next("hw params")?, "hw_params")?;
@@ -202,7 +236,7 @@ pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
         let phase = *phase
             .first()
             .ok_or_else(|| CheckpointError::Malformed("hw phase".into()))?;
-        if seasonal.is_empty() || phase >= seasonal.len() {
+        if seasonal.len() != period || phase >= period {
             return Err(CheckpointError::Malformed("hw seasonal/phase".into()));
         }
         models.push(HoltWinters::new(
@@ -214,12 +248,21 @@ pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
 
     // --- sigma
     let sigma_dims = parse_usizes(next("sigma shape")?, "sigma_shape")?;
+    if !sigma_dims
+        .iter()
+        .copied()
+        .eq(factors.iter().map(Matrix::rows))
+    {
+        return Err(CheckpointError::Malformed(
+            "sigma shape must match the factor rows".into(),
+        ));
+    }
     let sigma_data = parse_f64s(next("sigma")?, "sigma")?;
-    let sigma_shape = Shape::new(&sigma_dims);
-    if sigma_data.len() != sigma_shape.len() {
+    let sigma_len = sigma_dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    if sigma_len != Some(sigma_data.len()) {
         return Err(CheckpointError::Malformed("sigma length".into()));
     }
-    let sigma = DenseTensor::from_vec(sigma_shape.clone(), sigma_data);
+    let sigma = DenseTensor::from_vec(Shape::new(&sigma_dims), sigma_data);
 
     let steps = parse_usizes(next("steps")?, "steps")?;
     let steps = *steps
@@ -308,6 +351,134 @@ mod tests {
         let (model, _) = trained_model();
         let text = save(&model).replace("config_f ", "config_f zzzz ");
         assert!(matches!(load(&text), Err(CheckpointError::Malformed(_))));
+    }
+
+    /// `text` with its lines edited by `f`.
+    fn edited(text: &str, f: impl FnOnce(&mut Vec<String>)) -> String {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        f(&mut lines);
+        lines.join("\n")
+    }
+
+    /// Index of the first line starting with `prefix`.
+    fn line_at(lines: &[String], prefix: &str) -> usize {
+        lines
+            .iter()
+            .position(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line"))
+    }
+
+    /// Sets whitespace token `k` of the first line starting with
+    /// `prefix`.
+    fn set_token(lines: &mut [String], prefix: &str, k: usize, value: &str) {
+        let i = line_at(lines, prefix);
+        let mut toks: Vec<&str> = lines[i].split(' ').collect();
+        toks[k] = value;
+        lines[i] = toks.join(" ");
+    }
+
+    /// Drops the last token of the first line starting with `prefix`.
+    fn drop_last_token(lines: &mut [String], prefix: &str) {
+        let i = line_at(lines, prefix);
+        let cut = lines[i].rfind(' ').expect("line has values");
+        lines[i].truncate(cut);
+    }
+
+    /// Every shape the model's constructors assert is checked by `load`:
+    /// each variant parses line by line, yet describes a state that
+    /// `DynamicState::restore` or a constructor under it would panic on.
+    #[test]
+    fn shape_violations_are_typed_errors() {
+        // Rank 2, period 6, factors 4x2 and 3x2.
+        let (model, _) = trained_model();
+        let text = save(&model);
+        let overflowing_rows = (usize::MAX / 2 + 1).to_string();
+        let variants = [
+            (
+                "zero rank",
+                edited(&text, |l| set_token(l, "config ", 1, "0")),
+            ),
+            (
+                "zero period",
+                edited(&text, |l| set_token(l, "config ", 2, "0")),
+            ),
+            (
+                "no factors",
+                edited(&text, |l| {
+                    let i = line_at(l, "factors ");
+                    l[i] = "factors 0".into();
+                    l.drain(i + 1..i + 5);
+                }),
+            ),
+            (
+                "factor columns differ from the rank",
+                edited(&text, |l| {
+                    set_token(l, "factor ", 1, "8");
+                    set_token(l, "factor ", 2, "1");
+                }),
+            ),
+            (
+                "zero-row factor",
+                edited(&text, |l| {
+                    let i = line_at(l, "factor ");
+                    l[i] = "factor 0 2".into();
+                    l[i + 1] = "data".into();
+                }),
+            ),
+            (
+                "factor size overflows",
+                edited(&text, |l| set_token(l, "factor ", 1, &overflowing_rows)),
+            ),
+            (
+                "one history row for period 6",
+                edited(&text, |l| {
+                    let i = line_at(l, "history ");
+                    l[i] = "history 1".into();
+                    l.drain(i + 2..i + 7);
+                }),
+            ),
+            (
+                "short history row",
+                edited(&text, |l| drop_last_token(l, "u ")),
+            ),
+            (
+                "one hw model for rank 2",
+                edited(&text, |l| {
+                    let i = line_at(l, "hw ");
+                    l[i] = "hw 1".into();
+                    l.drain(i + 5..i + 9);
+                }),
+            ),
+            (
+                "short seasonal",
+                edited(&text, |l| {
+                    set_token(l, "hw_phase", 1, "0");
+                    drop_last_token(l, "hw_seasonal");
+                }),
+            ),
+            (
+                "sigma shape transposed",
+                edited(&text, |l| {
+                    let i = line_at(l, "sigma_shape");
+                    l[i] = "sigma_shape 3 4".into();
+                }),
+            ),
+            (
+                "sigma shape with a zero mode",
+                edited(&text, |l| {
+                    let i = line_at(l, "sigma_shape");
+                    l[i] = "sigma_shape 4 0".into();
+                    l[i + 1] = "sigma".into();
+                }),
+            ),
+        ];
+        assert!(load(&text).is_ok(), "the unedited checkpoint loads");
+        for (what, bad) in variants {
+            assert!(
+                matches!(load(&bad), Err(CheckpointError::Malformed(_))),
+                "{what}: expected a typed error"
+            );
+        }
     }
 
     #[test]

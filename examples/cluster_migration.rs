@@ -1,7 +1,7 @@
 //! Cluster tour: two `sofia-net` servers in one process (each its own
 //! fleet — separate registries, separate checkpoint state), a
 //! [`ClusterClient`] routing between them over a multi-endpoint
-//! [`ShardMap`], and a live **stream migration**.
+//! [`ShardMap`], and a live **slot migration**.
 //!
 //! Run with:
 //!
@@ -12,9 +12,10 @@
 //! What it shows, in order: round-robin slot ownership, a stream
 //! existing on exactly one node (a direct client to the other node gets
 //! a typed `UnknownStream`), cluster-wide flush and merged stats, and a
-//! migration — checkpoint envelope shipped through the wire `snapshot`
-//! → `register` path, map entry flipped, old copy unloaded — with the
-//! forecast asserted bit-exact across the move. The same choreography
+//! migration of the stream's route slot — checkpoint envelope shipped
+//! through the wire `snapshot` → `register` path, slot owner flipped and
+//! published, old copy unloaded — with the forecast asserted bit-exact
+//! across the move. The same choreography
 //! across real OS processes is `sofia-cli cluster`; the crash/recovery
 //! variant is `crates/net/tests/cluster.rs`.
 
@@ -110,11 +111,17 @@ fn main() {
         .expect_forecast()
         .expect("SMF forecasts");
 
-    // --- 5. Migrate: flush → snapshot (checkpoint envelope over the
-    // wire) → register on the target → flip the map entry → deregister
-    // the old copy. Single-writer coordination, no consensus.
-    router.migrate(stream, &other).expect("migrate");
-    println!("migrated `{stream}` {owner} -> {other} (envelope over the wire)");
+    // --- 5. Migrate the stream's route slot (it is the slot's only
+    // stream): flush → snapshot (checkpoint envelope over the wire) →
+    // register on the target → flip the slot's owner, bump and publish
+    // the epoch → deregister the old copy. Single-writer coordination,
+    // no consensus.
+    let slot = router.map().shard_of(stream);
+    router.migrate_slot(slot, &other).expect("migrate");
+    println!(
+        "migrated slot {slot} with `{stream}` {owner} -> {other} (envelope over the wire, epoch {})",
+        router.map().epoch()
+    );
 
     let after = router
         .query(stream, Query::Forecast { horizon: 4 })
@@ -128,15 +135,16 @@ fn main() {
     );
     println!("post-migration forecast is bit-exact against the pre-migration one");
 
-    let mut direct_old = Client::connect(&owner).expect("direct connect");
+    // The old owner's fence would refuse the stream even if a copy were
+    // left; its listing proves the copy itself is gone.
+    let held = Client::connect(&owner)
+        .and_then(|mut direct_old| direct_old.stream_ids())
+        .expect("list the old owner's streams");
     assert!(
-        matches!(
-            direct_old.query(stream, Query::StreamStats),
-            Err(ClientError::Fleet(FleetError::UnknownStream(_)))
-        ),
+        !held.iter().any(|id| id == stream),
         "old owner must have let go"
     );
-    println!("old owner {owner} no longer serves `{stream}`");
+    println!("old owner {owner} no longer holds `{stream}`");
 
     // --- 6. Merged stats: one view over every node, shard ids
     // re-numbered to stay unique.
