@@ -48,6 +48,15 @@ impl CheckpointPolicy {
     }
 }
 
+/// Whether [`encode_stream_id`] copies byte `b` through unescaped.
+fn passes_through(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.')
+}
+
+/// The digits of a `%XX` escape, uppercase: the one spelling
+/// [`encode_stream_id`] writes and [`decode_stream_id`] reads.
+const ESCAPE_DIGITS: &[u8; 16] = b"0123456789ABCDEF";
+
 /// Percent-encodes a stream id into a filesystem-safe file stem.
 ///
 /// Alphanumerics, `-`, `_`, and `.` pass through; everything else becomes
@@ -57,28 +66,37 @@ impl CheckpointPolicy {
 pub fn encode_stream_id(id: &str) -> String {
     let mut out = String::with_capacity(id.len());
     for b in id.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' => out.push(b as char),
-            _ => out.push_str(&format!("%{b:02X}")),
+        if passes_through(b) {
+            out.push(char::from(b));
+        } else {
+            out.push('%');
+            out.push(char::from(ESCAPE_DIGITS[usize::from(b >> 4)]));
+            out.push(char::from(ESCAPE_DIGITS[usize::from(b & 0xf)]));
         }
     }
     out
 }
 
-/// Inverse of [`encode_stream_id`]; `None` on malformed escapes.
+/// Inverse of [`encode_stream_id`] that accepts only its output, so
+/// every id has exactly one spelling on disk and on the wire. `None` for
+/// a byte the encoder escapes, a malformed or lowercase escape, or an
+/// escape of a byte the encoder passes through (`stream%2D0000` is not
+/// `stream-0000`).
 pub fn decode_stream_id(stem: &str) -> Option<String> {
-    let bytes = stem.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes.get(i + 1..i + 3)?;
-            let hex = std::str::from_utf8(hex).ok()?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
+    let nibble = |d: u8| ESCAPE_DIGITS.iter().position(|&e| e == d).map(|n| n as u8);
+    let mut bytes = stem.bytes();
+    let mut out = Vec::with_capacity(stem.len());
+    while let Some(b) = bytes.next() {
+        if b == b'%' {
+            let escaped = nibble(bytes.next()?)? << 4 | nibble(bytes.next()?)?;
+            if passes_through(escaped) {
+                return None;
+            }
+            out.push(escaped);
+        } else if passes_through(b) {
+            out.push(b);
         } else {
-            out.push(bytes[i]);
-            i += 1;
+            return None;
         }
     }
     String::from_utf8(out).ok()
@@ -221,7 +239,7 @@ pub fn recover_all(dir: &Path) -> Result<Vec<RecoveredStream>, FleetError> {
         };
         let id = decode_stream_id(stem).ok_or_else(|| FleetError::Corrupt {
             stream: stem.to_string(),
-            reason: "undecodable file name".to_string(),
+            reason: format!("undecodable file name `{name}`"),
         })?;
         let text = std::fs::read_to_string(&path)?;
         let handle = restore_from_text(&text).map_err(|reason| FleetError::Corrupt {
@@ -339,11 +357,39 @@ mod tests {
         }
     }
 
+    /// Characters for [`decode_accepts_only_what_encode_emits`], heavy
+    /// in escape material: `%`, digits of both cases, signs, bytes the
+    /// encoder passes through and bytes it escapes.
+    const DECODE_ALPHABET: [char; 24] = [
+        '%', '%', '%', '2', '0', '4', '1', 'C', '3', 'D', 'F', 'd', 'f', '+', '-', '_', '.', 'a',
+        'Z', ' ', '/', 'µ', '\t', '9',
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn decode_accepts_only_what_encode_emits(
+            picks in prop::collection::vec(0usize..DECODE_ALPHABET.len(), 0..16)
+        ) {
+            let stem: String = picks.iter().map(|&i| DECODE_ALPHABET[i]).collect();
+            let again = decode_stream_id(&stem).map(|id| encode_stream_id(&id));
+            prop_assert!(
+                again.is_none() || again.as_deref() == Some(stem.as_str()),
+                "{stem:?} decoded and re-encoded to {again:?}"
+            );
+        }
+    }
+
     #[test]
     fn decode_rejects_malformed() {
         assert_eq!(decode_stream_id("%zz"), None);
         assert_eq!(decode_stream_id("%4"), None);
         assert_eq!(decode_stream_id("ok%20fine"), Some("ok fine".into()));
+        // Spellings the encoder never writes: a signed escape, a
+        // lowercase one, and an escape of a pass-through byte (`A`).
+        assert_eq!(decode_stream_id("%+f"), None);
+        assert_eq!(decode_stream_id("%2f"), None);
+        assert_eq!(decode_stream_id("%41"), None);
     }
 
     #[test]
@@ -373,6 +419,27 @@ mod tests {
         // A malformed real checkpoint is a hard error.
         std::fs::write(dir.join("bad.ckpt"), "not a checkpoint\n").unwrap();
         assert!(matches!(recover_all(&dir), Err(FleetError::Corrupt { .. })));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A copied-in `stream%2D0000.ckpt` would register `stream-0000`,
+    /// whose later checkpoints land in `stream-0000.ckpt`: two files for
+    /// one stream, of which deregistering removes only the second.
+    /// Recovery refuses the non-canonical name instead.
+    #[test]
+    fn recover_refuses_a_non_canonical_file_name() {
+        let dir = tmpdir("non-canonical");
+        let text = ModelHandle::durable(small_sgd(1))
+            .checkpoint_text()
+            .unwrap();
+        std::fs::write(dir.join("stream%2D0000.ckpt"), text).unwrap();
+        match recover_all(&dir) {
+            Err(FleetError::Corrupt { stream, reason }) => {
+                assert_eq!(stream, "stream%2D0000");
+                assert!(reason.contains("stream%2D0000.ckpt"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

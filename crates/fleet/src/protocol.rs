@@ -25,6 +25,7 @@
 
 use crate::error::FleetError;
 use crate::stats::{MetricKind, StreamStats};
+use sofia_core::snapshot::wire as hexwire;
 use sofia_core::traits::StepOutput;
 use sofia_tensor::{DenseTensor, Mask};
 use std::sync::mpsc;
@@ -153,7 +154,9 @@ impl Query {
         match self {
             Query::Forecast { horizon } => format!("forecast {horizon}"),
             Query::Quantile { metric, q } => {
-                format!("quantile {} {:016x}", metric.name(), q.to_bits())
+                let mut line = format!("quantile {} ", metric.name());
+                hexwire::push_f64(&mut line, *q);
+                line
             }
             other => other.kind().name().to_string(),
         }
@@ -192,14 +195,14 @@ impl Query {
                 let tok = parts
                     .next()
                     .ok_or_else(|| invalid("quantile needs a q value".to_string()))?;
-                // `to_wire` emits q as a 16-hex-digit bit pattern
-                // (bit-exact); hand-written clients may send a plain
-                // decimal like `0.99` instead.
-                let q = if tok.len() == 16 && tok.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    f64::from_bits(u64::from_str_radix(tok, 16).expect("16 hex digits parse"))
-                } else {
-                    tok.parse()
-                        .map_err(|_| invalid(format!("bad quantile `{tok}`")))?
+                // `to_wire` emits q as a 16-lowercase-hex-digit bit
+                // pattern (bit-exact); hand-written clients may send a
+                // plain decimal like `0.99` instead.
+                let q = match hexwire::parse_f64(tok) {
+                    Some(q) => q,
+                    None => tok
+                        .parse()
+                        .map_err(|_| invalid(format!("bad quantile `{tok}`")))?,
                 };
                 Query::Quantile { metric, q }
             }
@@ -555,10 +558,10 @@ pub mod wire {
     }
 
     fn push_bits(out: &mut String, mask: &Mask) {
+        let n = mask.shape().len();
+        out.reserve("bits \n".len() + n);
         out.push_str("bits ");
-        for i in 0..mask.shape().len() {
-            out.push(if mask.is_observed_flat(i) { '1' } else { '0' });
-        }
+        out.extend((0..n).map(|i| if mask.is_observed_flat(i) { '1' } else { '0' }));
         out.push('\n');
     }
 
@@ -566,14 +569,18 @@ pub mod wire {
         let bits = line
             .strip_prefix("bits ")
             .ok_or_else(|| WireError::new(format!("expected `bits`, got `{line}`")))?;
-        let observed: Vec<bool> = bits
-            .chars()
-            .map(|c| match c {
-                '1' => Ok(true),
-                '0' => Ok(false),
-                other => Err(WireError::new(format!("bad mask bit `{other}`"))),
-            })
-            .collect::<Result<_, _>>()?;
+        let mut observed = Vec::with_capacity(shape.len());
+        for (at, b) in bits.bytes().enumerate() {
+            observed.push(match b {
+                b'1' => true,
+                b'0' => false,
+                _ => {
+                    // Every byte before `at` is ASCII, so a char starts here.
+                    let other = bits[at..].chars().next().expect("a char starts at `at`");
+                    return Err(WireError::new(format!("bad mask bit `{other}`")));
+                }
+            });
+        }
         if observed.len() != shape.len() {
             return Err(WireError::new(format!(
                 "mask carries {} bits for a {}-element shape",
@@ -789,9 +796,9 @@ pub mod wire {
             QueryResponse::Quantile(v) => match v {
                 None => out.push_str("quantile none\n"),
                 Some(q) => {
-                    use std::fmt::Write as _;
-                    out.push_str("quantile some\n");
-                    let _ = writeln!(out, "value {:016x}", q.to_bits());
+                    out.push_str("quantile some\nvalue ");
+                    hexwire::push_f64(out, *q);
+                    out.push('\n');
                 }
             },
         }
@@ -832,9 +839,10 @@ pub mod wire {
             })),
             "quantile" => Ok(QueryResponse::Quantile(if some {
                 let hex = field(cur, "value")?;
-                Some(f64::from_bits(u64::from_str_radix(hex, 16).map_err(
-                    |_| WireError::new(format!("bad quantile value `{hex}`")),
-                )?))
+                Some(
+                    hexwire::parse_f64(hex)
+                        .ok_or_else(|| WireError::new(format!("bad quantile value `{hex}`")))?,
+                )
             } else {
                 None
             })),
@@ -983,6 +991,9 @@ mod tests {
             "quantile ingest-latency",
             "quantile ingest-latency x",
             "quantile ingest-latency 0.99 extra",
+            // Only 16 lowercase hex digits read as a bit pattern; any
+            // other token takes the decimal path.
+            "quantile ingest-latency 3FEFAE147AE147AE",
         ] {
             assert!(Query::from_wire(line).is_err(), "{line}");
         }
@@ -1203,6 +1214,22 @@ mod tests {
             "quantile some\nvalue 3ff0000000000000 extra",
             "latest some extra",
             "bogus some",
+            // One case per float form the decoder used to accept and no
+            // writer emits: a sign, an uppercase digit, a short or a
+            // zero-padded long token, two spaces or a tab between
+            // tokens, and trailing whitespace.
+            "forecast some\nshape 1\ndata +3ff000000000000",
+            "forecast some\nshape 1\ndata 3FF0000000000000",
+            "forecast some\nshape 1\ndata 3ff000000000000",
+            "forecast some\nshape 1\ndata 03ff0000000000000",
+            "forecast some\nshape 2\ndata 3ff0000000000000  3ff0000000000000",
+            "forecast some\nshape 2\ndata 3ff0000000000000\t3ff0000000000000",
+            "forecast some\nshape 1\ndata 3ff0000000000000 ",
+            "latest some\nshape 1\ndata 3ff0000000000000\noutliers some\ndata 3fF0000000000000",
+            "quantile some\nvalue +3ff000000000000",
+            "quantile some\nvalue 3FF0000000000000",
+            "quantile some\nvalue 3ff000000000000",
+            "quantile some\nvalue 03ff0000000000000",
         ];
         for case in cases {
             assert!(

@@ -103,6 +103,26 @@ pub struct IngestReport {
     pub rejected: Vec<(u64, ObservedTensor)>,
 }
 
+/// An `ok` reply frame, kept whole: parsers read the payload in place,
+/// so each reply is copied once, from the socket.
+struct OkReply {
+    body: String,
+    /// Where the payload starts in `body`, after the `ok <id>` line.
+    payload_at: usize,
+}
+
+impl OkReply {
+    fn payload(&self) -> &str {
+        &self.body[self.payload_at..]
+    }
+
+    /// The payload alone, moved to the front of the body's buffer.
+    fn into_payload(mut self) -> String {
+        self.body.drain(..self.payload_at);
+        self.body
+    }
+}
+
 /// A blocking TCP client for one `sofia-net` server.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -231,13 +251,14 @@ impl Client {
         Ok(id)
     }
 
-    /// Reads the next reply, checks it answers `id`, and returns its
-    /// payload (or the server's typed error).
-    fn expect_reply(&mut self, id: u64) -> Result<Result<String, FleetError>, ClientError> {
+    /// Reads the next reply, checks it answers `id`, and returns it
+    /// (or the server's typed error).
+    fn expect_reply(&mut self, id: u64) -> Result<Result<OkReply, FleetError>, ClientError> {
         let body = self.read_reply_body()?;
         let (head, payload) = split_reply(&body)?;
+        let payload_at = body.len() - payload.len();
         match head {
-            ReplyHead::Ok(got) if got == id => Ok(Ok(payload.to_string())),
+            ReplyHead::Ok(got) if got == id => Ok(Ok(OkReply { body, payload_at })),
             ReplyHead::Err(got, e) if got == id => {
                 // A stale-epoch reject carries the server's current map
                 // as its payload; stash it for the routing layer.
@@ -269,8 +290,8 @@ impl Client {
             query,
         })?;
         match self.expect_reply(id)? {
-            Ok(payload) => {
-                let mut cur = LineCursor::new(&payload);
+            Ok(reply) => {
+                let mut cur = LineCursor::new(reply.payload());
                 let resp = pwire::parse_response(&mut cur)?;
                 cur.finish()?;
                 Ok(resp)
@@ -293,11 +314,11 @@ impl Client {
             .collect();
         let epoch = self.fence_epoch();
         let id = self.send(|id| Request::QueryBatch { id, epoch, items })?;
-        let payload = match self.expect_reply(id)? {
-            Ok(p) => p,
+        let reply = match self.expect_reply(id)? {
+            Ok(reply) => reply,
             Err(e) => return Err(ClientError::Fleet(e)),
         };
-        let mut cur = LineCursor::new(&payload);
+        let mut cur = LineCursor::new(reply.payload());
         let head = cur.next("results header")?;
         let n: usize = head
             .strip_prefix("results ")
@@ -367,8 +388,8 @@ impl Client {
         id: u64,
     ) -> Result<Result<QueryResponse, FleetError>, ClientError> {
         match self.expect_reply(id)? {
-            Ok(payload) => {
-                let mut cur = LineCursor::new(&payload);
+            Ok(reply) => {
+                let mut cur = LineCursor::new(reply.payload());
                 let resp = pwire::parse_response(&mut cur)?;
                 cur.finish()?;
                 Ok(Ok(resp))
@@ -406,8 +427,8 @@ impl Client {
             envelope,
         })?;
         match self.expect_reply(id)? {
-            Ok(payload) => {
-                let mut cur = LineCursor::new(&payload);
+            Ok(reply) => {
+                let mut cur = LineCursor::new(reply.payload());
                 let durable = match cur.next("durable marker")? {
                     "durable true" => true,
                     "durable false" => false,
@@ -436,7 +457,7 @@ impl Client {
         let epoch = self.fence_epoch();
         let id = self.send(|id| Request::Snapshot { id, epoch, stream })?;
         match self.expect_reply(id)? {
-            Ok(envelope) => Ok(envelope),
+            Ok(reply) => Ok(reply.into_payload()),
             Err(e) => Err(ClientError::Fleet(e)),
         }
     }
@@ -507,11 +528,11 @@ impl Client {
             let id = self.fresh_id();
             let body = wire::ingest_body(id, self.fence_epoch(), stream, &remaining[..count]);
             write_frame(&mut self.writer, &body)?;
-            let payload = match self.expect_reply(id)? {
-                Ok(p) => p,
+            let reply = match self.expect_reply(id)? {
+                Ok(reply) => reply,
                 Err(e) => return Err(ClientError::Fleet(e)),
             };
-            let (chunk_accepted, rejected_seqs) = parse_ingest_reply(&payload)?;
+            let (chunk_accepted, rejected_seqs) = parse_ingest_reply(reply.payload())?;
             accepted += chunk_accepted;
             if rejected_seqs.is_empty() {
                 remaining.drain(..count);
@@ -579,11 +600,11 @@ impl Client {
     /// Fleet-wide statistics snapshot.
     pub fn stats(&mut self) -> Result<FleetStats, ClientError> {
         let id = self.send(|id| Request::Stats { id })?;
-        let payload = match self.expect_reply(id)? {
-            Ok(p) => p,
+        let reply = match self.expect_reply(id)? {
+            Ok(reply) => reply,
             Err(e) => return Err(ClientError::Fleet(e)),
         };
-        let mut cur = LineCursor::new(&payload);
+        let mut cur = LineCursor::new(reply.payload());
         let stats = parse_fleet_stats(&mut cur)?;
         cur.finish()?;
         Ok(stats)
@@ -596,11 +617,11 @@ impl Client {
     /// `netstats 1` form [`crate::push_net_stats`] writes is an error.
     pub fn metrics(&mut self) -> Result<NetStats, ClientError> {
         let id = self.send(|id| Request::Metrics { id })?;
-        let payload = match self.expect_reply(id)? {
-            Ok(p) => p,
+        let reply = match self.expect_reply(id)? {
+            Ok(reply) => reply,
             Err(e) => return Err(ClientError::Fleet(e)),
         };
-        let mut cur = LineCursor::new(&payload);
+        let mut cur = LineCursor::new(reply.payload());
         let stats = parse_net_stats(&mut cur)?;
         cur.finish()?;
         Ok(stats)
@@ -637,8 +658,8 @@ impl Client {
     pub fn lease_revoke(&mut self, slot: u64) -> Result<bool, ClientError> {
         let id = self.send(|id| Request::LeaseRevoke { id, slot })?;
         match self.expect_reply(id)? {
-            Ok(payload) => {
-                let mut cur = LineCursor::new(&payload);
+            Ok(reply) => {
+                let mut cur = LineCursor::new(reply.payload());
                 let held = match cur.next("held marker")? {
                     "held true" => true,
                     "held false" => false,
@@ -657,11 +678,11 @@ impl Client {
     /// enumeration a slot migration groups by its own map's route hash.
     pub fn stream_ids(&mut self) -> Result<Vec<String>, ClientError> {
         let id = self.send(|id| Request::Streams { id })?;
-        let payload = match self.expect_reply(id)? {
-            Ok(p) => p,
+        let reply = match self.expect_reply(id)? {
+            Ok(reply) => reply,
             Err(e) => return Err(ClientError::Fleet(e)),
         };
-        let mut cur = LineCursor::new(&payload);
+        let mut cur = LineCursor::new(reply.payload());
         let head = cur.next("streams header")?;
         let n: usize = head
             .strip_prefix("streams ")

@@ -58,7 +58,7 @@
 use sofia_fleet::protocol::wire::{self, LineCursor, WireError};
 use sofia_fleet::{shard_of, FleetError, FleetStats, MetricKind, Query, QueryCounters, ShardStats};
 use sofia_tensor::ObservedTensor;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Default bound on one frame's body, in bytes (32 MiB). A peer
 /// announcing a bigger frame is rejected before any allocation.
@@ -174,12 +174,17 @@ pub fn read_frame(r: &mut impl BufRead, max: usize) -> Result<Option<String>, Fr
     if len > max {
         return Err(FrameError::Oversized { len, max });
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => FrameError::Truncated,
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FrameError::TimedOut,
-        _ => FrameError::Io(e),
-    })?;
+    // Read straight into the body's allocation: no zero-fill first.
+    let mut body = Vec::with_capacity(len);
+    Read::take(r, len as u64)
+        .read_to_end(&mut body)
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FrameError::TimedOut,
+            _ => FrameError::Io(e),
+        })?;
+    if body.len() < len {
+        return Err(FrameError::Truncated);
+    }
     String::from_utf8(body)
         .map(Some)
         .map_err(|_| FrameError::NotUtf8)
@@ -1345,6 +1350,7 @@ mod tests {
             "ingest 1 s 1\nseq nope\nshape 1\ndata 0\nbits 1",
             "ingest 1 s 1\nseq 5\nshape 2\ndata 0000000000000000\nbits 10",
             "ingest 1 s 2\nseq 5\nshape 1\ndata 0000000000000000\nbits 1",
+            "ingest 1 s 1\nseq 5\nshape 2\ndata 3ff0000000000000 3fF0000000000000\nbits 11",
             "flush",
             "flush x",
             "flush 1 2",

@@ -478,6 +478,62 @@ fn non_finite_ingest_frame_is_refused_whole() {
     server.shutdown().expect("shutdown");
 }
 
+/// The float decoder reads only the form every writer emits: an
+/// `ingest` frame whose one defect is an uppercase hex digit in its
+/// `data` line gets a typed `invalid-query` reply, applies nothing, and
+/// the connection keeps serving.
+#[test]
+fn ingest_frame_with_an_uppercase_hex_digit_is_refused_and_the_connection_keeps_serving() {
+    use sofia_net::wire::ingest_body;
+    use std::io::BufReader;
+    use std::net::TcpStream;
+
+    let (startup, streamed) = slices(0);
+    let fleet = Fleet::new(FleetConfig::with_shards(1)).expect("fleet");
+    fleet.register("s", handle(0, &startup)).expect("register");
+    let server = Server::bind("127.0.0.1:0", fleet).expect("bind");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let hello = Request::Hello {
+        client: "strict".into(),
+    };
+    write_frame(&mut raw, &hello.to_body()).expect("hello");
+    read_frame(&mut reader, 1 << 20).expect("map").unwrap();
+
+    let good = ingest_body(7, None, "s", &[(1, streamed[0].clone())]);
+    let data = good.find("\ndata ").expect("data line") + "\ndata ".len();
+    let data_line = &good[data..data + good[data..].find('\n').expect("line end")];
+    let letter = data + data_line.find(char::is_alphabetic).expect("a digit a-f");
+    let mut bad = good.clone();
+    bad[letter..=letter].make_ascii_uppercase();
+    write_frame(&mut raw, &bad).expect("bad ingest");
+    let reply = read_frame(&mut reader, 1 << 20).expect("reply").unwrap();
+    assert!(
+        reply.starts_with("err 0 invalid-query") && reply.contains("bad float in `data`"),
+        "typed refusal: {reply}"
+    );
+
+    // Still aligned: the canonical frame is applied on the same
+    // connection, and it is the stream's only step.
+    write_frame(&mut raw, &good).expect("good ingest");
+    let reply = read_frame(&mut reader, 1 << 20).expect("reply").unwrap();
+    assert_eq!(reply, "ok 7\naccepted 1\nbackpressure\n");
+    write_frame(&mut raw, &Request::Flush { id: 8 }.to_body()).expect("flush");
+    assert_eq!(
+        read_frame(&mut reader, 1 << 20).expect("reply").unwrap(),
+        "ok 8\n"
+    );
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let stats = client
+        .query("s", Query::StreamStats)
+        .expect("stats")
+        .expect_stream_stats();
+    assert_eq!(stats.steps, 1);
+    server.shutdown().expect("shutdown");
+}
+
 /// A `register` envelope that parses line by line but describes an
 /// impossible model (one temporal history row for period 4) is refused
 /// with a typed `corrupt` reply by the event-loop thread that restores
