@@ -17,7 +17,12 @@
 //! Total per-step cost is `O(|Ω_t|·N·R)` plus the `O(Π Iₙ · R)`
 //! reconstruction requested for imputation output (Lemma 2 counts only the
 //! model update, which is what `update_only` exposes for the scalability
-//! experiments).
+//! experiments). The reconstruction and the forecast of Eq. (28) both run
+//! through [`kruskal::kruskal_slice`], whose entries have the bits of the
+//! point evaluator [`kruskal::kruskal_at_with_vec`]. A serving layer's
+//! drift probe is the dense `forecast_slice(1)`: evaluating the forecast
+//! at the observed entries alone, one point at a time, was measured slower
+//! than that kernel even at 10% observed.
 
 use crate::config::SofiaConfig;
 use crate::hw::HwBank;

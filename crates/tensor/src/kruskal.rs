@@ -114,36 +114,78 @@ pub fn kruskal_at_with_vec(factors: &[&Matrix], index: &[usize], w: &[f64]) -> f
     sum
 }
 
-/// Materializes the full Kruskal tensor `⟦U⁽¹⁾, …, U⁽ᴺ⁾⟧`.
+/// Materializes the full Kruskal tensor `⟦U⁽¹⁾, …, U⁽ᴺ⁾⟧`: [`kruskal_slice`]
+/// with unit weights. Each product then starts at `1.0` and multiplies
+/// the factors in mode order, as [`kruskal_at`] does, so every entry is
+/// bit-identical to `kruskal_at` at its index.
+///
+/// # Panics
+/// Panics if `factors` is empty or the factors do not share one rank.
 pub fn kruskal(factors: &[&Matrix]) -> DenseTensor {
     assert!(!factors.is_empty(), "need at least one factor");
-    let r = factors[0].cols();
-    for f in factors {
-        assert_eq!(f.cols(), r, "all factors must share the rank");
-    }
-    let dims: Vec<usize> = factors.iter().map(|f| f.rows()).collect();
-    let shape = Shape::new(&dims);
-    let mut idx = vec![0usize; shape.order()];
-    let mut data = Vec::with_capacity(shape.len());
-    for off in 0..shape.len() {
-        shape.unravel_into(off, &mut idx);
-        data.push(kruskal_at(factors, &idx));
-    }
-    DenseTensor::from_vec(shape, data)
+    kruskal_slice(factors, &vec![1.0; factors[0].cols()])
 }
 
 /// Materializes the `(N-1)`-way slice `⟦{U⁽ⁿ⁾}ₙ, w⟧` given non-temporal
 /// factors and a temporal row vector — the predicted subtensor `Ŷ_{t|t-1}`
 /// of Eq. (20).
+///
+/// Every entry is bit-identical to [`kruskal_at_with_vec`] at its index,
+/// because the kernel performs the same float operations in the same
+/// order. With `u_k = U⁽ᴺ⁾[i_N, k]` and the leading-mode product
+/// `p_k = ((w_k·U⁽¹⁾[i₁,k])·U⁽²⁾[i₂,k])·…` taken left to right, entry
+/// `(i₁, …, i_N)` is `((0 + p₀·u₀) + p₁·u₁) + …` over `k = 0..R` in
+/// order. The kernel keeps one prefix-product row per leading mode,
+/// advances the leading indices as an odometer and recomputes only the
+/// levels at and below the index that moved. It transposes the last
+/// factor once, so each `k` adds `p_k · Uᵀ[k, :]` into a whole output row.
+/// Independent sums run only across neighbouring outputs, never within
+/// one entry's `k`-sum, and no multiply-add is fused, so vectorizing the
+/// row loop changes no bit. (Rust leaves the sign and payload of a NaN
+/// result unspecified; a NaN entry is NaN in both.)
+///
+/// # Panics
+/// Panics if `factors` is empty or a factor's rank differs from `w.len()`.
 pub fn kruskal_slice(factors: &[&Matrix], w: &[f64]) -> DenseTensor {
-    assert!(!factors.is_empty(), "need at least one factor");
+    let (last, lead) = factors.split_last().expect("need at least one factor");
+    let r = w.len();
+    for f in factors {
+        assert_eq!(f.cols(), r, "factor rank does not match w.len()");
+    }
     let dims: Vec<usize> = factors.iter().map(|f| f.rows()).collect();
     let shape = Shape::new(&dims);
-    let mut idx = vec![0usize; shape.order()];
-    let mut data = Vec::with_capacity(shape.len());
-    for off in 0..shape.len() {
-        shape.unravel_into(off, &mut idx);
-        data.push(kruskal_at_with_vec(factors, &idx, w));
+    let last_t = last.transpose();
+    // Level l holds w ⊛ U⁽¹⁾[i₁,:] ⊛ ⋯ over the first l leading modes;
+    // the deepest level is the current output row's p.
+    let mut prefix = vec![0.0; (lead.len() + 1) * r];
+    prefix[..r].copy_from_slice(w);
+    let mut idx = vec![0usize; lead.len()];
+    let mut data = vec![0.0; shape.len()];
+    // Shallowest leading mode whose index moved since the last row.
+    let mut moved = 0;
+    for out in data.chunks_exact_mut(last.rows()) {
+        for (l, f) in lead.iter().enumerate().skip(moved) {
+            let (above, below) = prefix.split_at_mut((l + 1) * r);
+            let row = f.row(idx[l]);
+            for ((p, &q), &u) in below[..r].iter_mut().zip(&above[l * r..]).zip(row) {
+                *p = q * u;
+            }
+        }
+        let p = &prefix[lead.len() * r..];
+        for (k, &pk) in p.iter().enumerate() {
+            for (o, &u) in out.iter_mut().zip(last_t.row(k)) {
+                *o += pk * u;
+            }
+        }
+        moved = lead.len();
+        while moved > 0 {
+            moved -= 1;
+            idx[moved] += 1;
+            if idx[moved] < lead[moved].rows() {
+                break;
+            }
+            idx[moved] = 0;
+        }
     }
     DenseTensor::from_vec(shape, data)
 }
@@ -165,7 +207,7 @@ pub fn kruskal_norm_sq(factors: &[&Matrix]) -> f64 {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn khatri_rao_matches_definition() {
@@ -218,6 +260,120 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Draws a value that stresses bit-identity — a signed zero, the
+    /// smallest subnormal, a magnitude whose products overflow or
+    /// underflow, an infinity or NaN — or else a uniform one.
+    fn stress_value(rng: &mut SmallRng) -> f64 {
+        const POOL: [f64; 10] = [
+            0.0,
+            -0.0,
+            5e-324,
+            1e300,
+            -1e300,
+            1e-300,
+            -1e-300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        if rng.gen_bool(0.15) {
+            POOL[rng.gen_range(0..POOL.len())]
+        } else {
+            rng.gen_range(-2.0..2.0)
+        }
+    }
+
+    /// Random factors of every order in `orders`, every rank 1–8 and
+    /// mode lengths 1–9, drawn from [`stress_value`].
+    fn stress_cases(seed: u64, orders: std::ops::RangeInclusive<usize>) -> Vec<Vec<Matrix>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut cases = Vec::new();
+        for order in orders {
+            for rank in 1..=8 {
+                for _ in 0..6 {
+                    let factors = (0..order)
+                        .map(|_| {
+                            let rows = rng.gen_range(1..=9);
+                            Matrix::from_fn(rows, rank, |_, _| stress_value(&mut rng))
+                        })
+                        .collect();
+                    cases.push(factors);
+                }
+            }
+        }
+        cases
+    }
+
+    /// Compares bits; a NaN entry only has to be NaN in both, since Rust
+    /// leaves a NaN result's sign and payload unspecified.
+    fn assert_same_bits(got: f64, want: f64, idx: &[usize]) {
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "entry {idx:?}: kernel {got:e} ({:#x}) vs point evaluator {want:e} ({:#x})",
+            got.to_bits(),
+            want.to_bits()
+        );
+    }
+
+    #[test]
+    fn kruskal_slice_is_bit_identical_to_kruskal_at_with_vec() {
+        let mut rng = SmallRng::seed_from_u64(41);
+        let (mut finite, mut total) = (0usize, 0usize);
+        for factors in stress_cases(17, 1..=3) {
+            let refs: Vec<&Matrix> = factors.iter().collect();
+            let w: Vec<f64> = (0..refs[0].cols())
+                .map(|_| stress_value(&mut rng))
+                .collect();
+            let slice = kruskal_slice(&refs, &w);
+            for idx in slice.shape().indices() {
+                let got = slice.get(&idx);
+                assert_same_bits(got, kruskal_at_with_vec(&refs, &idx, &w), &idx);
+                finite += got.is_finite() as usize;
+                total += 1;
+            }
+        }
+        // The pool must leave both kinds of entry in the sweep.
+        assert!(
+            finite > total / 4 && finite < total,
+            "{finite} of {total} finite"
+        );
+    }
+
+    #[test]
+    fn kruskal_is_bit_identical_to_kruskal_at() {
+        let (mut finite, mut total) = (0usize, 0usize);
+        for factors in stress_cases(29, 1..=4) {
+            let refs: Vec<&Matrix> = factors.iter().collect();
+            let full = kruskal(&refs);
+            for idx in full.shape().indices() {
+                let got = full.get(&idx);
+                assert_same_bits(got, kruskal_at(&refs, &idx), &idx);
+                finite += got.is_finite() as usize;
+                total += 1;
+            }
+        }
+        assert!(
+            finite > total / 4 && finite < total,
+            "{finite} of {total} finite"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rank")]
+    fn kruskal_slice_rejects_a_short_w() {
+        let u = Matrix::zeros(3, 2);
+        let v = Matrix::zeros(4, 2);
+        kruskal_slice(&[&u, &v], &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank")]
+    fn kruskal_slice_rejects_a_long_w() {
+        let u = Matrix::zeros(3, 2);
+        let v = Matrix::zeros(4, 2);
+        kruskal_slice(&[&u, &v], &[1.0, 2.0, 3.0]);
     }
 
     #[test]
