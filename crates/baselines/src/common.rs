@@ -1,7 +1,5 @@
 //! Shared kernels for the baseline streaming factorizers.
 
-use sofia_core::checkpoint::CheckpointError;
-use sofia_core::snapshot::wire::{parse_f64s, parse_usizes, push_f64s};
 use sofia_tensor::linalg::solve_spd_ridge;
 use sofia_tensor::{kruskal, DenseTensor, Matrix, ObservedTensor};
 
@@ -107,49 +105,6 @@ pub fn damped_sgd_step(factors: &mut [Matrix], slice: &ObservedTensor, w: &[f64]
             }
         }
     }
-}
-
-/// Appends a factor-matrix block (`factors <n>` then per-matrix dims +
-/// bit-pattern data) to a snapshot payload — the serialization shared by
-/// every snapshot-capable baseline.
-pub(crate) fn push_factors(out: &mut String, factors: &[Matrix]) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "factors {}", factors.len());
-    for f in factors {
-        let _ = writeln!(out, "factor {} {}", f.rows(), f.cols());
-        push_f64s(out, "data", f.data().iter().copied());
-    }
-}
-
-/// Parses a factor-matrix block written by [`push_factors`].
-pub(crate) fn parse_factors<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-) -> Result<Vec<Matrix>, CheckpointError> {
-    let mut next = |what: &str| -> Result<&str, CheckpointError> {
-        lines
-            .next()
-            .ok_or_else(|| CheckpointError::Malformed(format!("unexpected EOF at {what}")))
-    };
-    let n = parse_usizes(next("factors")?, "factors")?;
-    let &[n] = n.as_slice() else {
-        return Err(CheckpointError::Malformed("factor count".into()));
-    };
-    // The count comes from the file: clamp the pre-allocation so a
-    // corrupt header errors on the missing lines below instead of
-    // panicking in `with_capacity` (restores run on shard threads).
-    let mut factors = Vec::with_capacity(n.min(16));
-    for _ in 0..n {
-        let dims = parse_usizes(next("factor")?, "factor")?;
-        let &[rows, cols] = dims.as_slice() else {
-            return Err(CheckpointError::Malformed("factor dims".into()));
-        };
-        let data = parse_f64s(next("factor data")?, "data")?;
-        if data.len() != rows * cols {
-            return Err(CheckpointError::Malformed("factor data length".into()));
-        }
-        factors.push(Matrix::from_vec(rows, cols, data));
-    }
-    Ok(factors)
 }
 
 /// Dense reconstruction `⟦{U⁽ⁿ⁾}; w⟧` of a slice.

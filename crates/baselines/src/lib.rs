@@ -21,30 +21,8 @@
 //! only grows the time mode); DESIGN.md documents the substitutions.
 //!
 //! All methods implement [`sofia_core::traits::StreamingFactorizer`], so the
-//! evaluation harness in `sofia-eval` drives them interchangeably.
-//!
-//! ## Durability (snapshots)
-//!
-//! The serving-relevant baselines [`Smf`] and [`OnlineSgd`] also implement
-//! [`sofia_core::snapshot::SnapshotModel`] / `RestoreModel`: their full
-//! streaming state round-trips bit-exactly through the v2 checkpoint
-//! envelope, so `sofia-fleet` can crash-recover and evict/restore them
-//! exactly like SOFIA streams. The remaining streaming methods are served
-//! but deliberately **not** snapshot-capable:
-//!
-//! * [`Mast`] keeps a sliding window of raw observed slices — a snapshot
-//!   would re-serialize `W` full subtensors every interval, i.e. it would
-//!   dwarf the model itself and duplicate the data plane;
-//! * [`Olstec`] carries per-row RLS inverse-covariance accumulators
-//!   (`rows × R²` per mode) with the same state-outweighs-model problem;
-//! * [`OrMstc`] is windowed like MAST;
-//! * [`Brst`] degenerates on every evaluated stream (see the note above)
-//!   and is not served;
-//! * [`CpHw`] and [`VanillaAls`] are batch methods with no streaming
-//!   state to checkpoint.
-//!
-//! The fleet's durability layer skips non-snapshottable streams and says
-//! so in its stats; they simply restart cold after a crash.
+//! evaluation harness in `sofia-eval` drives them interchangeably. None of
+//! them has a checkpoint format: the serving stack checkpoints SOFIA only.
 
 // Numeric kernels index several parallel arrays at once; plain index
 // loops are the clearest form for them.

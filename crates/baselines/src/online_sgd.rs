@@ -7,13 +7,7 @@
 //! No outlier handling, no temporal-pattern model — the method that SOFIA's
 //! imputation experiments show is fast but fragile under corruption.
 
-use crate::common::{
-    damped_sgd_step, parse_factors, push_factors, reconstruct_slice, solve_temporal_weights,
-    warm_start,
-};
-use sofia_core::checkpoint::CheckpointError;
-use sofia_core::snapshot::wire::{parse_f64s, parse_usizes, push_f64s};
-use sofia_core::snapshot::{RestoreModel, SnapshotModel};
+use crate::common::{damped_sgd_step, reconstruct_slice, solve_temporal_weights, warm_start};
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
 use sofia_tensor::{Matrix, ObservedTensor};
 
@@ -22,7 +16,6 @@ use sofia_tensor::{Matrix, ObservedTensor};
 pub struct OnlineSgd {
     factors: Vec<Matrix>,
     mu: f64,
-    steps: usize,
 }
 
 impl OnlineSgd {
@@ -30,11 +23,7 @@ impl OnlineSgd {
     pub fn new(factors: Vec<Matrix>, mu: f64) -> Self {
         assert!(!factors.is_empty());
         assert!(mu > 0.0, "step size must be positive");
-        Self {
-            factors,
-            mu,
-            steps: 0,
-        }
+        Self { factors, mu }
     }
 
     /// Warm-starts the subspace by batch ALS on a start-up window, as the
@@ -62,56 +51,10 @@ impl StreamingFactorizer for OnlineSgd {
         damped_sgd_step(&mut self.factors, slice, &w, self.mu);
         // 3. Complete with the updated factors.
         let completed = reconstruct_slice(&self.factors, &w);
-        self.steps += 1;
         StepOutput {
             completed,
             outliers: None,
         }
-    }
-}
-
-impl SnapshotModel for OnlineSgd {
-    fn snapshot_kind(&self) -> &'static str {
-        Self::KIND
-    }
-
-    fn snapshot(&self) -> String {
-        let mut out = String::from("online-sgd v1\n");
-        push_f64s(&mut out, "hyper", [self.mu]);
-        out.push_str(&format!("steps {}\n", self.steps));
-        push_factors(&mut out, &self.factors);
-        out
-    }
-}
-
-impl RestoreModel for OnlineSgd {
-    const KIND: &'static str = "online-sgd";
-
-    fn restore(payload: &str) -> Result<Self, CheckpointError> {
-        let mut lines = payload.lines();
-        let mut next = |what: &str| -> Result<&str, CheckpointError> {
-            lines
-                .next()
-                .ok_or_else(|| CheckpointError::Malformed(format!("unexpected EOF at {what}")))
-        };
-        if next("header")?.trim_end() != "online-sgd v1" {
-            return Err(CheckpointError::BadHeader);
-        }
-        let hyper = parse_f64s(next("hyper")?, "hyper")?;
-        let &[mu] = hyper.as_slice() else {
-            return Err(CheckpointError::Malformed("hyper arity".into()));
-        };
-        let steps = parse_usizes(next("steps")?, "steps")?;
-        let &[steps] = steps.as_slice() else {
-            return Err(CheckpointError::Malformed("steps".into()));
-        };
-        let factors = parse_factors(&mut lines)?;
-        if factors.is_empty() || mu.is_nan() || mu <= 0.0 {
-            return Err(CheckpointError::Malformed(
-                "need non-empty factors and a positive step size".into(),
-            ));
-        }
-        Ok(Self { factors, mu, steps })
     }
 }
 
@@ -122,40 +65,6 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use sofia_tensor::random::random_factors;
     use sofia_tensor::Mask;
-
-    #[test]
-    fn snapshot_roundtrip_is_bit_exact() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        let truth = random_factors(&[4, 5], 2, &mut rng);
-        let startup: Vec<ObservedTensor> = (0..10)
-            .map(|t| ObservedTensor::fully_observed(stream(&truth, t).1))
-            .collect();
-        let mut model = OnlineSgd::init(&startup, 2, 0.1, 3);
-        for t in 10..16 {
-            model.step(&ObservedTensor::fully_observed(stream(&truth, t).1));
-        }
-        assert_eq!(model.snapshot_kind(), OnlineSgd::KIND);
-        let mut restored = OnlineSgd::restore(&model.snapshot()).expect("restore");
-        for t in 16..24 {
-            let slice = ObservedTensor::fully_observed(stream(&truth, t).1);
-            let a = model.step(&slice);
-            let b = restored.step(&slice);
-            assert_eq!(a.completed.data(), b.completed.data(), "step {t}");
-        }
-        assert_eq!(model.steps, restored.steps);
-    }
-
-    #[test]
-    fn restore_rejects_malformed() {
-        assert!(matches!(
-            OnlineSgd::restore("garbage"),
-            Err(CheckpointError::BadHeader)
-        ));
-        let good = OnlineSgd::new(vec![Matrix::identity(2), Matrix::identity(2)], 0.1).snapshot();
-        let truncated: String = good.lines().take(3).collect::<Vec<_>>().join("\n");
-        assert!(OnlineSgd::restore(&truncated).is_err());
-        assert!(OnlineSgd::restore(&good.replace("data ", "data zz ")).is_err());
-    }
 
     fn stream(truth: &[Matrix], t: usize) -> (Vec<f64>, sofia_tensor::DenseTensor) {
         let w = vec![

@@ -12,12 +12,7 @@
 //! implementation projects with whatever entries are present but is only
 //! benchmarked fully observed).
 
-use crate::common::{
-    parse_factors, push_factors, reconstruct_slice, solve_temporal_weights, warm_start,
-};
-use sofia_core::checkpoint::CheckpointError;
-use sofia_core::snapshot::wire::{parse_f64s, parse_usizes, push_f64s};
-use sofia_core::snapshot::{RestoreModel, SnapshotModel};
+use crate::common::{reconstruct_slice, solve_temporal_weights, warm_start};
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
 use sofia_tensor::{DenseTensor, Matrix, ObservedTensor};
 use std::collections::VecDeque;
@@ -125,143 +120,12 @@ impl StreamingFactorizer for Smf {
     }
 }
 
-impl SnapshotModel for Smf {
-    fn snapshot_kind(&self) -> &'static str {
-        Self::KIND
-    }
-
-    fn snapshot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("smf v1\n");
-        push_f64s(&mut out, "hyper", [self.mu, self.drift_alpha]);
-        push_factors(&mut out, &self.factors);
-        push_f64s(&mut out, "drift", self.drift.iter().copied());
-        let _ = writeln!(out, "seasonal {}", self.seasonal.len());
-        for z in &self.seasonal {
-            push_f64s(&mut out, "z", z.iter().copied());
-        }
-        out
-    }
-}
-
-impl RestoreModel for Smf {
-    const KIND: &'static str = "smf";
-
-    fn restore(payload: &str) -> Result<Self, CheckpointError> {
-        let mut lines = payload.lines();
-        let mut next = |what: &str| -> Result<&str, CheckpointError> {
-            lines
-                .next()
-                .ok_or_else(|| CheckpointError::Malformed(format!("unexpected EOF at {what}")))
-        };
-        if next("header")?.trim_end() != "smf v1" {
-            return Err(CheckpointError::BadHeader);
-        }
-        let hyper = parse_f64s(next("hyper")?, "hyper")?;
-        let &[mu, drift_alpha] = hyper.as_slice() else {
-            return Err(CheckpointError::Malformed("hyper arity".into()));
-        };
-        let factors = parse_factors(&mut lines)?;
-        let rank = factors.first().map(Matrix::cols).unwrap_or(0);
-        let drift = parse_f64s(
-            lines
-                .next()
-                .ok_or_else(|| CheckpointError::Malformed("unexpected EOF at drift".into()))?,
-            "drift",
-        )?;
-        let m = parse_usizes(
-            lines
-                .next()
-                .ok_or_else(|| CheckpointError::Malformed("unexpected EOF at seasonal".into()))?,
-            "seasonal",
-        )?;
-        let &[m] = m.as_slice() else {
-            return Err(CheckpointError::Malformed("seasonal count".into()));
-        };
-        // File-supplied count: clamp the pre-allocation (a corrupt count
-        // must error on missing lines, not panic the restoring thread).
-        let mut seasonal = VecDeque::with_capacity(m.min(1024));
-        for _ in 0..m {
-            let z = parse_f64s(
-                lines
-                    .next()
-                    .ok_or_else(|| CheckpointError::Malformed("unexpected EOF at z".into()))?,
-                "z",
-            )?;
-            if z.len() != rank {
-                return Err(CheckpointError::Malformed("seasonal row rank".into()));
-            }
-            seasonal.push_back(z);
-        }
-        if factors.is_empty() || seasonal.is_empty() || drift.len() != rank {
-            return Err(CheckpointError::Malformed(
-                "need factors, one full season, and rank-sized drift".into(),
-            ));
-        }
-        Ok(Self {
-            factors,
-            seasonal,
-            drift,
-            drift_alpha,
-            mu,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use sofia_tensor::random::random_factors;
-
-    #[test]
-    fn snapshot_roundtrip_is_bit_exact() {
-        let m = 5;
-        let mut rng = SmallRng::seed_from_u64(41);
-        let truth = random_factors(&[4, 4], 2, &mut rng);
-        let startup: Vec<ObservedTensor> = (0..2 * m)
-            .map(|t| ObservedTensor::fully_observed(seasonal_slice(&truth, t, m)))
-            .collect();
-        let mut model = Smf::init(&startup, 2, m, 0.1, 9);
-        for t in 2 * m..3 * m {
-            model.step(&ObservedTensor::fully_observed(seasonal_slice(
-                &truth, t, m,
-            )));
-        }
-        assert_eq!(model.snapshot_kind(), Smf::KIND);
-        let mut restored = Smf::restore(&model.snapshot()).expect("restore");
-        for t in 3 * m..4 * m {
-            let slice = ObservedTensor::fully_observed(seasonal_slice(&truth, t, m));
-            let a = model.step(&slice);
-            let b = restored.step(&slice);
-            assert_eq!(a.completed.data(), b.completed.data(), "step {t}");
-        }
-        for h in 1..=m {
-            assert_eq!(
-                model.forecast(h).unwrap().data(),
-                restored.forecast(h).unwrap().data(),
-                "forecast h={h}"
-            );
-        }
-    }
-
-    #[test]
-    fn restore_rejects_malformed() {
-        assert!(matches!(
-            Smf::restore("garbage"),
-            Err(CheckpointError::BadHeader)
-        ));
-        let mut rng = SmallRng::seed_from_u64(43);
-        let truth = random_factors(&[3, 3], 2, &mut rng);
-        let startup: Vec<ObservedTensor> = (0..4)
-            .map(|t| ObservedTensor::fully_observed(seasonal_slice(&truth, t, 4)))
-            .collect();
-        let good = Smf::init(&startup, 2, 4, 0.1, 1).snapshot();
-        let truncated: String = good.lines().take(4).collect::<Vec<_>>().join("\n");
-        assert!(Smf::restore(&truncated).is_err());
-        assert!(Smf::restore(&good.replace("seasonal 4", "seasonal 9")).is_err());
-    }
 
     fn seasonal_slice(truth: &[Matrix], t: usize, m: usize) -> DenseTensor {
         let phase = 2.0 * std::f64::consts::PI * (t % m) as f64 / m as f64;

@@ -25,7 +25,7 @@
 //! the cluster smoke test.
 
 use crate::commands::CmdResult;
-use sofia_baselines::Smf;
+use sofia_core::{Sofia, SofiaConfig};
 use sofia_datagen::seasonal::SeasonalStream;
 use sofia_datagen::stream::TensorStream;
 use sofia_fleet::{FleetError, ModelHandle, Query};
@@ -126,11 +126,31 @@ fn forecast_bits(router: &mut ClusterClient, stream: &str) -> Result<Vec<u64>, B
     Ok(router
         .query(stream, Query::Forecast { horizon: 4 })?
         .expect_forecast()
-        .ok_or("SMF forecasts")?
+        .ok_or("SOFIA forecasts")?
         .data()
         .iter()
         .map(|v| v.to_bits())
         .collect())
+}
+
+/// Seasonal period of a demo stream.
+const DEMO_PERIOD: usize = 4;
+/// Start-up window of a demo stream: three seasons.
+const DEMO_STARTUP: usize = 3 * DEMO_PERIOD;
+
+/// A deterministic demo stream: its synthetic source (6×5 slices, rank
+/// 2) and a SOFIA model warm-started on its first [`DEMO_STARTUP`]
+/// slices.
+fn sofia_stream(seed: u64) -> Result<(SeasonalStream, ModelHandle), Box<dyn Error>> {
+    let source = SeasonalStream::paper_fig2(&[6, 5], 2, DEMO_PERIOD, seed);
+    let startup: Vec<ObservedTensor> = (0..DEMO_STARTUP)
+        .map(|t| ObservedTensor::fully_observed(source.clean_slice(t)))
+        .collect();
+    let config = SofiaConfig::new(2, DEMO_PERIOD)
+        .with_lambdas(0.01, 0.01, 10.0)
+        .with_als_limits(1e-3, 1, 40);
+    let model = Sofia::init(&config, &startup, seed)?;
+    Ok((source, ModelHandle::sofia(model)))
 }
 
 /// Entry point of `sofia-cli cluster`.
@@ -207,8 +227,7 @@ pub fn cluster(opts: &ClusterOpts) -> CmdResult {
         return Err("seed handshake did not advertise the full cluster map".into());
     }
 
-    // --- A deterministic demo stream (SMF: cheap, durable, forecasts)
-    // on whichever node its id hashes to.
+    // --- A deterministic demo stream on whichever node its id hashes to.
     let stream_id = "cluster-demo";
     let owner = router.endpoint_of(stream_id).to_string();
     let other = endpoints
@@ -216,12 +235,7 @@ pub fn cluster(opts: &ClusterOpts) -> CmdResult {
         .find(|ep| **ep != owner)
         .expect("at least 2 nodes")
         .clone();
-    let period = 4;
-    let source = SeasonalStream::paper_fig2(&[6, 5], 2, period, 2021);
-    let startup: Vec<ObservedTensor> = (0..3 * period)
-        .map(|t| ObservedTensor::fully_observed(source.clean_slice(t)))
-        .collect();
-    let model = ModelHandle::durable(Smf::init(&startup, 2, period, 0.1, 2021));
+    let (source, model) = sofia_stream(2021)?;
     router.register(stream_id, &model)?;
     println!("cluster: registered `{stream_id}` on its owner {owner}");
 
@@ -239,7 +253,7 @@ pub fn cluster(opts: &ClusterOpts) -> CmdResult {
     }
 
     // --- Traffic, then a forecast to compare across the migration.
-    let slices: Vec<ObservedTensor> = (3 * period..3 * period + 8)
+    let slices: Vec<ObservedTensor> = (DEMO_STARTUP..DEMO_STARTUP + 8)
         .map(|t| ObservedTensor::fully_observed(source.clean_slice(t)))
         .collect();
     let ingested = slices.len();
@@ -370,7 +384,6 @@ fn rebalance_phase(
     // --- Skew: a population of streams whose ids all hash to slots the
     // first node owns, fed enough traffic to make it the hot node.
     let hot = endpoints[0].clone();
-    let period = 4;
     let mut hot_streams: Vec<String> = Vec::new();
     for i in 0.. {
         if hot_streams.len() == 6 {
@@ -385,13 +398,9 @@ fn rebalance_phase(
         }
     }
     for (i, stream) in hot_streams.iter().enumerate() {
-        let source = SeasonalStream::paper_fig2(&[6, 5], 2, period, 3000 + i as u64);
-        let startup: Vec<ObservedTensor> = (0..3 * period)
-            .map(|t| ObservedTensor::fully_observed(source.clean_slice(t)))
-            .collect();
-        let model = ModelHandle::durable(Smf::init(&startup, 2, period, 0.1, 3000 + i as u64));
+        let (source, model) = sofia_stream(3000 + i as u64)?;
         router.register(stream, &model)?;
-        let slices: Vec<ObservedTensor> = (3 * period..3 * period + 16)
+        let slices: Vec<ObservedTensor> = (DEMO_STARTUP..DEMO_STARTUP + 16)
             .map(|t| ObservedTensor::fully_observed(source.clean_slice(t)))
             .collect();
         router.ingest_blocking(stream, slices)?;

@@ -1,17 +1,15 @@
-//! The `fleet` subcommand: serve many synthetic streams through the
-//! sharded engine and report throughput, latency, stream lifecycle, and
-//! mixed-kind crash recovery.
+//! The `fleet` subcommand: serve many synthetic SOFIA streams through
+//! the sharded engine and report throughput, latency, stream lifecycle,
+//! and crash recovery.
 
 use crate::commands::CmdResult;
 use crate::net_cmd::engine_config;
-use sofia_baselines::{OnlineSgd, Smf};
 use sofia_core::model::Sofia;
 use sofia_core::SofiaConfig;
 use sofia_datagen::seasonal::SeasonalStream;
 use sofia_datagen::stream::TensorStream;
 use sofia_fleet::{Fleet, MetricKind, ModelHandle, Query, StreamKey};
 use sofia_tensor::ObservedTensor;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -51,13 +49,9 @@ pub struct FleetOpts {
     pub checkpoint_dir: Option<PathBuf>,
     /// Periodic checkpoint interval in steps per stream.
     pub checkpoint_every: u64,
-    /// Evict snapshot-capable streams idle for this many shard steps
-    /// (requires `--checkpoint-dir`).
+    /// Evict streams idle for this many shard steps (requires
+    /// `--checkpoint-dir`).
     pub evict_idle: Option<u64>,
-    /// Baseline model kinds (`smf`, `online-sgd`) cycled in among the
-    /// SOFIA streams: stream `i` serves kind `[sofia, ..mix][i % (1+n)]`.
-    /// Empty = all SOFIA.
-    pub mix: Vec<String>,
 }
 
 impl Default for FleetOpts {
@@ -74,7 +68,6 @@ impl Default for FleetOpts {
             checkpoint_dir: None,
             checkpoint_every: 25,
             evict_idle: None,
-            mix: Vec::new(),
         }
     }
 }
@@ -101,24 +94,14 @@ pub(crate) fn validate(opts: &FleetOpts) -> CmdResult {
             "--evict-idle requires --checkpoint-dir (evicted streams restore from it)".into(),
         );
     }
-    for kind in &opts.mix {
-        if !matches!(kind.as_str(), "sofia" | "smf" | "online-sgd") {
-            return Err(format!("unknown --mix kind `{kind}` (use smf, online-sgd)").into());
-        }
-    }
     Ok(())
 }
 
-/// Warm-starts one model per stream (kinds cycled from the mix, SOFIA
-/// leading so `stream-0000` always forecasts), fanned out over the
+/// Warm-starts one SOFIA model per stream, fanned out over the
 /// available cores. Returns the models, their synthetic source streams,
 /// and the startup-window length (slice `t` of stream `i` is
 /// `streams[i].clean_slice(startup_len + t)`).
 pub(crate) fn warm_start(opts: &FleetOpts) -> (Vec<ModelHandle>, Vec<SeasonalStream>, usize) {
-    // Stream i serves cycle[i % cycle.len()].
-    let cycle: Vec<&str> = std::iter::once("sofia")
-        .chain(opts.mix.iter().map(String::as_str))
-        .collect();
     let model_config = SofiaConfig::new(opts.rank, opts.period)
         .with_lambdas(0.01, 0.01, 10.0)
         .with_als_limits(1e-3, 1, 40);
@@ -143,7 +126,6 @@ pub(crate) fn warm_start(opts: &FleetOpts) -> (Vec<ModelHandle>, Vec<SeasonalStr
             .enumerate()
             .map(|(c, part)| {
                 let model_config = model_config.clone();
-                let cycle = &cycle;
                 scope.spawn(move || {
                     part.iter()
                         .enumerate()
@@ -152,23 +134,10 @@ pub(crate) fn warm_start(opts: &FleetOpts) -> (Vec<ModelHandle>, Vec<SeasonalStr
                             let startup: Vec<ObservedTensor> = (0..startup_len)
                                 .map(|t| ObservedTensor::fully_observed(s.clean_slice(t)))
                                 .collect();
-                            let seed = opts.seed + i as u64;
-                            match cycle[i % cycle.len()] {
-                                "smf" => ModelHandle::durable(Smf::init(
-                                    &startup,
-                                    opts.rank,
-                                    opts.period,
-                                    0.1,
-                                    seed,
-                                )),
-                                "online-sgd" => ModelHandle::durable(OnlineSgd::init(
-                                    &startup, opts.rank, 0.1, seed,
-                                )),
-                                _ => ModelHandle::sofia(
-                                    Sofia::init(&model_config, &startup, seed)
-                                        .expect("synthetic startup window is well-formed"),
-                                ),
-                            }
+                            ModelHandle::sofia(
+                                Sofia::init(&model_config, &startup, opts.seed + i as u64)
+                                    .expect("synthetic startup window is well-formed"),
+                            )
                         })
                         .collect::<Vec<ModelHandle>>()
                 })
@@ -193,8 +162,8 @@ pub(crate) fn warm_start(opts: &FleetOpts) -> (Vec<ModelHandle>, Vec<SeasonalStr
 pub fn fleet(opts: &FleetOpts) -> CmdResult {
     validate(opts)?;
     println!(
-        "fleet: {} streams x {} slices of {:?} (rank {}, period {}), queue bound {}, mix {:?}",
-        opts.streams, opts.steps, opts.dims, opts.rank, opts.period, opts.queue, opts.mix
+        "fleet: {} streams x {} slices of {:?} (rank {}, period {}), queue bound {}",
+        opts.streams, opts.steps, opts.dims, opts.rank, opts.period, opts.queue
     );
     let (models, streams, startup_len) = warm_start(opts);
 
@@ -319,19 +288,17 @@ pub fn fleet(opts: &FleetOpts) -> CmdResult {
     }
 
     // --- Crash-recovery report: restore the run's checkpoint directory
-    // into a fresh engine and break the recovered streams down by model
-    // kind (the v2 envelope dispatch at work).
+    // into a fresh engine.
     if opts.checkpoint_dir.is_some() {
         recovery_report(opts)?;
     }
     Ok(())
 }
 
-/// Recovers the run's checkpoints into a fresh engine and reports the
-/// restored streams per model kind.
+/// Recovers the run's checkpoints into a fresh engine and reports how
+/// many streams, and how many steps of state, came back.
 fn recovery_report(opts: &FleetOpts) -> CmdResult {
     let (recovered, n) = Fleet::recover(engine_config(opts))?;
-    let mut by_kind: BTreeMap<String, usize> = BTreeMap::new();
     let mut steps_total = 0u64;
     // One batched stats sweep over every recovered stream: a single
     // queue round-trip per shard instead of one per stream.
@@ -341,27 +308,15 @@ fn recovery_report(opts: &FleetOpts) -> CmdResult {
         .map(|id| (id.as_str(), Query::StreamStats))
         .collect();
     for response in recovered.query_batch(&requests)? {
-        let stats = response?.expect_stream_stats();
-        *by_kind.entry(stats.model).or_default() += 1;
-        steps_total += stats.steps;
+        steps_total += response?.expect_stream_stats().steps;
     }
-    let breakdown = by_kind
-        .iter()
-        .map(|(kind, count)| format!("{count} {kind}"))
-        .collect::<Vec<_>>()
-        .join(", ");
     println!(
-        "\nrecovery: {n} of {} streams restored from checkpoints ({breakdown}), \
+        "\nrecovery: {n} of {} streams restored from checkpoints, \
          {steps_total} total steps of state",
         opts.streams
     );
     if n != opts.streams {
-        return Err(format!(
-            "recovery restored {n} of {} streams — non-durable kinds should not \
-             exist in this fleet",
-            opts.streams
-        )
-        .into());
+        return Err(format!("recovery restored {n} of {} streams", opts.streams).into());
     }
     recovered.shutdown()?;
     Ok(())

@@ -11,7 +11,7 @@
 //!                    [--rank 4] [--period 8] [--dims 12,10]
 //!                    [--queue 256] [--seed 2021]
 //!                    [--checkpoint-dir DIR] [--checkpoint-every 25]
-//!                    [--evict-idle N] [--mix smf,online-sgd]
+//!                    [--evict-idle N]
 //! sofia-cli serve    --bind 127.0.0.1:7411 [--advertise ADDR]
 //!                    [--recover true] [--empty true]
 //!                    [--cluster EP0,EP1,...] [--slow-request-us N]
@@ -19,19 +19,22 @@
 //! sofia-cli client   --connect 127.0.0.1:7411 [--stats true]
 //!                    [--metrics] [--json | --prom] [--timeout-secs N]
 //!                    [--stream stream-0000] [--query "forecast 4"]
-//!                    [--ingest N] [--top-drift K] [--shutdown true]
+//!                    [--ingest N] [--dims 12,10] [--top-drift K]
+//!                    [--shutdown true]
 //! sofia-cli cluster  [--nodes 2] [--base-port 7421] [--shards 2]
 //!                    [--checkpoint-dir DIR] [--rebalance]
 //! ```
 //!
 //! Boolean flags (`--stats`, `--shutdown`, `--recover`, `--empty`,
-//! `--json`) may be given bare — `--stats` is `--stats true`.
+//! `--json`) may be given bare — `--stats` is `--stats true`. A flag the
+//! command does not read, or a value that does not parse, exits 2 with
+//! the usage.
 //!
 //! The stream directory format is documented in [`mod@format`]; `fleet` serves
-//! many synthetic streams through the sharded `sofia-fleet` engine and
-//! reports throughput, per-step latency, stream lifecycle
+//! many synthetic SOFIA streams through the sharded `sofia-fleet` engine
+//! and reports throughput, per-step latency, stream lifecycle
 //! (idle eviction + lazy restore), and — when a checkpoint directory is
-//! given — a mixed-kind crash-recovery breakdown. `serve` exposes the
+//! given — a crash-recovery report. `serve` exposes the
 //! same warm fleet over TCP (the `sofia-net` data plane) until a client
 //! sends a shutdown frame — or an empty fleet (`--empty`) as one member
 //! of a cluster spec (`--cluster`); `client` drives a remote fleet from
@@ -58,20 +61,86 @@ fn usage() -> &'static str {
      sofia-cli resume --checkpoint FILE --dir DIR [--forecast H] [--save-checkpoint FILE]\n  \
      sofia-cli fleet [--streams N] [--shards N] [--steps N] [--rank R] [--period M] \
      [--dims X,Y] [--queue N] [--seed N] [--checkpoint-dir DIR] [--checkpoint-every N] \
-     [--evict-idle N] [--mix smf,online-sgd]\n  \
+     [--evict-idle N]\n  \
      sofia-cli serve --bind ADDR [--advertise ADDR] [--recover true] [--empty true] \
      [--cluster EP0,EP1,...] [--slow-request-us N] [fleet workload flags]\n  \
      sofia-cli client --connect ADDR [--stats true] [--metrics] [--json | --prom] \
      [--timeout-secs N] [--stream ID] [--query \"forecast 4\"] \
-     [--ingest N] [--top-drift K] [--shutdown true]\n  \
+     [--ingest N] [--dims X,Y] [--top-drift K] [--shutdown true]\n  \
      sofia-cli cluster [--nodes 2] [--base-port 7421] [--shards 2] [--checkpoint-dir DIR] \
      [--rebalance]\n\
      boolean flags may be given bare: --stats means --stats true"
 }
 
-fn bad_flag(flag: &str, value: &str) -> ExitCode {
-    eprintln!("error: bad value `{value}` for --{flag}\n{}", usage());
+/// Flags of the synthetic fleet workload, read by `fleet` and `serve`.
+const FLEET_FLAGS: &[&str] = &[
+    "streams",
+    "shards",
+    "steps",
+    "rank",
+    "period",
+    "dims",
+    "queue",
+    "seed",
+    "checkpoint-dir",
+    "checkpoint-every",
+    "evict-idle",
+];
+
+/// The flags `cmd` reads, or `None` for an unknown command.
+fn known_flags(cmd: &str) -> Option<[&'static [&'static str]; 2]> {
+    let own: &[&str] = match cmd {
+        "generate" => &["dir", "dataset", "scale", "steps", "setting", "seed"],
+        "run" => &["dir", "rank", "forecast", "checkpoint", "seed"],
+        "resume" => &["checkpoint", "dir", "forecast", "save-checkpoint"],
+        "fleet" => &[],
+        "serve" => &[
+            "bind",
+            "advertise",
+            "recover",
+            "empty",
+            "cluster",
+            "slow-request-us",
+        ],
+        "client" => &[
+            "connect",
+            "stats",
+            "metrics",
+            "json",
+            "prom",
+            "timeout-secs",
+            "stream",
+            "query",
+            "ingest",
+            "dims",
+            "top-drift",
+            "shutdown",
+        ],
+        "cluster" => &[
+            "nodes",
+            "base-port",
+            "shards",
+            "checkpoint-dir",
+            "rebalance",
+        ],
+        _ => return None,
+    };
+    let workload: &[&str] = if matches!(cmd, "fleet" | "serve") {
+        FLEET_FLAGS
+    } else {
+        &[]
+    };
+    Some([own, workload])
+}
+
+/// Exits 2 with `msg` and the usage.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("{msg}\n{}", usage());
     ExitCode::from(2)
+}
+
+fn bad_flag(flag: &str, value: &str) -> ExitCode {
+    usage_error(&format!("error: bad value `{value}` for --{flag}"))
 }
 
 /// Parses an optional boolean flag (`--recover true`); absent = false.
@@ -92,21 +161,24 @@ fn parse_usize_list(s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-/// Overwrites `target` with the parsed flag value when the flag is
-/// present; reports the malformed value otherwise. Shared by every
-/// command that takes scalar flags.
-fn set_parsed<T: std::str::FromStr>(
-    value: Option<String>,
+/// The parsed value of `flag`, or `None` when it is absent; a malformed
+/// value is reported through [`bad_flag`]. Shared by every command that
+/// takes scalar flags.
+fn parsed_opt<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
     flag: &str,
-    target: &mut T,
-) -> Result<(), ExitCode> {
-    if let Some(v) = value {
-        match v.parse() {
-            Ok(n) => *target = n,
-            Err(_) => return Err(bad_flag(flag, &v)),
-        }
-    }
-    Ok(())
+) -> Result<Option<T>, ExitCode> {
+    let parse = |v: &String| v.parse().map_err(|_| bad_flag(flag, v));
+    flags.get(flag).map(parse).transpose()
+}
+
+/// The parsed value of `flag`, or `default` when it is absent.
+fn parsed_or<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    flag: &str,
+    default: T,
+) -> Result<T, ExitCode> {
+    Ok(parsed_opt(flags, flag)?.unwrap_or(default))
 }
 
 /// Parses the shared fleet-workload flags (`fleet` and `serve` size
@@ -123,29 +195,17 @@ fn parse_fleet_opts(flags: &HashMap<String, String>) -> Result<fleet_cmd::FleetO
         ("queue", &mut opts.queue),
     ];
     for (flag, target) in scalar_flags {
-        set_parsed(get(flag), flag, target)?;
+        *target = parsed_or(flags, flag, *target)?;
     }
-    set_parsed(get("seed"), "seed", &mut opts.seed)?;
-    set_parsed(
-        get("checkpoint-every"),
-        "checkpoint-every",
-        &mut opts.checkpoint_every,
-    )?;
+    opts.seed = parsed_or(flags, "seed", opts.seed)?;
+    opts.checkpoint_every = parsed_or(flags, "checkpoint-every", opts.checkpoint_every)?;
     if let Some(v) = get("dims") {
         opts.dims = match parse_usize_list(&v) {
             Ok(d) if !d.is_empty() => d,
             _ => return Err(bad_flag("dims", &v)),
         };
     }
-    if let Some(v) = get("evict-idle") {
-        opts.evict_idle = match v.parse() {
-            Ok(n) => Some(n),
-            Err(_) => return Err(bad_flag("evict-idle", &v)),
-        };
-    }
-    if let Some(v) = get("mix") {
-        opts.mix = v.split(',').map(|k| k.trim().to_string()).collect();
-    }
+    opts.evict_idle = parsed_opt(flags, "evict-idle")?;
     opts.checkpoint_dir = get("checkpoint-dir").map(PathBuf::from);
     Ok(opts)
 }
@@ -179,213 +239,152 @@ fn main() -> ExitCode {
     };
     let flags = match parse_flags(&args[1..]) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", usage());
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&format!("error: {e}")),
     };
-    let get = |k: &str| flags.get(k).cloned();
-    let parse_setting = |s: &str| -> Result<(u32, u32, f64), String> {
-        let parts: Vec<&str> = s.split(',').collect();
-        if parts.len() != 3 {
-            return Err(format!("bad --setting `{s}`, expected X,Y,Z"));
+    match dispatch(cmd, &flags) {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
-        Ok((
-            parts[0].parse().map_err(|_| "bad X".to_string())?,
-            parts[1].parse().map_err(|_| "bad Y".to_string())?,
-            parts[2].parse().map_err(|_| "bad Z".to_string())?,
-        ))
-    };
+        Err(code) => code,
+    }
+}
 
-    let result = match cmd.as_str() {
+/// Runs `cmd`; `Err` is a usage error (unknown command or flag, missing
+/// or malformed value), already reported.
+fn dispatch(cmd: &str, flags: &HashMap<String, String>) -> Result<commands::CmdResult, ExitCode> {
+    let Some(known) = known_flags(cmd) else {
+        return Err(usage_error(&format!("unknown command `{cmd}`")));
+    };
+    if let Some(flag) = flags
+        .keys()
+        .filter(|f| !known.iter().any(|set| set.contains(&f.as_str())))
+        .min()
+    {
+        return Err(usage_error(&format!(
+            "error: unknown flag --{flag} for `{cmd}`"
+        )));
+    }
+    let get = |k: &str| flags.get(k).cloned();
+
+    Ok(match cmd {
         "generate" => {
-            let dir = get("dir").map(PathBuf::from);
-            let dataset = get("dataset");
-            match (dir, dataset) {
-                (Some(dir), Some(dataset)) => {
-                    let scale = get("scale").and_then(|v| v.parse().ok()).unwrap_or(0.2);
-                    let steps = get("steps").and_then(|v| v.parse().ok()).unwrap_or(400);
-                    let seed = get("seed").and_then(|v| v.parse().ok()).unwrap_or(2021);
-                    let setting = match get("setting") {
-                        Some(s) => match parse_setting(&s) {
-                            Ok(v) => v,
-                            Err(e) => {
-                                eprintln!("error: {e}");
-                                return ExitCode::from(2);
-                            }
-                        },
-                        None => (30, 15, 3.0),
-                    };
-                    commands::generate(&dir, &dataset, scale, steps, setting, seed)
-                }
-                _ => {
-                    eprintln!("generate needs --dir and --dataset\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            }
+            let (Some(dir), Some(dataset)) = (get("dir"), get("dataset")) else {
+                return Err(usage_error("generate needs --dir and --dataset"));
+            };
+            let setting = match get("setting") {
+                Some(s) => parse_setting(&s).ok_or_else(|| bad_flag("setting", &s))?,
+                None => (30, 15, 3.0),
+            };
+            commands::generate(
+                &PathBuf::from(dir),
+                &dataset,
+                parsed_or(flags, "scale", 0.2)?,
+                parsed_or(flags, "steps", 400)?,
+                setting,
+                parsed_or(flags, "seed", 2021)?,
+            )
         }
         "run" => {
-            let dir = get("dir").map(PathBuf::from);
-            let rank = get("rank").and_then(|v| v.parse().ok());
-            match (dir, rank) {
-                (Some(dir), Some(rank)) => {
-                    let horizon = get("forecast").and_then(|v| v.parse().ok()).unwrap_or(0);
-                    let seed = get("seed").and_then(|v| v.parse().ok()).unwrap_or(2021);
-                    let ckpt = get("checkpoint").map(PathBuf::from);
-                    commands::run(&dir, rank, horizon, ckpt.as_deref(), seed)
-                }
-                _ => {
-                    eprintln!("run needs --dir and --rank\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            }
+            let (Some(dir), Some(rank)) = (get("dir"), get("rank")) else {
+                return Err(usage_error("run needs --dir and --rank"));
+            };
+            let rank = rank.parse().map_err(|_| bad_flag("rank", &rank))?;
+            let ckpt = get("checkpoint").map(PathBuf::from);
+            commands::run(
+                &PathBuf::from(dir),
+                rank,
+                parsed_or(flags, "forecast", 0)?,
+                ckpt.as_deref(),
+                parsed_or(flags, "seed", 2021)?,
+            )
         }
         "resume" => {
-            let ckpt = get("checkpoint").map(PathBuf::from);
-            let dir = get("dir").map(PathBuf::from);
-            match (ckpt, dir) {
-                (Some(ckpt), Some(dir)) => {
-                    let horizon = get("forecast").and_then(|v| v.parse().ok()).unwrap_or(0);
-                    let out = get("save-checkpoint").map(PathBuf::from);
-                    commands::resume(&ckpt, &dir, horizon, out.as_deref())
-                }
-                _ => {
-                    eprintln!("resume needs --checkpoint and --dir\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            }
+            let (Some(ckpt), Some(dir)) = (get("checkpoint"), get("dir")) else {
+                return Err(usage_error("resume needs --checkpoint and --dir"));
+            };
+            let out = get("save-checkpoint").map(PathBuf::from);
+            commands::resume(
+                &PathBuf::from(ckpt),
+                &PathBuf::from(dir),
+                parsed_or(flags, "forecast", 0)?,
+                out.as_deref(),
+            )
         }
-        "fleet" => match parse_fleet_opts(&flags) {
-            Ok(opts) => fleet_cmd::fleet(&opts),
-            Err(code) => return code,
-        },
+        "fleet" => fleet_cmd::fleet(&parse_fleet_opts(flags)?),
         "serve" => {
             let Some(bind) = get("bind") else {
-                eprintln!("serve needs --bind ADDR\n{}", usage());
-                return ExitCode::from(2);
+                return Err(usage_error("serve needs --bind ADDR"));
             };
-            let (recover, empty) = match (
-                parse_bool_flag(&flags, "recover"),
-                parse_bool_flag(&flags, "empty"),
-            ) {
-                (Ok(r), Ok(e)) => (r, e),
-                (Err(code), _) | (_, Err(code)) => return code,
-            };
+            let recover = parse_bool_flag(flags, "recover")?;
+            let empty = parse_bool_flag(flags, "empty")?;
             let cluster: Vec<String> = match get("cluster") {
                 None => Vec::new(),
                 Some(v) => {
                     let eps: Vec<String> = v.split(',').map(|e| e.trim().to_string()).collect();
                     if eps.iter().any(String::is_empty) {
-                        return bad_flag("cluster", &v);
+                        return Err(bad_flag("cluster", &v));
                     }
                     eps
                 }
             };
-            let slow_request_us = match get("slow-request-us").map(|v| v.parse::<u64>()) {
-                None => None,
-                Some(Ok(us)) => Some(us),
-                Some(Err(_)) => {
-                    return bad_flag(
-                        "slow-request-us",
-                        &get("slow-request-us").unwrap_or_default(),
-                    )
-                }
-            };
-            match parse_fleet_opts(&flags) {
-                Ok(opts) => net_cmd::serve(
-                    &opts,
-                    &bind,
-                    get("advertise"),
-                    recover,
-                    &cluster,
-                    empty,
-                    slow_request_us,
-                ),
-                Err(code) => return code,
-            }
+            let slow_request_us = parsed_opt(flags, "slow-request-us")?;
+            net_cmd::serve(
+                &parse_fleet_opts(flags)?,
+                &bind,
+                get("advertise"),
+                recover,
+                &cluster,
+                empty,
+                slow_request_us,
+            )
         }
         "cluster" => {
             let mut opts = cluster_cmd::ClusterOpts::default();
-            let parsed = set_parsed(get("nodes"), "nodes", &mut opts.nodes)
-                .and_then(|()| set_parsed(get("shards"), "shards", &mut opts.shards))
-                .and_then(|()| set_parsed(get("base-port"), "base-port", &mut opts.base_port));
-            if let Err(code) = parsed {
-                return code;
-            }
+            opts.nodes = parsed_or(flags, "nodes", opts.nodes)?;
+            opts.shards = parsed_or(flags, "shards", opts.shards)?;
+            opts.base_port = parsed_or(flags, "base-port", opts.base_port)?;
             opts.checkpoint_dir = get("checkpoint-dir").map(PathBuf::from);
-            opts.rebalance = match parse_bool_flag(&flags, "rebalance") {
-                Ok(r) => r,
-                Err(code) => return code,
-            };
+            opts.rebalance = parse_bool_flag(flags, "rebalance")?;
             cluster_cmd::cluster(&opts)
         }
         "client" => {
             let Some(connect) = get("connect") else {
-                eprintln!("client needs --connect ADDR\n{}", usage());
-                return ExitCode::from(2);
-            };
-            let parsed: Result<Vec<bool>, ExitCode> =
-                ["stats", "shutdown", "metrics", "json", "prom"]
-                    .iter()
-                    .map(|f| parse_bool_flag(&flags, f))
-                    .collect();
-            let [stats, shutdown, metrics, json, prom] = match parsed.as_deref() {
-                Ok([s, d, m, j, p]) => [*s, *d, *m, *j, *p],
-                Ok(_) => unreachable!("five flags parsed"),
-                Err(&code) => return code,
-            };
-            let timeout_secs = match get("timeout-secs").map(|v| v.parse::<u64>()) {
-                None => None,
-                Some(Ok(n)) => Some(n),
-                Some(Err(_)) => {
-                    return bad_flag("timeout-secs", &get("timeout-secs").unwrap_or_default())
-                }
-            };
-            let ingest = match get("ingest").map(|v| v.parse::<usize>()) {
-                None => 0,
-                Some(Ok(n)) => n,
-                Some(Err(_)) => return bad_flag("ingest", &get("ingest").unwrap_or_default()),
+                return Err(usage_error("client needs --connect ADDR"));
             };
             let dims = match get("dims") {
                 None => vec![12, 10],
                 Some(v) => match parse_usize_list(&v) {
                     Ok(d) if !d.is_empty() && !d.contains(&0) => d,
-                    _ => return bad_flag("dims", &v),
+                    _ => return Err(bad_flag("dims", &v)),
                 },
-            };
-            let top_drift = match get("top-drift").map(|v| v.parse::<usize>()) {
-                None => 0,
-                Some(Ok(k)) => k,
-                Some(Err(_)) => {
-                    return bad_flag("top-drift", &get("top-drift").unwrap_or_default())
-                }
             };
             net_cmd::client(&net_cmd::ClientOpts {
                 connect,
-                stats,
-                metrics,
-                json,
-                prom,
-                timeout_secs,
+                stats: parse_bool_flag(flags, "stats")?,
+                metrics: parse_bool_flag(flags, "metrics")?,
+                json: parse_bool_flag(flags, "json")?,
+                prom: parse_bool_flag(flags, "prom")?,
+                timeout_secs: parsed_opt(flags, "timeout-secs")?,
                 stream: get("stream"),
                 query: get("query"),
-                ingest,
+                ingest: parsed_or(flags, "ingest", 0)?,
                 dims,
-                top_drift,
-                shutdown,
+                top_drift: parsed_or(flags, "top-drift", 0)?,
+                shutdown: parse_bool_flag(flags, "shutdown")?,
             })
         }
-        other => {
-            eprintln!("unknown command `{other}`\n{}", usage());
-            return ExitCode::from(2);
-        }
-    };
+        _ => unreachable!("known_flags lists every command"),
+    })
+}
 
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// Parses `--setting X,Y,Z`: percent missing, percent outliers (each at
+/// most 100) and a non-negative outlier magnitude.
+fn parse_setting(s: &str) -> Option<(u32, u32, f64)> {
+    let [x, y, z] = s.split(',').collect::<Vec<_>>()[..] else {
+        return None;
+    };
+    let (x, y, z) = (x.parse().ok()?, y.parse().ok()?, z.parse().ok()?);
+    (x <= 100 && y <= 100 && z >= 0.0).then_some((x, y, z))
 }

@@ -1,14 +1,14 @@
 //! Durable per-stream checkpoints: the v2 envelope on disk, atomic
-//! rotation, restore dispatch by model kind, and crash recovery.
+//! rotation, restore, and crash recovery.
 //!
-//! Each snapshot-capable stream owns one file `<dir>/<encoded-id>.ckpt`
-//! holding a tagged **v2 checkpoint envelope**
-//! (`sofia-checkpoint v2` / `model <kind>` / `steps <n>` / payload — see
-//! [`sofia_core::snapshot`]). Restore is dispatched on the `model` tag,
-//! so SOFIA streams and durable baselines recover through the same code
-//! path. Bare **v1** files (pre-envelope SOFIA checkpoints) still load
-//! bit-exactly: the envelope parser recognizes the v1 header and reports
-//! them as `kind = "sofia"`.
+//! Each SOFIA stream owns one file `<dir>/<encoded-id>.ckpt` holding a
+//! tagged **v2 checkpoint envelope** (`sofia-checkpoint v2` /
+//! `model sofia` / `steps <n>` / the v1 text of
+//! [`sofia_core::checkpoint::save`] — see [`sofia_core::snapshot`]).
+//! Restore refuses an envelope of any other kind as
+//! [`FleetError::Corrupt`]. Bare **v1** files (pre-envelope SOFIA
+//! checkpoints) still load bit-exactly: the envelope parser recognizes
+//! the v1 header and reports them as `kind = "sofia"`.
 //!
 //! Writes go through a temp file in the same directory followed by an
 //! atomic `rename`, so a crash mid-write never damages the previous good
@@ -20,9 +20,8 @@
 
 use crate::error::FleetError;
 use crate::model::ModelHandle;
-use sofia_baselines::{OnlineSgd, Smf};
-use sofia_core::snapshot::{self, RestoreModel};
-use sofia_core::Sofia;
+use sofia_core::checkpoint;
+use sofia_core::snapshot::{self, SOFIA_KIND};
 use std::path::{Path, PathBuf};
 
 /// When and where the engine checkpoints.
@@ -151,24 +150,15 @@ pub fn remove_checkpoint(dir: &Path, stream_id: &str) -> Result<(), FleetError> 
     }
 }
 
-/// Restores a model handle from raw checkpoint text (v2 envelope or bare
-/// v1 SOFIA), dispatching on the envelope's `model` kind tag.
-///
-/// This is the single place the workspace's durable model kinds are
-/// enumerated; adding a snapshot-capable model means adding one arm.
+/// Restores a SOFIA handle from raw checkpoint text (v2 envelope or bare
+/// v1 SOFIA); an envelope of any other kind is refused.
 fn restore_from_text(text: &str) -> Result<ModelHandle, String> {
     let env = snapshot::parse(text).map_err(|e| e.to_string())?;
-    let handle = match env.kind.as_str() {
-        Sofia::KIND => {
-            ModelHandle::durable(Sofia::restore(&env.payload).map_err(|e| e.to_string())?)
-        }
-        Smf::KIND => ModelHandle::durable(Smf::restore(&env.payload).map_err(|e| e.to_string())?),
-        OnlineSgd::KIND => {
-            ModelHandle::durable(OnlineSgd::restore(&env.payload).map_err(|e| e.to_string())?)
-        }
-        other => return Err(format!("unknown model kind `{other}`")),
-    };
-    Ok(handle.with_steps(env.steps))
+    if env.kind != SOFIA_KIND {
+        return Err(format!("unknown model kind `{}`", env.kind));
+    }
+    let model = checkpoint::load(&env.payload).map_err(|e| e.to_string())?;
+    Ok(ModelHandle::sofia(model).with_steps(env.steps))
 }
 
 /// Restores a model handle from checkpoint-envelope text, reporting
@@ -207,7 +197,7 @@ pub fn load_stream(dir: &Path, stream_id: &str) -> Result<Option<ModelHandle>, F
 pub struct RecoveredStream {
     /// Decoded stream id.
     pub id: String,
-    /// Model restored bit-exactly from its checkpoint (any durable kind).
+    /// Model restored bit-exactly from its checkpoint.
     pub handle: ModelHandle,
 }
 
@@ -255,6 +245,7 @@ pub fn recover_all(dir: &Path) -> Result<Vec<RecoveredStream>, FleetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::{small_sofia, sofia_slice, STARTUP};
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -268,13 +259,20 @@ mod tests {
         dir
     }
 
-    /// A tiny durable model: OnlineSGD with fixed 2×2 factors.
-    fn small_sgd(seed: u64) -> OnlineSgd {
-        let f = |s: u64| {
-            sofia_tensor::Matrix::from_fn(2, 2, |i, j| 1.0 + (i + 2 * j) as f64 * 0.1 + s as f64)
-        };
-        OnlineSgd::new(vec![f(seed), f(seed + 1)], 0.1)
-    }
+    /// An envelope of the `smf` kind, as earlier builds wrote and
+    /// restored it (one SMF model on 2×2 slices, rank 1, period 2).
+    const SMF_ENVELOPE: &str = "sofia-checkpoint v2\nmodel smf\nsteps 1\nsmf v1\n\
+        hyper 3fb999999999999a 3fc999999999999a\nfactors 2\nfactor 2 1\n\
+        data 3fe36311e3c00300 3fe9760e05584607\nfactor 2 1\n\
+        data 3fe511497c7a06a3 3fe8164e5d85cb41\ndrift be27d10600000000\nseasonal 2\n\
+        z 401320666df238fe\nz 400667a6ea8ef31a\n";
+
+    /// An envelope of the `online-sgd` kind, as earlier builds wrote and
+    /// restored it (one OnlineSGD model on 2×2 slices, rank 1).
+    const ONLINE_SGD_ENVELOPE: &str = "sofia-checkpoint v2\nmodel online-sgd\nsteps 1\n\
+        online-sgd v1\nhyper 3fb999999999999a\nsteps 1\nfactors 2\nfactor 2 1\n\
+        data 3ff017b8d5907c96 3ff7f02f71c36e9a\nfactor 2 1\n\
+        data 3ff017b8d5907c96 3ff3ed05bbae3de6\n";
 
     #[test]
     fn id_encoding_roundtrips() {
@@ -429,7 +427,7 @@ mod tests {
     #[test]
     fn recover_refuses_a_non_canonical_file_name() {
         let dir = tmpdir("non-canonical");
-        let text = ModelHandle::durable(small_sgd(1))
+        let text = ModelHandle::sofia(small_sofia(1))
             .checkpoint_text()
             .unwrap();
         std::fs::write(dir.join("stream%2D0000.ckpt"), text).unwrap();
@@ -449,16 +447,10 @@ mod tests {
         // `.ckpt` and a torn `.ckpt.tmp` for the *same* stream. Recovery
         // must load the good state untouched and clean up the temp.
         let dir = tmpdir("shadow");
-        let mut model = small_sgd(7);
-        let slice = sofia_tensor::ObservedTensor::fully_observed(sofia_tensor::DenseTensor::full(
-            sofia_tensor::Shape::new(&[2, 2]),
-            1.5,
-        ));
-        use sofia_core::traits::StreamingFactorizer as _;
-        model.step(&slice);
-        let handle = ModelHandle::durable(model.clone()).with_steps(1);
+        let mut handle = ModelHandle::sofia(small_sofia(7));
+        handle.step(&sofia_slice(7, STARTUP));
         write_checkpoint(&dir, "s1", &handle.checkpoint_text().unwrap()).unwrap();
-        std::fs::write(temp_path(&dir, "s1"), "sofia-checkpoint v2\nmodel onl").unwrap();
+        std::fs::write(temp_path(&dir, "s1"), "sofia-checkpoint v2\nmodel sof").unwrap();
 
         let recovered = recover_all(&dir).unwrap();
         assert_eq!(recovered.len(), 1, "exactly the good checkpoint loads");
@@ -466,43 +458,61 @@ mod tests {
         assert_eq!(recovered[0].handle.model_steps(), 1);
         assert!(!temp_path(&dir, "s1").exists(), "temp cleaned up");
         // The restored model is bit-exact against the original.
-        let mut restored_inner = match load_stream(&dir, "s1").unwrap() {
+        let mut restored = match load_stream(&dir, "s1").unwrap() {
             Some(h) => h,
             None => panic!("stream exists"),
         };
-        let a = model.step(&slice);
-        let b = restored_inner.step(&slice);
+        let next = sofia_slice(7, STARTUP + 1);
+        let a = handle.step(&next);
+        let b = restored.step(&next);
         assert_eq!(a.completed.data(), b.completed.data());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// SOFIA is the one kind that restores: an envelope of a kind no
+    /// build ever wrote, and the `smf` and `online-sgd` envelopes that
+    /// earlier builds wrote, are each refused as corrupt, naming the
+    /// stream and the kind.
     #[test]
     fn restore_dispatches_by_kind_and_rejects_unknown() {
         let dir = tmpdir("dispatch");
         write_checkpoint(
             &dir,
-            "sgd",
-            &ModelHandle::durable(small_sgd(1))
+            "sofia",
+            &ModelHandle::sofia(small_sofia(1))
                 .checkpoint_text()
                 .unwrap(),
         )
         .unwrap();
-        std::fs::write(
-            checkpoint_path(&dir, "alien"),
-            "sofia-checkpoint v2\nmodel from-the-future\nsteps 3\npayload\n",
-        )
-        .unwrap();
-        match recover_all(&dir) {
-            Err(FleetError::Corrupt { stream, reason }) => {
-                assert_eq!(stream, "alien");
-                assert!(reason.contains("unknown model kind"), "{reason}");
+        for (id, kind, text) in [
+            (
+                "alien",
+                "from-the-future",
+                "sofia-checkpoint v2\nmodel from-the-future\nsteps 3\npayload\n",
+            ),
+            ("smf", "smf", SMF_ENVELOPE),
+            ("sgd", "online-sgd", ONLINE_SGD_ENVELOPE),
+        ] {
+            std::fs::write(checkpoint_path(&dir, id), text).unwrap();
+            match recover_all(&dir) {
+                Err(FleetError::Corrupt { stream, reason }) => {
+                    assert_eq!(stream, id);
+                    assert!(
+                        reason.contains(&format!("unknown model kind `{kind}`")),
+                        "{reason}"
+                    );
+                }
+                other => panic!("expected Corrupt for {id}, got {other:?}"),
             }
-            other => panic!("expected Corrupt, got {other:?}"),
+            assert!(matches!(
+                restore_handle(id, text),
+                Err(FleetError::Corrupt { .. })
+            ));
+            std::fs::remove_file(checkpoint_path(&dir, id)).unwrap();
         }
-        std::fs::remove_file(checkpoint_path(&dir, "alien")).unwrap();
         let recovered = recover_all(&dir).unwrap();
         assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].handle.name(), "OnlineSGD");
+        assert_eq!(recovered[0].handle.name(), "SOFIA");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -23,7 +23,7 @@ pub struct FleetConfig {
     pub queue_capacity: usize,
     /// Optional durability policy; `None` disables checkpointing.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Evict a snapshot-capable stream after this many shard steps
+    /// Evict a SOFIA stream after this many shard steps
     /// without an ingest (LRU by last-ingest step): the stream is
     /// checkpointed, unloaded from memory, and lazily restored on its
     /// next ingest or query. Requires a checkpoint policy; `None`
@@ -68,10 +68,9 @@ impl FleetConfig {
 ///   can pipeline many in-flight queries, and [`Fleet::query_batch`]
 ///   groups requests by shard into one queue round-trip per involved
 ///   shard;
-/// * **durability** checkpoints every snapshot-capable stream (SOFIA and
-///   durable baselines alike) periodically and on shutdown, as tagged v2
-///   checkpoint envelopes; [`Fleet::recover`] restores every stream from
-///   such a directory, dispatching on the envelope's model kind;
+/// * **durability** checkpoints every SOFIA stream periodically and on
+///   shutdown, as tagged v2 checkpoint envelopes; [`Fleet::recover`]
+///   restores every stream from such a directory;
 /// * **lifecycle** ([`FleetConfig::evict_idle_after`]) checkpoints and
 ///   unloads idle streams, restoring them lazily on the next ingest or
 ///   query.
@@ -116,10 +115,10 @@ impl Fleet {
     }
 
     /// Starts an engine and restores every stream checkpointed in the
-    /// config's checkpoint directory — SOFIA streams and durable
-    /// baselines alike, dispatched on the checkpoint envelope's model
-    /// kind (bare pre-envelope v1 SOFIA files load too). Returns the
-    /// engine and the number of streams recovered.
+    /// config's checkpoint directory (bare pre-envelope v1 SOFIA files
+    /// load too; an envelope of any other model kind is
+    /// [`FleetError::Corrupt`]). Returns the engine and the number of
+    /// streams recovered.
     ///
     /// Restored models are bit-exact: their subsequent
     /// [`StepOutput`](sofia_core::traits::StepOutput)s match an
@@ -381,7 +380,7 @@ impl Fleet {
     /// [`Fleet::deregister`] this is the engine half of **stream
     /// migration**: export here, register the envelope on another
     /// process (over the wire or in-process), then deregister the
-    /// original. Transient models (no snapshot capability) have no
+    /// original. Transient models (anything but SOFIA) have no
     /// exportable form and fail with [`FleetError::InvalidQuery`];
     /// evicted streams are exported from their checkpoint file without
     /// being restored.
@@ -996,18 +995,12 @@ mod tests {
     #[test]
     fn export_and_deregister_migrate_a_stream_between_fleets() {
         use crate::durability::{checkpoint_path, restore_handle, CheckpointPolicy};
-        use sofia_baselines::OnlineSgd;
+        use crate::model::tests::{small_sofia, sofia_slice, STARTUP};
 
         let dir = std::env::temp_dir().join(format!("sofia-fleet-migrate-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let make_model = || {
-            let f = |s: u64| {
-                sofia_tensor::Matrix::from_fn(2, 2, |i, j| {
-                    1.0 + (i + 2 * j) as f64 * 0.1 + s as f64
-                })
-            };
-            OnlineSgd::new(vec![f(3), f(4)], 0.1)
-        };
+        let model = small_sofia(3);
+        let slice = |t: usize| sofia_slice(3, STARTUP + t);
 
         // Source engine with durability; the stream steps 3 times and is
         // checkpointed so deregister has a file to delete.
@@ -1019,10 +1012,10 @@ mod tests {
         })
         .unwrap();
         let key = source
-            .register("mig", ModelHandle::durable(make_model()))
+            .register("mig", ModelHandle::sofia(model.clone()))
             .unwrap();
         for t in 0..3 {
-            source.try_ingest(&key, slice(0.5 + t as f64)).unwrap();
+            source.try_ingest(&key, slice(t)).unwrap();
         }
         source.flush().unwrap();
         assert_eq!(source.checkpoint_now().unwrap(), 1);
@@ -1059,20 +1052,23 @@ mod tests {
         // Continuing on the target is bit-exact against a control model
         // that never migrated.
         let control = small_fleet(1);
-        let ckey = control
-            .register("mig", ModelHandle::durable(make_model()))
-            .unwrap();
+        let ckey = control.register("mig", ModelHandle::sofia(model)).unwrap();
         for t in 0..5 {
-            control.try_ingest(&ckey, slice(0.5 + t as f64)).unwrap();
+            control.try_ingest(&ckey, slice(t)).unwrap();
         }
         for t in 3..5 {
-            target.try_ingest_id("mig", slice(0.5 + t as f64)).unwrap();
+            target.try_ingest_id("mig", slice(t)).unwrap();
         }
         control.flush().unwrap();
         target.flush().unwrap();
         let a = latest(&control, "mig").unwrap().expect("stepped");
         let b = latest(&target, "mig").unwrap().expect("stepped");
         assert_eq!(a.completed.data(), b.completed.data(), "migration diverged");
+        assert_eq!(
+            a.outliers.expect("SOFIA reports outliers").data(),
+            b.outliers.expect("SOFIA reports outliers").data(),
+            "migration diverged"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1083,7 +1079,7 @@ mod tests {
             fleet.export_stream("ghost"),
             Err(FleetError::UnknownStream(_))
         ));
-        // A transient model has no snapshot capability, hence no
+        // A transient model has no checkpoint, hence no
         // exportable envelope — typed rejection, not a panic.
         fleet
             .register("t", ModelHandle::serve(Counter::new()))

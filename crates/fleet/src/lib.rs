@@ -36,14 +36,14 @@
 //!   carries verbatim.
 //! * **Durability** ([`durability`]) — periodic per-stream checkpoints as
 //!   tagged **v2 checkpoint envelopes** (`sofia-checkpoint v2` +
-//!   `model <kind>`; see [`sofia_core::snapshot`]), written with atomic
-//!   temp-file + rename rotation. Every snapshot-capable model is
-//!   durable — SOFIA and baselines alike — and [`Fleet::recover`]
-//!   restores each stream by dispatching on its envelope's model kind;
-//!   restored models produce outputs identical to an uninterrupted run.
-//!   Bare pre-envelope v1 SOFIA files keep loading bit-exactly.
+//!   `model sofia`; see [`sofia_core::snapshot`]), written with atomic
+//!   temp-file + rename rotation. SOFIA is the one durable model kind:
+//!   [`Fleet::recover`] restores each SOFIA stream, and an envelope of
+//!   any other kind is [`FleetError::Corrupt`]. Restored models produce
+//!   outputs identical to an uninterrupted run. Bare pre-envelope v1
+//!   SOFIA files keep loading bit-exactly.
 //! * **Stream lifecycle** ([`FleetConfig::evict_idle_after`]) — idle
-//!   snapshot-capable streams (LRU by last-ingest step) are checkpointed
+//!   SOFIA streams (LRU by last-ingest step) are checkpointed
 //!   and unloaded from their shard, then lazily restored on the next
 //!   ingest or query; `ShardStats` counts evictions and restores.
 //!
@@ -54,9 +54,8 @@
 //! use sofia_core::traits::{StepOutput, StreamingFactorizer};
 //! use sofia_tensor::{DenseTensor, ObservedTensor, Shape};
 //!
-//! // Any `StreamingFactorizer + Send` can be served. Models that also
-//! // implement `SnapshotModel` register through `ModelHandle::durable`
-//! // (SOFIA: `ModelHandle::sofia`) and additionally get checkpointed,
+//! // Any `StreamingFactorizer + Send` can be served. A SOFIA model,
+//! // registered through `ModelHandle::sofia`, is also checkpointed,
 //! // crash-recovered, and evicted/restored when idle.
 //! struct Echo;
 //! impl StreamingFactorizer for Echo {
@@ -114,7 +113,4 @@ pub use model::ModelHandle;
 pub use protocol::wire::WireError;
 pub use protocol::{Query, QueryKind, QueryResponse, QueryTicket};
 pub use registry::{shard_of, StreamKey};
-// Re-exported so implementing durability for a custom served model needs
-// only this crate's prelude.
-pub use sofia_core::snapshot::{RestoreModel, SnapshotModel};
 pub use stats::{FleetStats, MetricKind, QueryCounters, ShardStats, StreamStats};

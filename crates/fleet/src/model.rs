@@ -1,73 +1,36 @@
-//! The model slot held by a shard: any [`StreamingFactorizer`] behind
-//! **one uniform handle**, with an optional snapshot capability.
+//! The model slot held by a shard: a SOFIA model, which the serving
+//! layer checkpoints, or a transient [`StreamingFactorizer`], which it
+//! only steps and queries.
 //!
-//! Earlier revisions kept a two-variant enum (`Sofia` vs `Dyn`) so the
-//! durability layer could reach the one concrete type it knew how to
-//! serialize. With the v2 checkpoint envelope
-//! ([`sofia_core::snapshot`]) durability is a *capability*, not a type:
-//! the handle carries the model as a trait object plus an optional
-//! [`SnapshotModel`] view, and one code path serves SOFIA, durable
-//! baselines, and transient mocks alike.
+//! SOFIA is the one durable model kind. A SOFIA handle serializes its
+//! model with [`checkpoint::save`] inside the v2 envelope
+//! ([`sofia_core::snapshot`]) and is restored by
+//! [`crate::durability::restore_handle`]; a transient handle (a test
+//! double, say) has no checkpoint and is never evicted.
 //!
-//! The handle also owns the **generic applied-steps counter**: every
+//! The handle also owns the **applied-steps counter**: every
 //! [`ModelHandle::step`] increments it, it is seeded from the envelope on
 //! restore, and it is what checkpoint cadence, eviction bookkeeping, and
-//! `StreamStats::steps` report — uniformly across model kinds (SOFIA's
-//! internal counter used to be the only source, leaving baselines stuck
-//! at 0).
+//! `StreamStats::steps` report.
 
-use sofia_core::snapshot::{self, SnapshotModel};
+use sofia_core::checkpoint;
+use sofia_core::snapshot::{self, SOFIA_KIND};
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
 use sofia_core::Sofia;
 use sofia_tensor::{DenseTensor, ObservedTensor};
 
-/// Internal unification of "served model" and "maybe snapshot-capable".
-///
-/// Rust has no way to ask a `Box<dyn StreamingFactorizer>` whether its
-/// concrete type *also* implements [`SnapshotModel`], so the capability
-/// is captured at construction time by wrapping the concrete type in one
-/// of two adapters below.
-trait Served: Send {
-    fn factorizer(&self) -> &dyn StreamingFactorizer;
-    fn factorizer_mut(&mut self) -> &mut dyn StreamingFactorizer;
-    fn snapshot_view(&self) -> Option<&dyn SnapshotModel>;
+/// What a handle serves.
+enum Served {
+    /// Checkpointed, restored on recovery, eligible for idle eviction.
+    Sofia(Box<Sofia>),
+    /// Stepped and queried, but never checkpointed or evicted.
+    Transient(Box<dyn StreamingFactorizer + Send>),
 }
 
-/// A served model without snapshot support.
-struct Transient<M>(M);
-
-impl<M: StreamingFactorizer + Send> Served for Transient<M> {
-    fn factorizer(&self) -> &dyn StreamingFactorizer {
-        &self.0
-    }
-    fn factorizer_mut(&mut self) -> &mut dyn StreamingFactorizer {
-        &mut self.0
-    }
-    fn snapshot_view(&self) -> Option<&dyn SnapshotModel> {
-        None
-    }
-}
-
-/// A served model whose state survives crashes and eviction.
-struct Durable<M>(M);
-
-impl<M: StreamingFactorizer + SnapshotModel + Send> Served for Durable<M> {
-    fn factorizer(&self) -> &dyn StreamingFactorizer {
-        &self.0
-    }
-    fn factorizer_mut(&mut self) -> &mut dyn StreamingFactorizer {
-        &mut self.0
-    }
-    fn snapshot_view(&self) -> Option<&dyn SnapshotModel> {
-        Some(&self.0)
-    }
-}
-
-/// A model instance owned by a shard worker: any
-/// [`StreamingFactorizer`], plus an optional snapshot capability and the
-/// generic applied-steps counter.
+/// A model instance owned by a shard worker, plus its applied-steps
+/// counter.
 pub struct ModelHandle {
-    served: Box<dyn Served>,
+    served: Served,
     steps: u64,
 }
 
@@ -77,27 +40,22 @@ impl ModelHandle {
     /// it would lose its state).
     pub fn serve<M: StreamingFactorizer + Send + 'static>(model: M) -> Self {
         ModelHandle {
-            served: Box::new(Transient(model)),
+            served: Served::Transient(Box::new(model)),
             steps: 0,
         }
     }
 
-    /// Serves a snapshot-capable model: it is checkpointed by the
-    /// durability policy, restored by [`crate::Fleet::recover`], and
-    /// eligible for idle eviction.
-    pub fn durable<M: StreamingFactorizer + SnapshotModel + Send + 'static>(model: M) -> Self {
-        ModelHandle {
-            served: Box::new(Durable(model)),
-            steps: 0,
-        }
-    }
-
-    /// Wraps a SOFIA model (durable; the steps counter is seeded from the
-    /// model's own state so a model restored via `sofia-cli resume` keeps
-    /// its history).
+    /// Serves a SOFIA model: it is checkpointed by the durability
+    /// policy, restored by [`crate::Fleet::recover`], and eligible for
+    /// idle eviction. The steps counter is seeded from the model's own
+    /// state, so a model restored via `sofia-cli resume` keeps its
+    /// history.
     pub fn sofia(model: Sofia) -> Self {
         let steps = model.dynamic().steps() as u64;
-        ModelHandle::durable(model).with_steps(steps)
+        ModelHandle {
+            served: Served::Sofia(Box::new(model)),
+            steps,
+        }
     }
 
     /// Overrides the applied-steps counter (restore paths seed it from
@@ -107,23 +65,37 @@ impl ModelHandle {
         self
     }
 
+    fn factorizer(&self) -> &dyn StreamingFactorizer {
+        match &self.served {
+            Served::Sofia(model) => model.as_ref(),
+            Served::Transient(model) => model.as_ref(),
+        }
+    }
+
+    fn factorizer_mut(&mut self) -> &mut dyn StreamingFactorizer {
+        match &mut self.served {
+            Served::Sofia(model) => model.as_mut(),
+            Served::Transient(model) => model.as_mut(),
+        }
+    }
+
     /// Method name, as reported by the underlying model.
     pub fn name(&self) -> &'static str {
-        self.served.factorizer().name()
+        self.factorizer().name()
     }
 
     /// Applies one streaming step and advances the applied-steps counter
     /// (the counter only moves on a completed step: if the model panics
     /// the increment never happens, matching the quarantine semantics).
     pub fn step(&mut self, slice: &ObservedTensor) -> StepOutput {
-        let out = self.served.factorizer_mut().step(slice);
+        let out = self.factorizer_mut().step(slice);
         self.steps += 1;
         out
     }
 
     /// Forecasts `h` steps ahead, if the model supports forecasting.
     pub fn forecast(&self, h: usize) -> Option<DenseTensor> {
-        self.served.factorizer().forecast(h)
+        self.factorizer().forecast(h)
     }
 
     /// [`ModelHandle::forecast`] behind a panic guard: a model assert
@@ -136,25 +108,27 @@ impl ModelHandle {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.forecast(h))).map_err(|_| ())
     }
 
-    /// The model's snapshot kind tag, or `None` for transient models.
-    pub fn snapshot_kind(&self) -> Option<&'static str> {
-        self.served.snapshot_view().map(|s| s.snapshot_kind())
+    /// Whether the model is checkpointed (SOFIA) rather than transient.
+    pub(crate) fn is_durable(&self) -> bool {
+        matches!(self.served, Served::Sofia(_))
     }
 
-    /// Serializes the model as a tagged v2 checkpoint envelope, or `None`
-    /// if the model has no snapshot capability.
+    /// Serializes a SOFIA model as a tagged v2 checkpoint envelope, or
+    /// `None` for a transient model.
     pub fn checkpoint_text(&self) -> Option<String> {
-        let view = self.served.snapshot_view()?;
-        Some(snapshot::wrap(
-            view.snapshot_kind(),
-            self.steps,
-            &view.snapshot(),
-        ))
+        match &self.served {
+            Served::Sofia(model) => Some(snapshot::wrap(
+                SOFIA_KIND,
+                self.steps,
+                &checkpoint::save(model),
+            )),
+            Served::Transient(_) => None,
+        }
     }
 
-    /// Streaming steps applied so far — uniform across model kinds: the
-    /// handle counts completed [`ModelHandle::step`] calls on top of
-    /// whatever the checkpoint envelope (or SOFIA's own state) seeded.
+    /// Streaming steps applied so far: the handle counts completed
+    /// [`ModelHandle::step`] calls on top of whatever the checkpoint
+    /// envelope (or SOFIA's own state) seeded.
     pub fn model_steps(&self) -> u64 {
         self.steps
     }
@@ -162,21 +136,48 @@ impl ModelHandle {
 
 impl std::fmt::Debug for ModelHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kind = if self.is_durable() {
+            SOFIA_KIND
+        } else {
+            "transient"
+        };
         write!(
             f,
-            "ModelHandle({}, {}, {} steps)",
+            "ModelHandle({}, {kind}, {} steps)",
             self.name(),
-            self.snapshot_kind().unwrap_or("transient"),
             self.steps
         )
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use sofia_core::snapshot::Envelope;
+    use sofia_core::SofiaConfig;
+    use sofia_datagen::seasonal::SeasonalStream;
+    use sofia_datagen::stream::TensorStream;
     use sofia_tensor::Shape;
+
+    /// Seasonal period of [`sofia_slice`]'s streams.
+    const PERIOD: usize = 4;
+
+    /// Length of [`small_sofia`]'s start-up window.
+    pub(crate) const STARTUP: usize = 3 * PERIOD;
+
+    /// Slice `t` of a small synthetic seasonal stream (3×3, rank 2);
+    /// `seed` picks the stream.
+    pub(crate) fn sofia_slice(seed: u64, t: usize) -> ObservedTensor {
+        let stream = SeasonalStream::paper_fig2(&[3, 3], 2, PERIOD, seed);
+        ObservedTensor::fully_observed(stream.clean_slice(t))
+    }
+
+    /// A small SOFIA model warm-started on slices `0..STARTUP` of stream
+    /// `seed`; stream it from [`STARTUP`] on.
+    pub(crate) fn small_sofia(seed: u64) -> Sofia {
+        let startup: Vec<ObservedTensor> = (0..STARTUP).map(|t| sofia_slice(seed, t)).collect();
+        let config = SofiaConfig::new(2, PERIOD).with_als_limits(1e-4, 2, 50);
+        Sofia::init(&config, &startup, seed).expect("init")
+    }
 
     /// Minimal non-SOFIA model for engine tests: echoes the observed
     /// values as the completion.
@@ -192,31 +193,6 @@ mod tests {
                 completed: slice.values().clone(),
                 outliers: None,
             }
-        }
-    }
-
-    /// Echo with a (trivial) snapshot capability, for envelope tests.
-    #[derive(Debug, Clone, Default)]
-    struct DurableEcho;
-
-    impl StreamingFactorizer for DurableEcho {
-        fn name(&self) -> &'static str {
-            "durable-echo"
-        }
-        fn step(&mut self, slice: &ObservedTensor) -> StepOutput {
-            StepOutput {
-                completed: slice.values().clone(),
-                outliers: None,
-            }
-        }
-    }
-
-    impl SnapshotModel for DurableEcho {
-        fn snapshot_kind(&self) -> &'static str {
-            "durable-echo"
-        }
-        fn snapshot(&self) -> String {
-            "durable-echo-state\n".into()
         }
     }
 
@@ -236,40 +212,22 @@ mod tests {
         assert_eq!(out.completed.data(), slice.values().data());
         assert!(h.forecast(1).is_none());
         assert!(h.checkpoint_text().is_none());
-        assert_eq!(h.snapshot_kind(), None);
-        // The generic counter moves even for transient models (this used
-        // to be stuck at 0 for everything but SOFIA).
+        assert!(!h.is_durable());
+        // The counter moves for transient models too.
         assert_eq!(h.model_steps(), 1);
         h.step(&slice);
         assert_eq!(h.model_steps(), 2);
     }
 
     #[test]
-    fn durable_handle_wraps_the_v2_envelope() {
-        let mut h = ModelHandle::durable(DurableEcho);
-        let slice = ObservedTensor::fully_observed(DenseTensor::full(Shape::new(&[2, 2]), 1.0));
-        h.step(&slice);
-        h.step(&slice);
-        assert_eq!(h.snapshot_kind(), Some("durable-echo"));
-        let text = h.checkpoint_text().expect("durable");
-        let env = snapshot::parse(&text).expect("envelope");
-        assert_eq!(
-            env,
-            Envelope {
-                kind: "durable-echo".into(),
-                steps: 2,
-                payload: "durable-echo-state\n".into(),
-            }
-        );
-    }
-
-    #[test]
     fn restored_steps_seed_the_counter() {
-        let h = ModelHandle::durable(DurableEcho).with_steps(41);
+        let h = ModelHandle::sofia(small_sofia(1)).with_steps(41);
+        assert!(h.is_durable());
         assert_eq!(h.model_steps(), 41);
         let mut h = h;
-        let slice = ObservedTensor::fully_observed(DenseTensor::full(Shape::new(&[1]), 0.0));
-        h.step(&slice);
+        h.step(&sofia_slice(1, STARTUP));
         assert_eq!(h.model_steps(), 42);
+        let text = h.checkpoint_text().expect("SOFIA is durable");
+        assert!(text.starts_with("sofia-checkpoint v2\nmodel sofia\nsteps 42\n"));
     }
 }

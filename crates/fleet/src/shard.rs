@@ -34,7 +34,7 @@
 //! ## Stream lifecycle (evict / lazy restore)
 //!
 //! With an eviction threshold configured, the worker sweeps its slots
-//! after every drained batch: a snapshot-capable stream that has not
+//! after every drained batch: a SOFIA stream that has not
 //! ingested for `evict_idle` shard steps (LRU by last-ingest step on the
 //! shard's step clock) is checkpointed one last time and unloaded from
 //! memory. The stream stays registered; its next ingest or query
@@ -201,7 +201,7 @@ pub(crate) struct ShardWorker {
     query_rx: Receiver<QueryRequest>,
     query_depth: Arc<AtomicUsize>,
     policy: Option<CheckpointPolicy>,
-    /// Evict a snapshot-capable stream after this many shard steps
+    /// Evict a SOFIA stream after this many shard steps
     /// without an ingest; `None` disables the lifecycle.
     evict_idle: Option<u64>,
     /// Shared with the engine so a quarantine can free the stream id for
@@ -394,7 +394,7 @@ impl ShardWorker {
         }
     }
 
-    /// Checkpoints and unloads every snapshot-capable stream idle for at
+    /// Checkpoints and unloads every SOFIA stream idle for at
     /// least the configured number of shard steps. A stream whose
     /// checkpoint write fails stays resident (its state must not be
     /// dropped) and is not re-tried until another full idle interval
@@ -417,7 +417,7 @@ impl ShardWorker {
             .slots
             .iter()
             .filter(|(_, slot)| {
-                slot.model.snapshot_kind().is_some() && now.saturating_sub(slot.last_active) >= idle
+                slot.model.is_durable() && now.saturating_sub(slot.last_active) >= idle
             })
             .map(|(id, _)| Arc::clone(id))
             .collect();
@@ -442,11 +442,11 @@ impl ShardWorker {
             }
         }
         // Next possible idle moment across the remaining resident,
-        // snapshot-capable slots; sweeps before then are skipped.
+        // durable slots; sweeps before then are skipped.
         self.next_evict_check = self
             .slots
             .values()
-            .filter(|s| s.model.snapshot_kind().is_some())
+            .filter(|s| s.model.is_durable())
             .map(|s| s.last_active.saturating_add(idle))
             .min()
             .unwrap_or(u64::MAX);
@@ -616,8 +616,8 @@ impl ShardWorker {
                 .checkpoint_text()
                 .ok_or_else(|| FleetError::InvalidQuery {
                     reason: format!(
-                        "stream `{stream}` serves a transient model (no snapshot \
-                         capability), so it has no exportable envelope"
+                        "stream `{stream}` serves a transient model (only SOFIA \
+                         is checkpointed), so it has no exportable envelope"
                     ),
                 });
         }

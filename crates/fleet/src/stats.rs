@@ -124,8 +124,7 @@ pub struct StreamStats {
     /// Shard that owns the stream.
     pub shard: usize,
     /// Streaming steps applied since registration (or recovery/restore;
-    /// the handle's generic counter is seeded from the checkpoint
-    /// envelope, so it is uniform across model kinds).
+    /// the handle's counter is seeded from the checkpoint envelope).
     pub steps: u64,
     /// Slices currently queued on the owning shard (shard-wide: the queue
     /// is per shard, not per stream).

@@ -5,9 +5,8 @@
 //! checkpoint envelope guarantees byte-identical state, and shard
 //! workers apply each stream's slices in order). Covered here:
 //!
-//! * all-SOFIA crash recovery (the original scenario);
-//! * a **mixed** fleet — SOFIA plus the durable baselines SMF and
-//!   OnlineSGD — recovered through the tagged v2 envelope;
+//! * crash recovery through the tagged v2 envelope, and a graceful
+//!   shutdown that loses nothing;
 //! * bare pre-envelope **v1** SOFIA files still loading;
 //! * idle-stream **eviction** and lazy restore with correct queries.
 
@@ -15,14 +14,13 @@
 // on purpose; iterator rewrites would obscure the alignment being tested.
 #![allow(clippy::needless_range_loop)]
 
-use sofia_baselines::{OnlineSgd, Smf};
 use sofia_core::config::SofiaConfig;
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
 use sofia_core::Sofia;
 use sofia_datagen::seasonal::SeasonalStream;
 use sofia_datagen::stream::TensorStream;
 use sofia_fleet::{CheckpointPolicy, Fleet, FleetConfig, ModelHandle, Query, StreamStats};
-use sofia_tensor::{DenseTensor, Matrix, ObservedTensor};
+use sofia_tensor::{DenseTensor, ObservedTensor};
 use std::path::PathBuf;
 
 /// Typed-plane shorthands: these tests assert recovery semantics, not
@@ -267,126 +265,6 @@ fn graceful_shutdown_loses_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The model kinds a mixed fleet serves; `build(i)` must be
-/// deterministic so the control and fleet instances start identical.
-fn mixed_handle(kind: &str, i: usize, startup: &[ObservedTensor]) -> ModelHandle {
-    match kind {
-        "sofia" => ModelHandle::sofia(init_model(i, startup)),
-        "smf" => ModelHandle::durable(Smf::init(startup, 2, PERIOD, 0.1, 7 + i as u64)),
-        "online-sgd" => ModelHandle::durable(OnlineSgd::init(startup, 2, 0.1, 7 + i as u64)),
-        other => panic!("unknown kind {other}"),
-    }
-}
-
-fn mixed_control(kind: &str, i: usize, startup: &[ObservedTensor]) -> Box<dyn StreamingFactorizer> {
-    match kind {
-        "sofia" => Box::new(init_model(i, startup)),
-        "smf" => Box::new(Smf::init(startup, 2, PERIOD, 0.1, 7 + i as u64)),
-        "online-sgd" => Box::new(OnlineSgd::init(startup, 2, 0.1, 7 + i as u64)),
-        other => panic!("unknown kind {other}"),
-    }
-}
-
-/// The acceptance scenario: a fleet serving SOFIA **and** two baseline
-/// model kinds survives `abort` + `recover` with every stream restored
-/// bit-exactly through the tagged v2 envelope.
-#[test]
-fn mixed_model_crash_recovery_is_bit_exact() {
-    let dir = tempdir("mixed");
-    let fleet_config = || FleetConfig {
-        shards: 2,
-        queue_capacity: 64,
-        checkpoint: Some(CheckpointPolicy::new(&dir, EVERY)),
-        evict_idle_after: None,
-    };
-    let kinds = ["sofia", "smf", "online-sgd", "sofia", "online-sgd", "smf"];
-    let expected_names = ["SOFIA", "SMF", "OnlineSGD", "SOFIA", "OnlineSGD", "SMF"];
-
-    // Uninterrupted control run per stream.
-    let mut controls: Vec<Box<dyn StreamingFactorizer>> = Vec::new();
-    let mut control_outputs: Vec<Vec<StepOutput>> = Vec::new();
-    let mut streamed_slices: Vec<Vec<ObservedTensor>> = Vec::new();
-    for (i, kind) in kinds.iter().enumerate() {
-        let (startup, streamed) = slices(i);
-        let mut model = mixed_control(kind, i, &startup);
-        let outputs = streamed.iter().map(|s| model.step(s)).collect();
-        controls.push(model);
-        control_outputs.push(outputs);
-        streamed_slices.push(streamed);
-    }
-
-    // Fleet run up to the crash.
-    let fleet = Fleet::new(fleet_config()).expect("fleet");
-    let keys: Vec<_> = kinds
-        .iter()
-        .enumerate()
-        .map(|(i, kind)| {
-            let (startup, _) = slices(i);
-            fleet
-                .register(&format!("mixed-{i}"), mixed_handle(kind, i, &startup))
-                .expect("register")
-        })
-        .collect();
-    for t in 0..PRE_CRASH {
-        for (i, key) in keys.iter().enumerate() {
-            fleet
-                .try_ingest(key, streamed_slices[i][t].clone())
-                .expect("ingest");
-        }
-    }
-    fleet.flush().expect("flush");
-    fleet.abort();
-
-    // Recovery restores every stream, baselines included, with the right
-    // model kind behind each id and the uniform step counter at the last
-    // checkpoint boundary.
-    let (recovered, n) = Fleet::recover(fleet_config()).expect("recover");
-    assert_eq!(n, kinds.len(), "every stream restored");
-    let boundary = (PRE_CRASH as u64 / EVERY) * EVERY;
-    for (i, name) in expected_names.iter().enumerate() {
-        let id = format!("mixed-{i}");
-        let stats = stream_stats(&recovered, &id);
-        assert_eq!(stats.model, *name, "model kind behind {id}");
-        assert_eq!(stats.steps, boundary, "uniform step counter of {id}");
-    }
-
-    // Replay the lost tail and continue; byte-identical for every kind.
-    for i in 0..kinds.len() {
-        let id = format!("mixed-{i}");
-        let key = recovered.key(&id).expect("registered");
-        for t in boundary as usize..TOTAL {
-            recovered
-                .try_ingest(&key, streamed_slices[i][t].clone())
-                .expect("ingest");
-            recovered.flush().expect("flush");
-            let out = latest(&recovered, &id).expect("stepped");
-            let expect = &control_outputs[i][t];
-            assert_eq!(
-                out.completed.data(),
-                expect.completed.data(),
-                "{} step {t}: completed diverged after recovery",
-                kinds[i]
-            );
-        }
-        // Forecast-capable kinds agree with their control models too.
-        let control_fc = controls[i].forecast(2);
-        let fc = forecast(&recovered, &id, 2);
-        match (control_fc, fc) {
-            (Some(c), Some(f)) => assert_eq!(c.data(), f.data(), "{} forecast", kinds[i]),
-            (None, None) => {} // OnlineSGD does not forecast
-            (c, f) => panic!(
-                "{}: forecast capability diverged: control {:?} vs fleet {:?}",
-                kinds[i],
-                c.is_some(),
-                f.is_some()
-            ),
-        }
-    }
-
-    recovered.shutdown().expect("shutdown");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Checkpoints written before the envelope existed (bare v1 SOFIA text)
 /// must keep loading bit-exactly, and a later save upgrades them to v2.
 #[test]
@@ -437,7 +315,7 @@ fn bare_v1_sofia_checkpoint_still_loads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The lifecycle acceptance scenario: an idle snapshot-capable stream is
+/// The lifecycle acceptance scenario: an idle SOFIA stream is
 /// checkpointed and unloaded (LRU by last-ingest step), then lazily
 /// restored by the next query/ingest with bit-exact state.
 #[test]
@@ -453,34 +331,26 @@ fn idle_stream_evicts_and_lazily_restores() {
     })
     .expect("fleet");
 
-    // Two tiny durable models on the one shard; deterministic factors so
-    // the control instance starts identical.
-    let sgd = |seed: u64| {
-        let f = |s: u64| Matrix::from_fn(3, 2, |i, j| 0.5 + (i + 2 * j + s as usize) as f64 * 0.1);
-        OnlineSgd::new(vec![f(seed), f(seed + 1)], 0.1)
-    };
-    let slice = |v: f64| {
-        ObservedTensor::fully_observed(sofia_tensor::DenseTensor::from_fn(
-            sofia_tensor::Shape::new(&[3, 3]),
-            |idx| v + idx[0] as f64 - 0.3 * idx[1] as f64,
-        ))
-    };
-    let mut control = sgd(1);
+    // Two SOFIA streams on the one shard; the control instance starts
+    // identical to the soon-idle one.
+    let (idle_startup, idle_slices) = slices(0);
+    let (busy_startup, busy_slices) = slices(1);
+    let mut control = init_model(0, &idle_startup);
     let idle = fleet
-        .register("idle", ModelHandle::durable(sgd(1)))
+        .register("idle", ModelHandle::sofia(control.clone()))
         .unwrap();
     let busy = fleet
-        .register("busy", ModelHandle::durable(sgd(9)))
+        .register("busy", ModelHandle::sofia(init_model(1, &busy_startup)))
         .unwrap();
 
     // Step the soon-idle stream twice, mirrored on the control model.
-    for t in 0..2 {
-        fleet.try_ingest(&idle, slice(t as f64)).unwrap();
+    for s in &idle_slices[..2] {
+        fleet.try_ingest(&idle, s.clone()).unwrap();
     }
     fleet.flush().unwrap();
     let mut control_last = None;
-    for t in 0..2 {
-        control_last = Some(control.step(&slice(t as f64)));
+    for s in &idle_slices[..2] {
+        control_last = Some(StreamingFactorizer::step(&mut control, s));
     }
     // Pre-eviction parity: the served stream already matches control.
     let live = latest(&fleet, "idle").expect("stepped");
@@ -495,8 +365,8 @@ fn idle_stream_evicts_and_lazily_restores() {
 
     // Drive only the busy stream: the shard's step clock advances past
     // the idle threshold and the sweep evicts `idle`.
-    for t in 0..6 {
-        fleet.try_ingest(&busy, slice(t as f64)).unwrap();
+    for s in &busy_slices[..6] {
+        fleet.try_ingest(&busy, s.clone()).unwrap();
     }
     fleet.flush().unwrap();
     let stats = fleet.fleet_stats().unwrap();
@@ -512,7 +382,7 @@ fn idle_stream_evicts_and_lazily_restores() {
     // step counter, and `latest` resets exactly like crash recovery.
     let stats = stream_stats(&fleet, "idle");
     assert_eq!(stats.steps, 2);
-    assert_eq!(stats.model, "OnlineSGD");
+    assert_eq!(stats.model, "SOFIA");
     let fstats = fleet.fleet_stats().unwrap();
     assert_eq!(fstats.restores(), 1, "query triggered the lazy restore");
     assert_eq!(fstats.evicted(), 0);
@@ -521,14 +391,20 @@ fn idle_stream_evicts_and_lazily_restores() {
 
     // Post-restore serving is bit-exact against the uninterrupted
     // control model (last output aside, state round-tripped exactly).
-    fleet.try_ingest(&idle, slice(7.5)).unwrap();
+    fleet.try_ingest(&idle, idle_slices[2].clone()).unwrap();
     fleet.flush().unwrap();
     let out = latest(&fleet, "idle").expect("stepped");
-    let expect = control.step(&slice(7.5));
+    let expect = StreamingFactorizer::step(&mut control, &idle_slices[2]);
     assert_eq!(
         out.completed.data(),
         expect.completed.data(),
         "restored stream diverged from control"
+    );
+    let fc = forecast(&fleet, "idle", 3).expect("SOFIA forecasts");
+    assert_eq!(
+        fc.data(),
+        control.forecast_slice(3).data(),
+        "restored stream's forecast diverged from control"
     );
     assert_eq!(stream_stats(&fleet, "idle").steps, 3);
 

@@ -400,15 +400,15 @@ impl Client {
 
     /// Registers a stream by shipping the model's checkpoint envelope;
     /// the server restores it through the same bit-exact path crash
-    /// recovery uses. Only snapshot-capable models have a wire form.
+    /// recovery uses. Only a SOFIA model has a wire form.
     /// Returns whether the server **persisted** the stream on arrival
     /// (`false` when it runs no checkpoint policy) — the signal a
     /// migration coordinator needs before deleting the source's copy.
     pub fn register(&mut self, stream: &str, model: &ModelHandle) -> Result<bool, ClientError> {
         let envelope = model.checkpoint_text().ok_or_else(|| {
             ClientError::Protocol(format!(
-                "model `{}` is transient (no snapshot capability), so it has no \
-                 wire form; register it in-process or make it durable",
+                "model `{}` is transient (only SOFIA is checkpointed), so it has \
+                 no wire form; register it in-process",
                 model.name()
             ))
         })?;

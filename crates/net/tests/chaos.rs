@@ -24,7 +24,6 @@
 //! and the slot must still be able to move back onto the recovered
 //! node, whose resurrected copies of its streams are stale by then.
 
-use sofia_baselines::Smf;
 use sofia_core::config::SofiaConfig;
 use sofia_core::Sofia;
 use sofia_datagen::seasonal::SeasonalStream;
@@ -71,13 +70,10 @@ fn slices(i: usize) -> (Vec<ObservedTensor>, Vec<ObservedTensor>) {
     (startup, streamed)
 }
 
-/// SOFIA on even, SMF on odd — both model families cross the crash.
+/// Stream `i`'s SOFIA model, deterministic so the cluster and the
+/// control fleet start identical.
 fn handle(i: usize, startup: &[ObservedTensor]) -> ModelHandle {
-    if i.is_multiple_of(2) {
-        ModelHandle::sofia(Sofia::init(&config(), startup, 70 + i as u64).expect("init"))
-    } else {
-        ModelHandle::durable(Smf::init(startup, RANK, PERIOD, 0.1, 70 + i as u64))
-    }
+    ModelHandle::sofia(Sofia::init(&config(), startup, 70 + i as u64).expect("init"))
 }
 
 fn node_config(dir: &PathBuf) -> FleetConfig {

@@ -21,7 +21,6 @@
 //! The same scenario across OS processes (spawned `serve` binaries) is
 //! driven by `sofia-cli cluster`, which CI runs as a smoke test.
 
-use sofia_baselines::Smf;
 use sofia_core::config::SofiaConfig;
 use sofia_core::Sofia;
 use sofia_datagen::seasonal::SeasonalStream;
@@ -65,14 +64,10 @@ fn slices(i: usize) -> (Vec<ObservedTensor>, Vec<ObservedTensor>) {
     (startup, streamed)
 }
 
-/// Stream `i`'s model, deterministic so the cluster and the in-process
-/// control fleet start identical (SOFIA on even, SMF on odd).
+/// Stream `i`'s SOFIA model, deterministic so the cluster and the
+/// in-process control fleet start identical.
 fn handle(i: usize, startup: &[ObservedTensor]) -> ModelHandle {
-    if i.is_multiple_of(2) {
-        ModelHandle::sofia(Sofia::init(&config(), startup, 40 + i as u64).expect("init"))
-    } else {
-        ModelHandle::durable(Smf::init(startup, RANK, PERIOD, 0.1, 40 + i as u64))
-    }
+    ModelHandle::sofia(Sofia::init(&config(), startup, 40 + i as u64).expect("init"))
 }
 
 fn node_config(dir: &PathBuf) -> FleetConfig {
@@ -137,7 +132,7 @@ fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
             break;
         }
     }
-    // Fixed registration order: [A, B, A, B] → SOFIA, SMF, SOFIA, SMF.
+    // Fixed registration order: [A, B, A, B].
     let ids: [String; 4] = std::array::from_fn(|slot| per_slot[slot].clone().expect("filled"));
     let ids_a = [ids[0].clone(), ids[2].clone()];
     let ids_b = [ids[1].clone(), ids[3].clone()];
@@ -473,7 +468,7 @@ fn cluster_client_bootstraps_from_a_member_handshake() {
         .query(&own, Query::StreamStats)
         .expect("routed query")
         .expect_stream_stats();
-    assert_eq!(stats.model, "SMF");
+    assert_eq!(stats.model, "SOFIA");
 
     // A cluster map that never routes to the node is refused at the
     // API boundary — advertising it would strand every stream this

@@ -2,8 +2,8 @@
 //! `Client`, and the engine's strongest guarantees re-proven **across
 //! the wire**:
 //!
-//! * mixed SOFIA+SMF streams registered over the socket (checkpoint
-//!   envelopes as the model wire form), ingested over the socket, then
+//! * SOFIA streams registered over the socket (checkpoint envelopes as
+//!   the model wire form), ingested over the socket, then
 //!   crashed (`Server::abort`) and restarted from the same checkpoint
 //!   directory — with forecasts **bit-exact** against an in-process
 //!   fleet fed the identical slices (the `recovery.rs` scenario, over
@@ -14,7 +14,6 @@
 //!   not panics — including a vendored-proptest fuzz over random byte
 //!   lines.
 
-use sofia_baselines::Smf;
 use sofia_core::config::SofiaConfig;
 use sofia_core::Sofia;
 use sofia_datagen::seasonal::SeasonalStream;
@@ -30,7 +29,7 @@ use std::time::Duration;
 
 const PERIOD: usize = 4;
 const RANK: usize = 2;
-/// Streams 0,2 serve SOFIA; 1,3 serve SMF (mixed on purpose).
+/// Streams served in the crash-recovery scenario.
 const STREAMS: usize = 4;
 const PRE_CRASH: usize = 5;
 const TOTAL: usize = 9;
@@ -62,14 +61,10 @@ fn slices(i: usize) -> (Vec<ObservedTensor>, Vec<ObservedTensor>) {
     (startup, streamed)
 }
 
-/// Stream `i`'s model, deterministic so the wire fleet and the
+/// Stream `i`'s SOFIA model, deterministic so the wire fleet and the
 /// in-process control fleet start identical.
 fn handle(i: usize, startup: &[ObservedTensor]) -> ModelHandle {
-    if i.is_multiple_of(2) {
-        ModelHandle::sofia(Sofia::init(&config(), startup, 7 + i as u64).expect("init"))
-    } else {
-        ModelHandle::durable(Smf::init(startup, RANK, PERIOD, 0.1, 7 + i as u64))
-    }
+    ModelHandle::sofia(Sofia::init(&config(), startup, 7 + i as u64).expect("init"))
 }
 
 fn fleet_config(dir: &PathBuf) -> FleetConfig {
@@ -83,7 +78,7 @@ fn fleet_config(dir: &PathBuf) -> FleetConfig {
 
 fn expect_forecast(resp: QueryResponse) -> Vec<u64> {
     resp.expect_forecast()
-        .expect("mixed kinds here all forecast")
+        .expect("SOFIA forecasts")
         .data()
         .iter()
         .map(|v| v.to_bits())
@@ -163,11 +158,7 @@ fn wire_crash_recovery_matches_in_process_fleet_bit_exactly() {
             .expect("stats")
             .expect_stream_stats();
         assert_eq!(stats.steps, PRE_CRASH as u64, "net-{i} steps visible");
-        assert_eq!(
-            stats.model,
-            if i % 2 == 0 { "SOFIA" } else { "SMF" },
-            "net-{i} kind"
-        );
+        assert_eq!(stats.model, "SOFIA", "net-{i} kind");
     }
 
     // --- Crash: no drain, no final checkpoints; only the periodic
@@ -592,6 +583,83 @@ fn malformed_register_envelope_is_refused_and_the_loop_keeps_serving() {
         1,
         "the refused stream was never registered"
     );
+    server.shutdown().expect("shutdown");
+}
+
+/// An envelope of the `smf` kind, as earlier builds wrote and restored
+/// it (one SMF model on 2×2 slices, rank 1, period 2).
+const SMF_ENVELOPE: &str = "sofia-checkpoint v2\nmodel smf\nsteps 1\nsmf v1\n\
+    hyper 3fb999999999999a 3fc999999999999a\nfactors 2\nfactor 2 1\n\
+    data 3fe36311e3c00300 3fe9760e05584607\nfactor 2 1\n\
+    data 3fe511497c7a06a3 3fe8164e5d85cb41\ndrift be27d10600000000\nseasonal 2\n\
+    z 401320666df238fe\nz 400667a6ea8ef31a\n";
+
+/// SOFIA is the one model kind a server restores: a real `register`
+/// frame carrying an `smf` envelope gets a typed `corrupt` reply and
+/// registers nothing, and the same connection then registers, feeds and
+/// queries a SOFIA stream.
+#[test]
+fn register_of_a_deleted_model_kind_is_refused_as_corrupt() {
+    use std::io::BufReader;
+    use std::net::TcpStream;
+
+    let fleet = Fleet::new(FleetConfig::with_shards(1)).expect("fleet");
+    let server = Server::bind("127.0.0.1:0", fleet).expect("bind");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut round_trip = |request: Request| -> String {
+        write_frame(&mut raw, &request.to_body()).expect("write");
+        read_frame(&mut reader, 1 << 20)
+            .expect("read")
+            .expect("reply")
+    };
+    let hello = round_trip(Request::Hello {
+        client: "legacy".into(),
+    });
+    assert!(hello.starts_with("ok 0\nshardmap"), "{hello}");
+
+    let reply = round_trip(Request::Register {
+        id: 1,
+        epoch: None,
+        stream: "legacy".into(),
+        envelope: SMF_ENVELOPE.into(),
+    });
+    assert_eq!(reply, "err 1 corrupt legacy unknown model kind `smf`\n");
+    let reply = round_trip(Request::Streams { id: 2 });
+    assert_eq!(reply, "ok 2\nstreams 0\n", "nothing was registered");
+
+    let (startup, streamed) = slices(0);
+    let envelope = handle(0, &startup)
+        .checkpoint_text()
+        .expect("SOFIA is durable");
+    let reply = round_trip(Request::Register {
+        id: 3,
+        epoch: None,
+        stream: "sofia".into(),
+        envelope,
+    });
+    assert_eq!(reply, "ok 3\ndurable false\n");
+    let reply = round_trip(Request::Ingest {
+        id: 4,
+        epoch: None,
+        stream: "sofia".into(),
+        slices: vec![(1, streamed[0].clone()), (2, streamed[1].clone())],
+    });
+    assert!(reply.starts_with("ok 4\n"), "{reply}");
+    assert_eq!(round_trip(Request::Flush { id: 5 }), "ok 5\n");
+    let reply = round_trip(Request::Query {
+        id: 6,
+        epoch: None,
+        stream: "sofia".into(),
+        query: Query::StreamStats,
+    });
+    let payload = reply.strip_prefix("ok 6\n").expect("ok reply");
+    let stats = QueryResponse::from_wire(payload)
+        .expect("stream stats")
+        .expect_stream_stats();
+    assert_eq!((stats.model.as_str(), stats.steps), ("SOFIA", 2));
     server.shutdown().expect("shutdown");
 }
 

@@ -63,5 +63,4 @@ pub mod traits;
 
 pub use config::SofiaConfig;
 pub use model::Sofia;
-pub use snapshot::{RestoreModel, SnapshotModel};
 pub use traits::{StepOutput, StreamingFactorizer};

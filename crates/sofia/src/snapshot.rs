@@ -1,39 +1,32 @@
-//! Universal model snapshots: capability traits plus the versioned **v2
-//! checkpoint envelope** shared by every durable model.
+//! The versioned **v2 checkpoint envelope** that carries a SOFIA model
+//! on disk and on the wire, plus the float codec every text payload
+//! shares.
 //!
-//! The v1 checkpoint format ([`crate::checkpoint`]) serializes exactly one
-//! model kind — SOFIA. A serving layer that wants *any* model to survive a
-//! crash needs two extra pieces, both provided here:
+//! The v1 checkpoint format ([`crate::checkpoint`]) serializes a SOFIA
+//! model bit for bit. The serving layer wraps it in a tagged envelope
 //!
-//! * **Capability traits** — [`SnapshotModel`] (object-safe: a served
-//!   `dyn` model can be asked for its kind tag and a bit-exact text
-//!   payload) and [`RestoreModel`] (the inverse, dispatched by kind tag at
-//!   recovery time);
-//! * **The envelope** — a tagged wrapper
+//! ```text
+//! sofia-checkpoint v2
+//! model sofia
+//! steps <n>
+//! <the v1 text of checkpoint::save>
+//! ```
 //!
-//!   ```text
-//!   sofia-checkpoint v2
-//!   model <kind>
-//!   steps <n>
-//!   <model-specific payload…>
-//!   ```
-//!
-//!   so one on-disk format carries every model kind. [`parse`] also
-//!   accepts bare **v1** files (header `sofia-checkpoint v1`) and reports
-//!   them as `kind = "sofia"` with the whole text as payload, so
-//!   checkpoints written before the envelope existed keep loading
-//!   bit-exactly.
+//! which adds the serving layer's applied-steps counter. SOFIA is the one
+//! durable model kind: its tag is [`SOFIA_KIND`], and a restore refuses
+//! any other. [`parse`] also accepts bare **v1** files (header
+//! `sofia-checkpoint v1`) and reports them as `kind = "sofia"` with the
+//! whole text as payload, so checkpoints written before the envelope
+//! existed keep loading bit-exactly.
 //!
 //! Payloads are line-oriented text with floats encoded as IEEE 754 bit
-//! patterns (see [`wire`]), the same convention the v1 format uses:
-//! restore is **bit-exact** for every model that implements the traits.
+//! patterns (see [`wire`]), so a restore is **bit-exact**.
 
-use crate::checkpoint::{self, CheckpointError};
-use crate::model::Sofia;
+use crate::checkpoint::CheckpointError;
 
 /// The workspace's one float codec: every `f64` written to a checkpoint,
-/// a fleet protocol reply, a sketch block, a baseline payload or a
-/// `sofia-net` frame goes through these functions.
+/// a fleet protocol reply, a sketch block or a `sofia-net` frame goes
+/// through these functions.
 ///
 /// A float travels as its IEEE 754 bit pattern in exactly 16 lowercase
 /// hex digits, so round-trips are bit-exact; integers as plain decimal.
@@ -175,50 +168,22 @@ pub mod wire {
     }
 }
 
-/// The snapshot capability: a model that can serialize its full streaming
-/// state to a bit-exact text payload.
-///
-/// The trait is deliberately **object-safe** so serving layers can ask a
-/// boxed `dyn` model for a snapshot without knowing its concrete type;
-/// the inverse direction ([`RestoreModel`]) is dispatched by the
-/// [`SnapshotModel::snapshot_kind`] tag instead.
-pub trait SnapshotModel {
-    /// Stable kind tag written into the envelope's `model <kind>` header
-    /// and used to dispatch [`RestoreModel::restore`] at recovery time.
-    fn snapshot_kind(&self) -> &'static str;
-
-    /// Serializes the model's full state. Restoring the returned payload
-    /// with the matching [`RestoreModel`] impl must yield a model whose
-    /// subsequent outputs are byte-identical to this one's.
-    fn snapshot(&self) -> String;
-}
-
-/// The restore half of the snapshot capability (not object-safe — it
-/// constructs `Self`; recovery code matches on the envelope's kind tag
-/// and calls the right impl).
-pub trait RestoreModel: Sized {
-    /// The kind tag this impl restores; must equal what
-    /// [`SnapshotModel::snapshot_kind`] reports on the same type.
-    const KIND: &'static str;
-
-    /// Rebuilds a model from a payload produced by
-    /// [`SnapshotModel::snapshot`].
-    fn restore(payload: &str) -> Result<Self, CheckpointError>;
-}
-
 /// Header line of the v2 envelope.
 pub const V2_HEADER: &str = "sofia-checkpoint v2";
 /// Header line of the bare v1 SOFIA format (accepted by [`parse`]).
 pub const V1_HEADER: &str = "sofia-checkpoint v1";
+/// Kind tag of a SOFIA model, the one kind the serving layer restores.
+pub const SOFIA_KIND: &str = "sofia";
 
 /// A parsed checkpoint envelope: which model kind the payload belongs to,
-/// the generic applied-steps counter at snapshot time, and the payload.
+/// the applied-steps counter at snapshot time, and the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
-    /// Model kind tag (`sofia`, `smf`, `online-sgd`, …).
+    /// Model kind tag ([`SOFIA_KIND`] for every envelope this workspace
+    /// writes).
     pub kind: String,
     /// Streaming steps the model had applied when the snapshot was taken
-    /// (the serving layer's generic counter, uniform across model kinds).
+    /// (the serving layer's applied-steps counter).
     pub steps: u64,
     /// The model-specific payload, byte-for-byte as written.
     pub payload: String,
@@ -290,33 +255,12 @@ pub fn parse(text: &str) -> Result<Envelope, CheckpointError> {
                 .and_then(|s| s.trim().parse().ok())
                 .ok_or_else(|| CheckpointError::Malformed("v1 `steps` trailer".into()))?;
             Ok(Envelope {
-                kind: Sofia::KIND.to_string(),
+                kind: SOFIA_KIND.to_string(),
                 steps,
                 payload: text.to_string(),
             })
         }
         _ => Err(CheckpointError::BadHeader),
-    }
-}
-
-impl SnapshotModel for Sofia {
-    fn snapshot_kind(&self) -> &'static str {
-        Sofia::KIND
-    }
-
-    /// The SOFIA payload is exactly the bit-exact v1 text, so a v2
-    /// envelope nests the complete v1 file and either parser restores the
-    /// same state.
-    fn snapshot(&self) -> String {
-        checkpoint::save(self)
-    }
-}
-
-impl RestoreModel for Sofia {
-    const KIND: &'static str = "sofia";
-
-    fn restore(payload: &str) -> Result<Self, CheckpointError> {
-        checkpoint::load(payload)
     }
 }
 
@@ -348,7 +292,7 @@ mod tests {
         // matter to the envelope layer.
         let text = "sofia-checkpoint v1\nconfig 1 2 3 4 5 6\nsteps 17\n";
         let env = parse(text).expect("parse");
-        assert_eq!(env.kind, Sofia::KIND);
+        assert_eq!(env.kind, SOFIA_KIND);
         assert_eq!(env.steps, 17);
         assert_eq!(env.payload, text, "v1 payload is the whole file");
     }

@@ -19,7 +19,7 @@
 //! across real OS processes is `sofia-cli cluster`; the crash/recovery
 //! variant is `crates/net/tests/cluster.rs`.
 
-use sofia::baselines::Smf;
+use sofia::core::{Sofia, SofiaConfig};
 use sofia::datagen::seasonal::SeasonalStream;
 use sofia::datagen::stream::TensorStream;
 use sofia::fleet::{CheckpointPolicy, Fleet, FleetConfig, FleetError, ModelHandle, Query};
@@ -73,6 +73,10 @@ fn main() {
     let startup: Vec<ObservedTensor> = (0..3 * period)
         .map(|t| ObservedTensor::fully_observed(source.clean_slice(t)))
         .collect();
+    let config = SofiaConfig::new(2, period)
+        .with_lambdas(0.01, 0.01, 10.0)
+        .with_als_limits(1e-3, 1, 40);
+    let model = Sofia::init(&config, &startup, 77).expect("init");
     let stream = "demo-stream";
     let owner = router.endpoint_of(stream).to_string();
     let other = if owner == ep_a {
@@ -81,10 +85,7 @@ fn main() {
         ep_a.clone()
     };
     router
-        .register(
-            stream,
-            &ModelHandle::durable(Smf::init(&startup, 2, period, 0.1, 77)),
-        )
+        .register(stream, &ModelHandle::sofia(model))
         .expect("register through the router");
     println!("`{stream}` registered on its owner {owner}");
 
@@ -109,7 +110,7 @@ fn main() {
         .query(stream, Query::Forecast { horizon: 4 })
         .expect("forecast")
         .expect_forecast()
-        .expect("SMF forecasts");
+        .expect("SOFIA forecasts");
 
     // --- 5. Migrate the stream's route slot (it is the slot's only
     // stream): flush → snapshot (checkpoint envelope over the wire) →

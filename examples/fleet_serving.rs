@@ -1,8 +1,7 @@
-//! Walkthrough of the `sofia-fleet` serving engine: register a **mixed**
-//! fleet (SOFIA plus durable SMF / OnlineSGD baselines), ingest slices
-//! with backpressure-aware calls, query the serving state, checkpoint,
-//! crash, recover bit-exactly, and watch an idle stream get evicted and
-//! lazily restored.
+//! Walkthrough of the `sofia-fleet` serving engine: register a fleet of
+//! SOFIA streams, ingest slices with backpressure-aware calls, query the
+//! serving state, checkpoint, crash, recover bit-exactly, and watch an
+//! idle stream get evicted and lazily restored.
 //!
 //! Run with:
 //!
@@ -13,7 +12,6 @@
 //! The assertions double as the CI crash-recovery smoke test: a nonzero
 //! exit here means durability regressed.
 
-use sofia::baselines::{OnlineSgd, Smf};
 use sofia::core::model::Sofia;
 use sofia::core::SofiaConfig;
 use sofia::datagen::seasonal::SeasonalStream;
@@ -54,9 +52,8 @@ fn main() {
     })
     .expect("start engine");
 
-    // --- 2. Register five synthetic sensor streams: three SOFIA models
-    // plus two durable baselines (SMF, OnlineSGD) — all checkpointed
-    // through the same tagged v2 envelope.
+    // --- 2. Register five synthetic sensor streams, one SOFIA model
+    // each, checkpointed as tagged v2 envelopes.
     let streams: Vec<SeasonalStream> = (0..STREAMS)
         .map(|i| SeasonalStream::paper_fig2(&[6, 5], rank, period, 40 + i as u64))
         .collect();
@@ -67,11 +64,8 @@ fn main() {
             let startup: Vec<ObservedTensor> = (0..startup_len)
                 .map(|t| ObservedTensor::fully_observed(s.clean_slice(t)))
                 .collect();
-            let handle = match i {
-                3 => ModelHandle::durable(Smf::init(&startup, rank, period, 0.1, i as u64)),
-                4 => ModelHandle::durable(OnlineSgd::init(&startup, rank, 0.1, i as u64)),
-                _ => ModelHandle::sofia(Sofia::init(&config, &startup, i as u64).expect("init")),
-            };
+            let handle =
+                ModelHandle::sofia(Sofia::init(&config, &startup, i as u64).expect("init"));
             let id = format!("sensor-net-{i}");
             println!("registering `{id}`");
             fleet.register(&id, handle).expect("register")
@@ -123,7 +117,7 @@ fn main() {
             panic!("responses align with requests, in order");
         };
         println!(
-            "{} ({}): shard {}, {} steps, latency p50 {} / p99 {}, forecast(h={}) |x| = {}",
+            "{} ({}): shard {}, {} steps, latency p50 {} / p99 {}, forecast(h={}) |x| = {:.3}",
             key.id(),
             stats.model,
             stats.shard,
@@ -139,9 +133,7 @@ fn main() {
                 .map(|l| format!("{l:.1}us"))
                 .unwrap_or_else(|| "-".into()),
             period / 2,
-            fc.as_ref()
-                .map(|f| format!("{:.3}", f.frobenius_norm()))
-                .unwrap_or_else(|| "- (model does not forecast)".into()),
+            fc.as_ref().expect("SOFIA forecasts").frobenius_norm(),
         );
     }
     let round_trips = fleet.fleet_stats().expect("stats").query_batches();
@@ -174,8 +166,7 @@ fn main() {
     fleet.abort();
     println!("\ncrashed; recovering from {}", ckpt_dir.display());
 
-    // --- 6. Recover every stream — SOFIA and baselines alike — and
-    // replay the tail the crash lost. The recovered engine also enables
+    // --- 6. Recover every stream and replay the tail the crash lost. The recovered engine also enables
     // the stream lifecycle: idle streams are evicted after 6 idle shard
     // steps and restored on demand.
     let (recovered, n) = Fleet::recover(FleetConfig {
@@ -186,7 +177,7 @@ fn main() {
     })
     .expect("recover");
     println!("recovered {n} streams");
-    assert_eq!(n, STREAMS, "every stream must recover, baselines included");
+    assert_eq!(n, STREAMS, "every stream must recover");
     for (i, s) in streams.iter().enumerate() {
         let id = format!("sensor-net-{i}");
         let done = recovered

@@ -1,95 +1,46 @@
-//! Property tests for universal model snapshots: for **every**
-//! snapshot-capable model in the workspace, `save → restore → step-N`
-//! must be bit-exact against an uninterrupted run — not just for SOFIA.
-//!
-//! Covered: the served models (SOFIA, SMF, OnlineSGD) via the
-//! `sofia_core::snapshot::{SnapshotModel, RestoreModel}` capability
-//! traits, round-tripped through the tagged v2 checkpoint envelope
-//! exactly as the fleet's durability layer does it.
+//! The bytes a SOFIA stream checkpoints, and the round trip through
+//! them: `save → wrap → parse → load → step-N` must be bit-exact against
+//! an uninterrupted run, exactly as the fleet's durability layer does it,
+//! and the envelope a served SOFIA stream writes is pinned byte for byte.
 
 use proptest::prelude::*;
-use sofia::baselines::common::reconstruct_slice;
-use sofia::baselines::{OnlineSgd, Smf};
+use sofia::core::checkpoint;
 use sofia::core::config::SofiaConfig;
-use sofia::core::snapshot::{self, RestoreModel, SnapshotModel};
+use sofia::core::dynamic::DynamicState;
+use sofia::core::hw::HwBank;
+use sofia::core::snapshot::{self, SOFIA_KIND};
 use sofia::core::traits::StreamingFactorizer;
 use sofia::core::Sofia;
 use sofia::datagen::seasonal::SeasonalStream;
 use sofia::datagen::stream::TensorStream;
-use sofia::tensor::random::random_factors;
-use sofia::tensor::{Matrix, ObservedTensor};
+use sofia::fleet::durability::restore_handle;
+use sofia::fleet::ModelHandle;
+use sofia::tensor::{kruskal, Mask, Matrix, ObservedTensor};
+use sofia::timeseries::holt_winters::{HoltWinters, HwParams, HwState};
 
-/// Round-trips a served model through the v2 envelope (the exact path
+/// Round-trips a SOFIA model through the v2 envelope (the exact path
 /// the fleet's durability layer takes) and returns the restored model.
-fn through_envelope<M: SnapshotModel + RestoreModel>(model: &M, steps: u64) -> M {
-    let text = snapshot::wrap(model.snapshot_kind(), steps, &model.snapshot());
+fn through_envelope(model: &Sofia, steps: u64) -> Sofia {
+    let text = snapshot::wrap(SOFIA_KIND, steps, &checkpoint::save(model));
     let env = snapshot::parse(&text).expect("envelope parses");
-    assert_eq!(env.kind, M::KIND);
+    assert_eq!(env.kind, SOFIA_KIND);
     assert_eq!(env.steps, steps);
-    M::restore(&env.payload).expect("payload restores")
+    checkpoint::load(&env.payload).expect("payload restores")
 }
 
-/// Asserts two factorizers produce byte-identical outputs over `slices`.
-fn assert_steps_bit_exact<M: StreamingFactorizer>(a: &mut M, b: &mut M, slices: &[ObservedTensor]) {
+/// Asserts two models produce byte-identical outputs over `slices`.
+fn assert_steps_bit_exact(a: &mut Sofia, b: &mut Sofia, slices: &[ObservedTensor]) {
     for (t, slice) in slices.iter().enumerate() {
-        let oa = a.step(slice);
-        let ob = b.step(slice);
+        let oa = StreamingFactorizer::step(a, slice);
+        let ob = StreamingFactorizer::step(b, slice);
         assert_eq!(
             oa.completed.data(),
             ob.completed.data(),
             "completed diverged at step {t}"
         );
         match (&oa.outliers, &ob.outliers) {
-            (None, None) => {}
             (Some(x), Some(y)) => assert_eq!(x.data(), y.data(), "outliers diverged at step {t}"),
-            _ => panic!("outlier capability diverged at step {t}"),
-        }
-    }
-}
-
-proptest! {
-    // The factorizer round-trips run warm-start ALS per case; keep the
-    // case count moderate.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn online_sgd_roundtrip(seed in 0u64..1000, warm in 1usize..8) {
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-        let truth = random_factors(&[4, 3], 2, &mut rng);
-        let slice = |t: usize| {
-            let w = vec![1.5 + (t as f64 * 0.4).sin(), -0.5 + (t as f64 * 0.3).cos()];
-            ObservedTensor::fully_observed(reconstruct_slice(&truth, &w))
-        };
-        let startup: Vec<ObservedTensor> = (0..8).map(slice).collect();
-        let mut model = OnlineSgd::init(&startup, 2, 0.1, seed);
-        for t in 8..8 + warm {
-            model.step(&slice(t));
-        }
-        let mut restored = through_envelope(&model, warm as u64);
-        let future: Vec<ObservedTensor> = (8 + warm..16 + warm).map(slice).collect();
-        assert_steps_bit_exact(&mut model, &mut restored, &future);
-    }
-
-    #[test]
-    fn smf_roundtrip(seed in 0u64..1000, period in 3usize..6) {
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-        let truth = random_factors(&[4, 3], 2, &mut rng);
-        let slice = |t: usize| {
-            let phase = 2.0 * std::f64::consts::PI * (t % period) as f64 / period as f64;
-            let w = vec![2.0 + phase.sin(), -1.0 + 0.6 * phase.cos()];
-            ObservedTensor::fully_observed(reconstruct_slice(&truth, &w))
-        };
-        let startup: Vec<ObservedTensor> = (0..2 * period).map(slice).collect();
-        let mut model = Smf::init(&startup, 2, period, 0.1, seed);
-        for t in 2 * period..3 * period {
-            model.step(&slice(t));
-        }
-        let mut restored = through_envelope(&model, period as u64);
-        let future: Vec<ObservedTensor> = (3 * period..5 * period).map(slice).collect();
-        assert_steps_bit_exact(&mut model, &mut restored, &future);
-        for h in 1..=period {
-            let (a, b) = (model.forecast(h), restored.forecast(h));
-            prop_assert_eq!(a.unwrap().data(), b.unwrap().data());
+            _ => panic!("SOFIA reports outliers at every step {t}"),
         }
     }
 }
@@ -129,16 +80,68 @@ proptest! {
     }
 }
 
-/// Non-property sanity check: the three served kinds dispatch to three
-/// distinct tags, so envelopes can never restore through the wrong impl.
+/// FNV-1a over the bytes of a text.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A SOFIA model built through `Sofia::from_dynamic` from plain
+/// arithmetic on small constants (no random factors, no libm), as in
+/// `crates/sofia/tests/golden.rs`, then stepped over partially observed
+/// seasonal slices with one gross outlier, so every state block
+/// (factors, history, Holt-Winters bank, sigma, steps) has moved.
+fn arithmetic_sofia(steps: usize) -> Sofia {
+    let m = 4;
+    let config = SofiaConfig::new(2, m).with_lambdas(0.01, 0.01, 50.0);
+    let a = Matrix::from_fn(3, 2, |i, k| 0.75 + 0.25 * ((i + k) % 3) as f64);
+    let b = Matrix::from_fn(4, 2, |j, k| 1.5 - 0.25 * ((3 * j + k) % 4) as f64);
+    let season = |t: usize| vec![[3.0, 5.0, 4.0, 2.0][t % m], 1.0 + 0.25 * (t % m) as f64];
+    let hw = HwBank::from_models(vec![
+        HoltWinters::new(
+            HwParams::new(0.3, 0.1, 0.2),
+            HwState::new(3.5, 0.0, vec![-0.5, 1.5, 0.5, -1.5], 0),
+        ),
+        HoltWinters::new(
+            HwParams::new(0.25, 0.05, 0.15),
+            HwState::new(1.375, 0.03125, vec![-0.375, -0.125, 0.125, 0.375], 0),
+        ),
+    ]);
+    let recent = (0..m).map(season).collect();
+    let dynamic = DynamicState::new(config.clone(), vec![a.clone(), b.clone()], recent, hw);
+    let mut model = Sofia::from_dynamic(&config, dynamic).expect("restorable state");
+    for t in m..m + steps {
+        let mut values = kruskal::kruskal_slice(&[&a, &b], &season(t));
+        if t == m + 2 {
+            values.set(&[1, 2], 60.0);
+        }
+        let shape = values.shape().clone();
+        let observed = shape
+            .indices()
+            .map(|idx| (idx[0] + idx[1] + t) % 3 != 0)
+            .collect();
+        let slice = ObservedTensor::new(values, Mask::from_vec(shape, observed));
+        StreamingFactorizer::step(&mut model, &slice);
+    }
+    model
+}
+
+/// The bytes a SOFIA stream checkpoints, registers and exports: the v2
+/// envelope header, then exactly the v1 text of `checkpoint::save`,
+/// pinned by digest so a change to either layer shows up here.
 #[test]
-fn served_kind_tags_are_distinct() {
-    let tags = [
-        <Sofia as RestoreModel>::KIND,
-        <Smf as RestoreModel>::KIND,
-        <OnlineSgd as RestoreModel>::KIND,
-    ];
-    assert_eq!(tags, ["sofia", "smf", "online-sgd"]);
-    let model = OnlineSgd::new(vec![Matrix::identity(2), Matrix::identity(2)], 0.1);
-    assert_eq!(model.snapshot_kind(), <OnlineSgd as RestoreModel>::KIND);
+fn sofia_envelope_bytes_are_pinned() {
+    let model = arithmetic_sofia(6);
+    let text = ModelHandle::sofia(model.clone())
+        .checkpoint_text()
+        .expect("a SOFIA stream is durable");
+    let payload = checkpoint::save(&model);
+    assert_eq!(
+        text,
+        format!("sofia-checkpoint v2\nmodel sofia\nsteps 6\n{payload}")
+    );
+    assert_eq!((text.len(), fnv1a(&text)), (1286, 0x0848_ee72_d9e4_96db));
+    let restored = restore_handle("pinned", &text).expect("the envelope restores");
+    assert_eq!(restored.checkpoint_text().as_deref(), Some(text.as_str()));
 }
