@@ -43,14 +43,6 @@ pub enum FleetError {
         /// The epoch of the map the serving node currently holds.
         epoch: u64,
     },
-    /// The serving node's ownership lease for the stream's route slot
-    /// has lapsed (or was revoked): it refuses to serve the slot until
-    /// the lease is renewed, so a re-homed stream can never be written
-    /// by two nodes at once.
-    LeaseExpired {
-        /// The route slot whose lease lapsed.
-        slot: u64,
-    },
 }
 
 impl fmt::Display for FleetError {
@@ -72,9 +64,6 @@ impl fmt::Display for FleetError {
             }
             FleetError::StaleEpoch { epoch } => {
                 write!(f, "stale shard-map epoch (server holds epoch {epoch})")
-            }
-            FleetError::LeaseExpired { slot } => {
-                write!(f, "ownership lease for route slot {slot} has lapsed")
             }
         }
     }

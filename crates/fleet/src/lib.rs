@@ -98,7 +98,6 @@
 pub mod durability;
 pub mod engine;
 pub mod error;
-pub mod lease;
 pub mod model;
 pub mod protocol;
 pub mod registry;
@@ -108,7 +107,6 @@ pub mod stats;
 pub use durability::CheckpointPolicy;
 pub use engine::{Fleet, FleetConfig};
 pub use error::{FleetError, IngestError};
-pub use lease::{LeaseState, LeaseTable};
 pub use model::ModelHandle;
 pub use protocol::wire::WireError;
 pub use protocol::{Query, QueryKind, QueryResponse, QueryTicket};

@@ -875,7 +875,6 @@ pub mod wire {
                     format!("corrupt {} {reason}", encode_stream_id(stream))
                 }
                 FleetError::StaleEpoch { epoch } => format!("stale-epoch {epoch}"),
-                FleetError::LeaseExpired { slot } => format!("lease-expired {slot}"),
             }
         }
 
@@ -912,11 +911,6 @@ pub mod wire {
                     epoch: rest
                         .parse()
                         .map_err(|_| WireError::new(format!("bad epoch `{rest}`")))?,
-                }),
-                "lease-expired" => Ok(FleetError::LeaseExpired {
-                    slot: rest
-                        .parse()
-                        .map_err(|_| WireError::new(format!("bad slot `{rest}`")))?,
                 }),
                 other => Err(WireError::new(format!("unknown error code `{other}`"))),
             }
@@ -1307,7 +1301,6 @@ mod tests {
                 reason: "bad header".into(),
             },
             FleetError::StaleEpoch { epoch: u64::MAX },
-            FleetError::LeaseExpired { slot: 7 },
         ];
         for e in errors {
             let line = e.to_wire();
@@ -1341,9 +1334,6 @@ mod tests {
                 (FleetError::StaleEpoch { epoch: a }, FleetError::StaleEpoch { epoch: b }) => {
                     assert_eq!(a, b)
                 }
-                (FleetError::LeaseExpired { slot: a }, FleetError::LeaseExpired { slot: b }) => {
-                    assert_eq!(a, b)
-                }
                 _ => {}
             }
         }
@@ -1351,7 +1341,7 @@ mod tests {
         assert!(FleetError::from_wire("").is_err());
         assert!(FleetError::from_wire("stale-epoch").is_err());
         assert!(FleetError::from_wire("stale-epoch x").is_err());
-        assert!(FleetError::from_wire("lease-expired -1").is_err());
+        assert!(FleetError::from_wire("lease-expired 3").is_err());
     }
 
     #[test]

@@ -40,8 +40,10 @@
 //! memory. The stream stays registered; its next ingest or query
 //! transparently restores it from the checkpoint directory (bit-exact,
 //! like crash recovery — only the not-checkpointed "latest output" is
-//! forgotten). Transient models are never evicted: there is no durable
-//! state to bring them back from.
+//! forgotten). Its ingest-latency and forecast-error summaries stay in
+//! memory while it is evicted and come back with it; they are not
+//! checkpointed, so a crash still loses them. Transient models are
+//! never evicted: there is no durable state to bring them back from.
 
 use crate::durability::{load_stream, write_checkpoint, CheckpointPolicy};
 use crate::error::FleetError;
@@ -52,7 +54,7 @@ use crate::stats::{MetricKind, QueryCounters, ShardStats, StreamStats};
 use sofia_core::traits::StepOutput;
 use sofia_sketch::MetricSummary;
 use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -130,7 +132,8 @@ struct StreamSlot {
     steps_since_checkpoint: u64,
     /// Mergeable ingest-latency summary (µs per applied slice). It is
     /// in-memory observability state, not model state: it is not
-    /// checkpointed and starts fresh on restore.
+    /// checkpointed, but it survives eviction (the worker's `evicted`
+    /// map holds it until the lazy restore).
     ingest_latency: MetricSummary,
     /// Mergeable one-step-ahead forecast-error summary: the relative
     /// residual of the model's own pre-step forecast against the slice
@@ -209,8 +212,10 @@ pub(crate) struct ShardWorker {
     registry: Arc<Registry>,
     slots: HashMap<Arc<str>, StreamSlot>,
     /// Streams checkpointed and unloaded by the eviction sweep; still
-    /// registered, restored lazily on the next ingest/query.
-    evicted: HashSet<Arc<str>>,
+    /// registered, restored lazily on the next ingest/query. Each keeps
+    /// its slot's ingest-latency and forecast-error summaries, in that
+    /// order, for the restored slot.
+    evicted: HashMap<Arc<str>, (MetricSummary, MetricSummary)>,
     /// Shard-level mergeable summaries, observed directly by this worker
     /// (not folded from slots, so they also cover streams that were
     /// since evicted or quarantined). These are the canonical per-shard
@@ -308,7 +313,7 @@ impl ShardWorker {
         // the network data plane (`sofia-net` feeds decoded wire queries
         // straight into shards) gets the same guarantee.
         query.validate()?;
-        if !self.slots.contains_key(stream) && self.evicted.contains(stream) {
+        if !self.slots.contains_key(stream) && self.evicted.contains_key(stream) {
             // A failed restore fails this query with the typed error
             // instead of a fake UnknownStream; the durable checkpoint is
             // still the truth and a later attempt may succeed.
@@ -356,7 +361,8 @@ impl ShardWorker {
     }
 
     /// Brings an evicted stream back from its checkpoint. On success the
-    /// stream is resident again (with `latest` reset, as after recovery).
+    /// stream is resident again with the summaries it was evicted with
+    /// (and `latest` reset, as after recovery).
     fn restore_stream(&mut self, stream: &Arc<str>) -> Result<(), FleetError> {
         let dir = self
             .policy
@@ -378,11 +384,15 @@ impl ShardWorker {
             stream: stream.to_string(),
             reason: "evicted stream has no checkpoint file".to_string(),
         })?;
-        self.evicted.remove(stream);
+        let (ingest_latency, forecast_error) = self.evicted.remove(stream).unwrap_or_default();
         self.restores += 1;
         self.note_residency_deadline();
-        self.slots
-            .insert(Arc::clone(stream), StreamSlot::new(handle, self.steps));
+        let slot = StreamSlot {
+            ingest_latency,
+            forecast_error,
+            ..StreamSlot::new(handle, self.steps)
+        };
+        self.slots.insert(Arc::clone(stream), slot);
         Ok(())
     }
 
@@ -425,8 +435,9 @@ impl ShardWorker {
             let slot = self.slots.get_mut(&id).expect("victim is resident");
             match Self::checkpoint_slot(&dir, &id, slot) {
                 Ok(_) => {
-                    self.slots.remove(&id);
-                    self.evicted.insert(id);
+                    let slot = self.slots.remove(&id).expect("victim is resident");
+                    self.evicted
+                        .insert(id, (slot.ingest_latency, slot.forecast_error));
                     self.evictions += 1;
                 }
                 Err(e) => {
@@ -458,7 +469,7 @@ impl ShardWorker {
             Command::Ingest { stream, slice } => {
                 self.depth.fetch_sub(1, Ordering::Release);
                 if !self.slots.contains_key(&stream) {
-                    if self.evicted.contains(&stream) {
+                    if self.evicted.contains_key(&stream) {
                         // Lazy restore on the data plane. Failure is
                         // counted as a drop but the stream stays evicted:
                         // the durable checkpoint is still the truth and a
@@ -621,7 +632,7 @@ impl ShardWorker {
                     ),
                 });
         }
-        if self.evicted.contains(stream) {
+        if self.evicted.contains_key(stream) {
             let dir = self
                 .policy
                 .as_ref()
@@ -641,7 +652,7 @@ impl ShardWorker {
     /// fails, no in-memory state has changed yet, so the stream keeps
     /// serving and the caller can simply retry.
     fn deregister_stream(&mut self, stream: &Arc<str>) -> Result<(), FleetError> {
-        if !self.slots.contains_key(stream) && !self.evicted.contains(stream) {
+        if !self.slots.contains_key(stream) && !self.evicted.contains_key(stream) {
             return Err(FleetError::UnknownStream(stream.to_string()));
         }
         if let Some(policy) = &self.policy {
@@ -669,7 +680,7 @@ impl ShardWorker {
             }
             return Ok(written);
         }
-        if self.evicted.contains(stream) {
+        if self.evicted.contains_key(stream) {
             // Eviction checkpointed the stream as it left memory; its
             // file is the current state by definition.
             return Ok(true);
@@ -756,7 +767,7 @@ impl ShardHandle {
             evict_idle,
             registry,
             slots: HashMap::new(),
-            evicted: HashSet::new(),
+            evicted: HashMap::new(),
             ingest_latency: MetricSummary::new(),
             forecast_error: MetricSummary::new(),
             steps: 0,

@@ -362,6 +362,9 @@ fn idle_stream_evicts_and_lazily_restores() {
     let stats = fleet.fleet_stats().unwrap();
     assert_eq!(stats.evictions(), 0, "not idle yet");
     assert_eq!(stats.streams(), 2);
+    let before = stream_stats(&fleet, "idle");
+    assert_eq!(before.ingest_latency.count(), 2);
+    assert_eq!(before.forecast_error.count(), 2);
 
     // Drive only the busy stream: the shard's step clock advances past
     // the idle threshold and the sweep evicts `idle`.
@@ -383,6 +386,17 @@ fn idle_stream_evicts_and_lazily_restores() {
     let stats = stream_stats(&fleet, "idle");
     assert_eq!(stats.steps, 2);
     assert_eq!(stats.model, "SOFIA");
+    // The stream's summaries came back with it.
+    assert_eq!(
+        stats.ingest_latency.count(),
+        before.ingest_latency.count(),
+        "ingest-latency history survives eviction"
+    );
+    assert_eq!(
+        stats.forecast_error.count(),
+        before.forecast_error.count(),
+        "forecast-error history survives eviction"
+    );
     let fstats = fleet.fleet_stats().unwrap();
     assert_eq!(fstats.restores(), 1, "query triggered the lazy restore");
     assert_eq!(fstats.evicted(), 0);

@@ -641,41 +641,11 @@ impl Client {
         }
     }
 
-    /// Grants (or renews) the server's ownership lease on one route
-    /// slot for `ttl_ms` milliseconds. The first grant flips the server
-    /// into lease-managed mode: from then on it refuses slots without
-    /// an unexpired lease ([`FleetError::LeaseExpired`]).
-    pub fn lease_grant(&mut self, slot: u64, ttl_ms: u64) -> Result<(), ClientError> {
-        let id = self.send(|id| Request::LeaseGrant { id, slot, ttl_ms })?;
-        match self.expect_reply(id)? {
-            Ok(_) => Ok(()),
-            Err(e) => Err(ClientError::Fleet(e)),
-        }
-    }
-
-    /// Revokes the server's lease on `slot` immediately (fencing it
-    /// ahead of a re-home). Returns whether a lease was actually held.
-    pub fn lease_revoke(&mut self, slot: u64) -> Result<bool, ClientError> {
-        let id = self.send(|id| Request::LeaseRevoke { id, slot })?;
-        match self.expect_reply(id)? {
-            Ok(reply) => {
-                let mut cur = LineCursor::new(reply.payload());
-                let held = match cur.next("held marker")? {
-                    "held true" => true,
-                    "held false" => false,
-                    other => {
-                        return Err(ClientError::Protocol(format!("bad revoke reply `{other}`")))
-                    }
-                };
-                cur.finish()?;
-                Ok(held)
-            }
-            Err(e) => Err(ClientError::Fleet(e)),
-        }
-    }
-
     /// Lists the stream ids this server currently holds — the
     /// enumeration a slot migration groups by its own map's route hash.
+    /// The announced count is only trusted as far as the payload carries
+    /// it: nothing is reserved up front, and a count with too few
+    /// `stream` lines is a protocol error.
     pub fn stream_ids(&mut self) -> Result<Vec<String>, ClientError> {
         let id = self.send(|id| Request::Streams { id })?;
         let reply = match self.expect_reply(id)? {
@@ -688,7 +658,7 @@ impl Client {
             .strip_prefix("streams ")
             .and_then(|d| d.parse().ok())
             .ok_or_else(|| ClientError::Protocol(format!("bad streams header `{head}`")))?;
-        let mut ids = Vec::with_capacity(n);
+        let mut ids = Vec::new();
         for _ in 0..n {
             let line = cur.next("stream line")?;
             let enc = line

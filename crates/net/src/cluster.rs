@@ -64,14 +64,12 @@
 //!   behind is brought up to date (`remap`) and re-asked; a server that
 //!   is ahead hands the newer map over, the router adopts it, re-routes,
 //!   and re-asks ([`ClusterClient`] does this inside every routed call);
-//! * a node can refuse to serve once its ownership **leases** lapse
-//!   ([`Client::lease_grant`], [`sofia_fleet::LeaseTable`]) — the
-//!   refusal that would close the dual-writer window a migration the
-//!   node never heard about opens. Nothing here grants leases, though:
-//!   `ClusterClient`, [`ClusterClient::migrate_slot`],
-//!   [`ClusterClient::rebalance`] and `sofia-cli cluster` never send
-//!   `lease grant`, so shipped clusters serve in the non-enforcing
-//!   mode, and a partitioned node keeps serving.
+//! * the epoch is the one ownership fence: a fenced `query` or `ingest`
+//!   for a stream the node does not own under its own map is refused
+//!   even at a matching epoch. Epoch-free requests are never fenced and
+//!   a fenced `batch` is checked at its head only, so only producers
+//!   whose map carries an epoch are protected, and a partitioned node
+//!   that never heard about a flip keeps serving.
 //!
 //! Membership changes keep the same philosophy: a crashed node is
 //! restarted and re-attached with [`ClusterClient::repoint`] +

@@ -58,12 +58,9 @@
 //!   pushed at every member (`remap`) once per flip: routed requests
 //!   stamp it, servers fence stale senders with a typed `stale-epoch`
 //!   reply that carries the current map, and the router retries
-//!   transparently. Nodes can also enforce per-slot **leases**
-//!   ([`sofia_fleet::LeaseTable`], the `lease` verb), but nothing in
-//!   this workspace grants them, so shipped clusters serve in the
-//!   non-enforcing mode. [`ClusterClient::rebalance`] moves the
-//!   hottest slots off the hottest node until no node carries more
-//!   than 1.25× the mean load.
+//!   transparently; the epoch is the one ownership fence.
+//!   [`ClusterClient::rebalance`] moves the hottest slots off the
+//!   hottest node until no node carries more than 1.25× the mean load.
 //!
 //! ## Loopback in five lines
 //!

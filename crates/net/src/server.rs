@@ -49,7 +49,7 @@ use crate::poll::{listener_id, socket_id, Event, Interest, Poller, Waker};
 use crate::stats::{push_net_stats, NetMetrics};
 use crate::wire::{err_body, ok_body, push_fleet_stats, Request, ShardMap};
 use sofia_fleet::durability::restore_handle;
-use sofia_fleet::{Fleet, FleetError, IngestError, LeaseTable};
+use sofia_fleet::{Fleet, FleetError, IngestError};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -156,14 +156,6 @@ pub(crate) struct Shared {
     /// The name this node goes by in shard maps — ownership fencing
     /// compares map entries against it.
     pub(crate) advertise: String,
-    /// Per-slot ownership leases (non-enforcing until the first
-    /// `lease grant` frame arrives).
-    pub(crate) lease: Mutex<LeaseTable>,
-    /// Mirror of [`LeaseTable::enforcing`] readable without the lock —
-    /// the request path's fast-out. Only ever flips false -> true, so a
-    /// relaxed load racing the very first grant at worst serves one
-    /// request as if it had arrived a moment earlier.
-    pub(crate) lease_enforcing: AtomicBool,
     pub(crate) config: ServerConfig,
     /// The live node-health collector behind the `metrics` verb.
     pub(crate) metrics: NetMetrics,
@@ -269,8 +261,6 @@ impl Server {
             fleet,
             map: RwLock::new(map),
             advertise: advertised,
-            lease: Mutex::new(LeaseTable::new()),
-            lease_enforcing: AtomicBool::new(false),
             config,
             metrics,
             stop: AtomicBool::new(false),
@@ -644,60 +634,31 @@ fn non_finite(seq: u64, e: &IngestError) -> FleetError {
 
 /// The cluster fencing gate, applied before a stream-addressed request
 /// touches the fleet. Returns the reject reply body, or `None` when
-/// the request may proceed.
+/// the request may proceed. The shard-map epoch is the one ownership
+/// fence, and a request carrying an `@<epoch>` token is *fenced*: it
+/// gets exactly two checks, each answered by a `stale-epoch` reject
+/// carrying the current map.
 ///
-/// * **Epoch fencing** — a request carrying an `@<epoch>` token is
-///   *fenced*: any mismatch with the server's map epoch (older *or*
-///   newer — a newer sender should push its map via `remap` first) is
-///   a `stale-epoch` reject carrying the current map. Epoch-free
-///   requests skip this gate; that is the pre-autonomy compatibility
-///   contract.
-/// * **Ownership fencing** (`serve_path` verbs: `query`, `ingest`) — a
-///   fenced request for a stream this node does not own under its own
-///   map is rejected even at matching epochs. This is what keeps a
-///   restarted node's stale copies unreachable after a post-flip
-///   crash: once the node learns the current map, fenced requests for
-///   migrated streams bounce to the real owner.
-/// * **Leases** (`serve_path` verbs, fenced or not) — once the node is
-///   lease-enforcing, a slot without an unexpired lease answers
-///   `lease-expired` regardless of what any map says (the node may
-///   simply not have heard about a re-homing yet).
+/// * **Epoch** — any mismatch with the server's map epoch (older *or*
+///   newer — a newer sender should push its map via `remap` first).
+/// * **Ownership** — `owned` is the stream of a fenced `query` or
+///   `ingest`; one this node does not own under its own map is
+///   rejected even at a matching epoch. This is what keeps a restarted
+///   node's stale copies unreachable after a post-flip crash: once the
+///   node learns the current map, fenced requests for migrated streams
+///   bounce to the real owner. Every other verb passes `None`: a
+///   migration registers on the target before the flip and snapshots
+///   and deregisters on the source around it, and a batch is fenced at
+///   its head only.
 ///
-/// Coordination verbs (`register`, `snapshot`, `deregister`) get epoch
-/// fencing only: a migration legitimately registers on the target
-/// before the flip and deregisters from the source after it, and must
-/// be able to drain a node whose lease lapsed.
-/// The common case — an epoch-free request to a non-enforcing node —
-/// costs one relaxed atomic load and touches no lock: the pre-autonomy
-/// hot path stays the pre-autonomy hot path, at any connection count.
-fn fence(
-    shared: &Shared,
-    id: u64,
-    epoch: Option<u64>,
-    stream: Option<&str>,
-    serve_path: bool,
-) -> Option<String> {
-    if let Some(e) = epoch {
-        let map = shared.map.read().expect("map lock");
-        if e != map.epoch() {
-            return Some(stale_epoch_body(id, &map));
-        }
-        if serve_path {
-            if let Some(stream) = stream {
-                if map.endpoint_of(stream) != shared.advertise {
-                    return Some(stale_epoch_body(id, &map));
-                }
-            }
-        }
-    }
-    if serve_path && shared.lease_enforcing.load(Ordering::Relaxed) {
-        if let Some(stream) = stream {
-            let slot = shared.map.read().expect("map lock").shard_of(stream) as u64;
-            let lease = shared.lease.lock().expect("lease lock");
-            if !lease.permits(slot, Instant::now()) {
-                return Some(err_body(id, &FleetError::LeaseExpired { slot }));
-            }
-        }
+/// Epoch-free requests are never fenced (the pre-autonomy
+/// compatibility contract), so only producers whose map carries an
+/// epoch are protected; such a request returns before the map lock.
+fn fence(shared: &Shared, id: u64, epoch: Option<u64>, owned: Option<&str>) -> Option<String> {
+    let epoch = epoch?;
+    let map = shared.map.read().expect("map lock");
+    if epoch != map.epoch() || owned.is_some_and(|s| map.endpoint_of(s) != shared.advertise) {
+        return Some(stale_epoch_body(id, &map));
     }
     None
 }
@@ -729,7 +690,7 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             stream,
             query,
         } => {
-            if let Some(reject) = fence(shared, id, epoch, Some(&stream), true) {
+            if let Some(reject) = fence(shared, id, epoch, Some(&stream)) {
                 return (Completion::Ready(reject), Some(stream), true);
             }
             let completion = match fleet.query(&stream, query) {
@@ -740,9 +701,9 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
         }
         Request::QueryBatch { id, epoch, items } => {
             // Batches are fenced at the head only (items may span
-            // slots); per-stream ownership/lease misses surface as the
+            // slots); per-stream ownership misses surface as the
             // owning node's item errors on retry paths.
-            if let Some(reject) = fence(shared, id, epoch, None, false) {
+            if let Some(reject) = fence(shared, id, epoch, None) {
                 return (Completion::Ready(reject), None, true);
             }
             let refs: Vec<(&str, sofia_fleet::Query)> =
@@ -768,7 +729,7 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             stream,
             envelope,
         } => {
-            if let Some(reject) = fence(shared, id, epoch, Some(&stream), false) {
+            if let Some(reject) = fence(shared, id, epoch, None) {
                 return (Completion::Ready(reject), Some(stream), true);
             }
             let registered = restore_handle(&stream, &envelope)
@@ -802,7 +763,7 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             stream,
             slices,
         } => {
-            if let Some(reject) = fence(shared, id, epoch, Some(&stream), true) {
+            if let Some(reject) = fence(shared, id, epoch, Some(&stream)) {
                 return (Completion::Ready(reject), Some(stream), true);
             }
             // Every slice passes the ingest check before any applies,
@@ -861,7 +822,7 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             (Completion::Ready(body), Some(stream), true)
         }
         Request::Snapshot { id, epoch, stream } => {
-            if let Some(reject) = fence(shared, id, epoch, Some(&stream), false) {
+            if let Some(reject) = fence(shared, id, epoch, None) {
                 return (Completion::Ready(reject), Some(stream), true);
             }
             // The reply payload IS the checkpoint envelope — exactly
@@ -874,7 +835,7 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             (Completion::Ready(body), Some(stream), true)
         }
         Request::Deregister { id, epoch, stream } => {
-            if let Some(reject) = fence(shared, id, epoch, Some(&stream), false) {
+            if let Some(reject) = fence(shared, id, epoch, None) {
                 return (Completion::Ready(reject), Some(stream), true);
             }
             let body = match fleet.deregister(&stream) {
@@ -894,24 +855,6 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             } else {
                 stale_epoch_body(id, &map)
             };
-            (Completion::Ready(body), None, true)
-        }
-        Request::LeaseGrant { id, slot, ttl_ms } => {
-            shared.lease.lock().expect("lease lock").grant(
-                slot,
-                Duration::from_millis(ttl_ms),
-                Instant::now(),
-            );
-            shared.lease_enforcing.store(true, Ordering::Relaxed);
-            (Completion::Ready(ok_body(id, |_| {})), None, true)
-        }
-        Request::LeaseRevoke { id, slot } => {
-            let held = shared.lease.lock().expect("lease lock").revoke(slot);
-            shared.lease_enforcing.store(true, Ordering::Relaxed);
-            let body = ok_body(id, |out| {
-                use std::fmt::Write as _;
-                let _ = writeln!(out, "held {held}");
-            });
             (Completion::Ready(body), None, true)
         }
         Request::Streams { id } => {

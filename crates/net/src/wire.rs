@@ -27,8 +27,6 @@
 //! snapshot <req-id> <stream>           read the model as an envelope (migration)
 //! deregister <req-id> <stream>         unload + delete the stream here
 //! remap <req-id>                       rest of body = shard-map block to install
-//! lease <req-id> grant <slot> <ttl-ms> grant/renew a slot ownership lease
-//! lease <req-id> revoke <slot>         fence a slot off immediately
 //! streams <req-id>                     list held stream ids (slot enumeration)
 //! flush <req-id>                       read-your-writes barrier
 //! stats <req-id>                       fleet-wide statistics
@@ -292,25 +290,6 @@ pub enum Request {
         /// The map to install.
         map: ShardMap,
     },
-    /// Grant (or renew) this node's ownership lease on a route slot
-    /// for `ttl_ms` milliseconds ([`sofia_fleet::LeaseTable`]). The
-    /// first grant flips the node to lease-enforcing.
-    LeaseGrant {
-        /// Pipelining id.
-        id: u64,
-        /// Route slot the lease covers.
-        slot: u64,
-        /// Lease duration from the server's receipt, in milliseconds.
-        ttl_ms: u64,
-    },
-    /// Revoke this node's lease on a route slot immediately (the
-    /// coordinator is about to re-home it).
-    LeaseRevoke {
-        /// Pipelining id.
-        id: u64,
-        /// Route slot to fence off.
-        slot: u64,
-    },
     /// List the stream ids this node currently holds — the enumeration
     /// a slot migration groups by its own map's route hash.
     Streams {
@@ -353,8 +332,6 @@ impl Request {
             | Request::Snapshot { id, .. }
             | Request::Deregister { id, .. }
             | Request::Remap { id, .. }
-            | Request::LeaseGrant { id, .. }
-            | Request::LeaseRevoke { id, .. }
             | Request::Streams { id }
             | Request::Flush { id }
             | Request::Stats { id }
@@ -375,7 +352,6 @@ impl Request {
             Request::Snapshot { .. } => "snapshot",
             Request::Deregister { .. } => "deregister",
             Request::Remap { .. } => "remap",
-            Request::LeaseGrant { .. } | Request::LeaseRevoke { .. } => "lease",
             Request::Streams { .. } => "streams",
             Request::Flush { .. } => "flush",
             Request::Stats { .. } => "stats",
@@ -453,12 +429,6 @@ impl Request {
             Request::Remap { id, map } => {
                 let _ = writeln!(out, "remap {id}");
                 map.push_wire(&mut out);
-            }
-            Request::LeaseGrant { id, slot, ttl_ms } => {
-                let _ = writeln!(out, "lease {id} grant {slot} {ttl_ms}");
-            }
-            Request::LeaseRevoke { id, slot } => {
-                let _ = writeln!(out, "lease {id} revoke {slot}");
             }
             Request::Streams { id } => {
                 let _ = writeln!(out, "streams {id}");
@@ -637,26 +607,6 @@ impl Request {
                 let map = ShardMap::parse(&mut cur)?;
                 cur.finish()?;
                 return Ok(Request::Remap { id, map });
-            }
-            "lease" => {
-                let id = int(&mut toks, verb, "request id")?;
-                match toks.next() {
-                    Some("grant") => {
-                        let slot = int(&mut toks, verb, "slot")?;
-                        let ttl_ms = int(&mut toks, verb, "lease ttl")?;
-                        Request::LeaseGrant { id, slot, ttl_ms }
-                    }
-                    Some("revoke") => Request::LeaseRevoke {
-                        id,
-                        slot: int(&mut toks, verb, "slot")?,
-                    },
-                    other => {
-                        return Err(WireError::new(format!(
-                            "bad lease action `{}`",
-                            other.unwrap_or("")
-                        )))
-                    }
-                }
             }
             "streams" => Request::Streams {
                 id: int(&mut toks, verb, "request id")?,
@@ -1229,12 +1179,6 @@ mod tests {
                 id: 17,
                 map: remap_map,
             },
-            Request::LeaseGrant {
-                id: 18,
-                slot: 3,
-                ttl_ms: 1500,
-            },
-            Request::LeaseRevoke { id: 19, slot: 0 },
             Request::Streams { id: 20 },
             Request::Flush { id: 11 },
             Request::Stats { id: 12 },
@@ -1325,16 +1269,8 @@ mod tests {
             "remap 1",
             "remap 1\nshardmap 0",
             "remap 1\nshardmap 1\nendpoint 0 a\nstray",
-            "lease 1",
-            "lease 1 grant",
-            "lease 1 grant x 5",
-            "lease 1 grant 0",
-            "lease 1 grant 0 x",
-            "lease 1 grant 0 5 extra",
-            "lease 1 revoke",
-            "lease 1 revoke 0 extra",
-            "lease 1 renew 0 5",
-            "lease 1 grant 0 5\nstray",
+            "lease 1 grant 0 5",
+            "lease 1 revoke 0",
             "streams",
             "streams x",
             "streams 1 slot",

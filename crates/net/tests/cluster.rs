@@ -841,113 +841,3 @@ fn stale_client_is_fenced_then_rerouted_transparently() {
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }
-
-/// Lease-managed ownership over real sockets: the first grant flips the
-/// node to enforcing (table-wide), a lapsed or revoked slot refuses the
-/// serve path with the typed `lease-expired` — *before* any state
-/// changes, so a refused ingest is never half-applied — while the
-/// coordination path (`snapshot`) stays open so a lapsed node can still
-/// be drained. Renewal resumes service exactly where it stopped.
-#[test]
-fn lapsed_lease_refuses_serving_until_regranted() {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Fleet::new(FleetConfig {
-            shards: 2,
-            queue_capacity: 64,
-            checkpoint: None,
-            evict_idle_after: None,
-        })
-        .expect("fleet"),
-    )
-    .expect("bind");
-    let mut client = Client::connect(server.local_addr()).expect("client");
-
-    let id = "leased-stream";
-    let (startup, streamed) = slices(0);
-    client.register(id, &handle(0, &startup)).expect("register");
-    client
-        .ingest(id, streamed[..2].to_vec())
-        .expect("unmanaged ingest");
-    client.flush().expect("barrier");
-    let slot = client.shard_map().shard_of(id) as u64;
-
-    // Active lease: the slot serves. Enforcement is table-wide — a
-    // stream on any *other* slot is refused before the fleet even
-    // looks it up (the lease fence outranks UnknownStream).
-    client.lease_grant(slot, 80).expect("grant");
-    let stats = client
-        .query(id, Query::StreamStats)
-        .expect("active lease serves")
-        .expect_stream_stats();
-    assert_eq!(stats.steps, 2);
-    let other = (0..)
-        .map(|k| format!("other-{k}"))
-        .find(|s| client.shard_map().shard_of(s) as u64 != slot)
-        .expect("some id hashes elsewhere");
-    let other_slot = client.shard_map().shard_of(&other) as u64;
-    match client.query(&other, Query::StreamStats) {
-        Err(ClientError::Fleet(FleetError::LeaseExpired { slot: s })) => {
-            assert_eq!(s, other_slot, "refusal names the lapsed slot")
-        }
-        other => panic!("ungranted slot must lapse, got {other:?}"),
-    }
-
-    // Past the deadline: query AND ingest are refused with the typed
-    // error; the snapshot drain path still answers.
-    std::thread::sleep(std::time::Duration::from_millis(160));
-    match client.query(id, Query::StreamStats) {
-        Err(ClientError::Fleet(FleetError::LeaseExpired { slot: s })) => assert_eq!(s, slot),
-        other => panic!("lapsed lease must refuse queries, got {other:?}"),
-    }
-    match client.ingest(id, streamed[2..4].to_vec()) {
-        Err(ClientError::Fleet(FleetError::LeaseExpired { slot: s })) => assert_eq!(s, slot),
-        other => panic!("lapsed lease must refuse ingest, got {other:?}"),
-    }
-    let envelope = client.snapshot(id).expect("drain path stays open");
-    assert!(!envelope.is_empty());
-
-    // Renewal resumes service; the step count proves the refused
-    // ingest never touched the model.
-    client.lease_grant(slot, 60_000).expect("renew");
-    let stats = client
-        .query(id, Query::StreamStats)
-        .expect("renewed lease serves")
-        .expect_stream_stats();
-    assert_eq!(stats.steps, 2, "the refused ingest was never applied");
-    client
-        .ingest(id, streamed[2..4].to_vec())
-        .expect("resumed ingest");
-    client.flush().expect("barrier");
-    assert_eq!(
-        client
-            .query(id, Query::StreamStats)
-            .expect("served")
-            .expect_stream_stats()
-            .steps,
-        4
-    );
-
-    // Revocation fences immediately (no waiting out a ttl) and reports
-    // whether a lease was actually held; a re-grant restores service.
-    assert!(client.lease_revoke(slot).expect("revoke"), "lease was held");
-    assert!(
-        !client.lease_revoke(slot).expect("second revoke"),
-        "second revoke finds nothing"
-    );
-    match client.query(id, Query::StreamStats) {
-        Err(ClientError::Fleet(FleetError::LeaseExpired { slot: s })) => assert_eq!(s, slot),
-        other => panic!("revoked slot must refuse, got {other:?}"),
-    }
-    client.lease_grant(slot, 60_000).expect("re-grant");
-    assert_eq!(
-        client
-            .query(id, Query::StreamStats)
-            .expect("restored")
-            .expect_stream_stats()
-            .steps,
-        4
-    );
-
-    server.shutdown().expect("down");
-}

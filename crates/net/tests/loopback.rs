@@ -21,7 +21,7 @@ use sofia_datagen::stream::TensorStream;
 use sofia_fleet::{
     CheckpointPolicy, Fleet, FleetConfig, FleetError, ModelHandle, Query, QueryResponse,
 };
-use sofia_net::wire::{read_frame, write_frame, Request};
+use sofia_net::wire::{ok_body, read_frame, write_frame, Request, ShardMap};
 use sofia_net::{Client, ClientError, Server, ServerConfig};
 use sofia_tensor::ObservedTensor;
 use std::path::PathBuf;
@@ -373,6 +373,13 @@ fn server_survives_malformed_and_oversized_frames() {
         write_frame(&mut raw, &Request::Stats { id: 4 }.to_body()).expect("stats");
         let reply = read_frame(&mut reader, 1 << 20).expect("reply").unwrap();
         assert!(reply.starts_with("ok 4\nshards 1"), "{reply}");
+        // `lease` is not a verb: the epoch is the one ownership fence.
+        write_frame(&mut raw, "lease 7 grant 0 5").expect("lease body");
+        let reply = read_frame(&mut reader, 1 << 20).expect("reply").unwrap();
+        assert!(reply.starts_with("err 0 invalid-query "), "{reply}");
+        write_frame(&mut raw, &Request::Stats { id: 5 }.to_body()).expect("stats");
+        let reply = read_frame(&mut reader, 1 << 20).expect("reply").unwrap();
+        assert!(reply.starts_with("ok 5\nshards 1"), "{reply}");
     }
 
     // A real client still gets served after all that abuse.
@@ -380,6 +387,39 @@ fn server_survives_malformed_and_oversized_frames() {
     assert_eq!(client.stats().expect("stats").shards.len(), 1);
 
     server.shutdown().expect("shutdown");
+}
+
+/// A `streams` reply announcing more ids than it carries is a typed
+/// protocol error. The stand-in server announces `u64::MAX` ids and
+/// sends none: a client that reserved capacity from the count would
+/// panic with a capacity overflow.
+#[test]
+fn streams_reply_with_an_unbacked_count_is_a_protocol_error() {
+    use std::io::BufReader;
+    use std::net::TcpListener;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let stand_in = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut r = BufReader::new(stream.try_clone().expect("clone"));
+        let mut w = stream;
+        let _hello = read_frame(&mut r, 1 << 20).expect("hello");
+        let map = ShardMap::single_node("stand-in", 1);
+        write_frame(&mut w, &ok_body(0, |out| map.push_wire(out))).expect("handshake");
+        let body = read_frame(&mut r, 1 << 20).expect("request").unwrap();
+        let id = Request::from_body(&body).expect("request parses").id();
+        let reply = ok_body(id, |out| out.push_str("streams 18446744073709551615\n"));
+        write_frame(&mut w, &reply).expect("reply");
+    });
+
+    let mut client = Client::connect(addr).expect("connect");
+    match client.stream_ids() {
+        Err(ClientError::Protocol(_)) => {}
+        other => panic!("an unbacked count must be a protocol error, got {other:?}"),
+    }
+    drop(client);
+    stand_in.join().expect("stand-in exits");
 }
 
 #[test]
