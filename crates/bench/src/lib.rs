@@ -1,10 +1,10 @@
 //! # sofia-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the
-//! SOFIA paper (see DESIGN.md for the experiment index, EXPERIMENTS.md for
-//! recorded results). Each `src/bin/figN.rs` / `tableN.rs` binary prints
-//! the rows/series the paper reports and writes CSV files under
-//! `results/`.
+//! SOFIA paper (the README's "Reproducing the paper's figures" section
+//! lists them; `docs/DESIGN.md` lists where the reproduction departs from
+//! the paper). Each `src/bin/figN.rs` / `tableN.rs` binary prints the
+//! rows/series the paper reports and writes CSV files under `results/`.
 //!
 //! This library crate holds the shared machinery:
 //!

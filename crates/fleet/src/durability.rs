@@ -246,6 +246,7 @@ pub fn recover_all(dir: &Path) -> Result<Vec<RecoveredStream>, FleetError> {
 mod tests {
     use super::*;
     use crate::model::tests::{small_sofia, sofia_slice, STARTUP};
+    use crate::model::LastStep;
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -463,9 +464,26 @@ mod tests {
             None => panic!("stream exists"),
         };
         let next = sofia_slice(7, STARTUP + 1);
-        let a = handle.step(&next);
-        let b = restored.step(&next);
-        assert_eq!(a.completed.data(), b.completed.data());
+        match (handle.step(&next), restored.step(&next)) {
+            (
+                LastStep::Sofia {
+                    temporal: ua,
+                    outliers: oa,
+                },
+                LastStep::Sofia {
+                    temporal: ub,
+                    outliers: ob,
+                },
+            ) => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&ua), bits(&ub), "u_t");
+                let (oa, ob) = (oa.to_dense(), ob.to_dense());
+                assert_eq!(bits(oa.data()), bits(ob.data()), "outliers");
+            }
+            _ => panic!("a SOFIA model takes a SOFIA step"),
+        }
+        // And the whole state after it, factors included, bit for bit.
+        assert_eq!(handle.checkpoint_text(), restored.checkpoint_text());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,7 +33,10 @@
 //!   forms — [`Query::to_wire`] one-line requests,
 //!   [`QueryResponse::to_wire`] multi-line bit-exact replies
 //!   ([`protocol::wire`]) — which the `sofia-net` TCP data plane
-//!   carries verbatim.
+//!   carries verbatim. A SOFIA stream's `Latest` and `Forecast` leave
+//!   the shard as an [`Answer`] in Kruskal form (factors plus R
+//!   weights); the ticket, or the network client, rebuilds the dense
+//!   slice with the model's own kernel, bit for bit.
 //! * **Durability** ([`durability`]) — periodic per-stream checkpoints as
 //!   tagged **v2 checkpoint envelopes** (`sofia-checkpoint v2` +
 //!   `model sofia`; see [`sofia_core::snapshot`]), written with atomic
@@ -109,6 +112,6 @@ pub use engine::{Fleet, FleetConfig};
 pub use error::{FleetError, IngestError};
 pub use model::ModelHandle;
 pub use protocol::wire::WireError;
-pub use protocol::{Query, QueryKind, QueryResponse, QueryTicket};
+pub use protocol::{Answer, Query, QueryKind, QueryResponse, QueryTicket};
 pub use registry::{shard_of, StreamKey};
 pub use stats::{FleetStats, MetricKind, QueryCounters, ShardStats, StreamStats};

@@ -8,16 +8,23 @@
 //! [`crate::durability::restore_handle`]; a transient handle (a test
 //! double, say) has no checkpoint and is never evicted.
 //!
-//! The handle also owns the **applied-steps counter**: every
-//! [`ModelHandle::step`] increments it, it is seeded from the envelope on
+//! The handle also owns the **applied-steps counter**: every step the
+//! shard applies increments it, it is seeded from the envelope on
 //! restore, and it is what checkpoint cadence, eviction bookkeeping, and
 //! `StreamStats::steps` report.
+//!
+//! A shard steps a SOFIA model without the dense reconstruction
+//! (`Sofia::update_only`) and keeps what the paper's Eq. (27) needs to
+//! rebuild it: `u_t` and the outliers (`LastStep`). Its `Latest` and
+//! `Forecast` answers are the model's factors plus R weights
+//! ([`Answer`]).
 
+use crate::protocol::{Answer, KruskalSlice, QueryResponse, SparseOutliers};
 use sofia_core::checkpoint;
 use sofia_core::snapshot::{self, SOFIA_KIND};
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
 use sofia_core::Sofia;
-use sofia_tensor::{DenseTensor, ObservedTensor};
+use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
 
 /// What a handle serves.
 enum Served {
@@ -25,6 +32,32 @@ enum Served {
     Sofia(Box<Sofia>),
     /// Stepped and queried, but never checkpointed or evicted.
     Transient(Box<dyn StreamingFactorizer + Send>),
+}
+
+/// What a shard keeps of a stream's latest step, to answer `Latest` and
+/// `OutlierMask` with.
+pub(crate) enum LastStep {
+    /// A transient model's output, as it returned it.
+    Dense(StepOutput),
+    /// A SOFIA step: the temporal vector `u_t` and the outliers `O_t`.
+    /// The completed slice is `⟦U⁽¹⁾, …; u_t⟧` over the model's current
+    /// factors, which only the next step changes — and that step
+    /// replaces this value.
+    Sofia {
+        temporal: Vec<f64>,
+        outliers: SparseOutliers,
+    },
+}
+
+impl LastStep {
+    /// The entries flagged as outliers (`None` for a model without
+    /// outlier estimates).
+    pub(crate) fn outlier_mask(&self) -> Option<Mask> {
+        match self {
+            LastStep::Dense(out) => out.outliers.as_ref().map(|o| SparseOutliers::of(o).mask()),
+            LastStep::Sofia { outliers, .. } => Some(outliers.mask()),
+        }
+    }
 }
 
 /// A model instance owned by a shard worker, plus its applied-steps
@@ -72,13 +105,6 @@ impl ModelHandle {
         }
     }
 
-    fn factorizer_mut(&mut self) -> &mut dyn StreamingFactorizer {
-        match &mut self.served {
-            Served::Sofia(model) => model.as_mut(),
-            Served::Transient(model) => model.as_mut(),
-        }
-    }
-
     /// Method name, as reported by the underlying model.
     pub fn name(&self) -> &'static str {
         self.factorizer().name()
@@ -87,10 +113,43 @@ impl ModelHandle {
     /// Applies one streaming step and advances the applied-steps counter
     /// (the counter only moves on a completed step: if the model panics
     /// the increment never happens, matching the quarantine semantics).
-    pub fn step(&mut self, slice: &ObservedTensor) -> StepOutput {
-        let out = self.factorizer_mut().step(slice);
+    /// A SOFIA model updates without the dense reconstruction of Eq. (27)
+    /// (`Sofia::update_only`) and keeps its outliers as a list.
+    pub(crate) fn step(&mut self, slice: &ObservedTensor) -> LastStep {
+        let last = match &mut self.served {
+            Served::Sofia(model) => {
+                let (temporal, outliers) = model.update_only(slice);
+                // O_t is +0.0 off the observed entries, so only those
+                // can be listed.
+                let observed = slice.mask().observed_offsets().iter().copied();
+                LastStep::Sofia {
+                    temporal,
+                    outliers: SparseOutliers::gather(&outliers, observed),
+                }
+            }
+            Served::Transient(model) => LastStep::Dense(model.step(slice)),
+        };
         self.steps += 1;
-        out
+        last
+    }
+
+    /// Answers `Latest` from the stream's last step (`None` before its
+    /// first): a SOFIA step as a copy of the current factors weighted by
+    /// `u_t`, plus its outlier list.
+    pub(crate) fn latest(&self, last: Option<&LastStep>) -> Answer {
+        match (last, &self.served) {
+            (None, _) => Answer::dense(QueryResponse::Latest(None)),
+            (Some(LastStep::Dense(out)), _) => {
+                Answer::dense(QueryResponse::Latest(Some(out.clone())))
+            }
+            (Some(LastStep::Sofia { temporal, outliers }), Served::Sofia(model)) => Answer::latest(
+                KruskalSlice::new(model.factors().to_vec(), temporal.clone()),
+                outliers.clone(),
+            ),
+            (Some(LastStep::Sofia { .. }), Served::Transient(_)) => {
+                unreachable!("only a SOFIA model takes a SOFIA step")
+            }
+        }
     }
 
     /// Forecasts `h` steps ahead, if the model supports forecasting.
@@ -106,6 +165,21 @@ impl ModelHandle {
     /// serving.
     pub(crate) fn forecast_guarded(&self, h: usize) -> Result<Option<DenseTensor>, ()> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.forecast(h))).map_err(|_| ())
+    }
+
+    /// Answers `Forecast { horizon: h }` behind the same panic guard: a
+    /// SOFIA model's forecast as a copy of its factors weighted by the
+    /// Holt-Winters forecast `û_{t+h|t}` (Eq. (28)), any other model's
+    /// dense forecast.
+    pub(crate) fn forecast_answer(&self, h: usize) -> Result<Answer, ()> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &self.served {
+            Served::Sofia(model) => Answer::forecast(KruskalSlice::new(
+                model.factors().to_vec(),
+                model.forecast_weights(h),
+            )),
+            Served::Transient(model) => Answer::dense(QueryResponse::Forecast(model.forecast(h))),
+        }))
+        .map_err(|_| ())
     }
 
     /// Whether the model is checkpointed (SOFIA) rather than transient.
@@ -126,9 +200,9 @@ impl ModelHandle {
         }
     }
 
-    /// Streaming steps applied so far: the handle counts completed
-    /// [`ModelHandle::step`] calls on top of whatever the checkpoint
-    /// envelope (or SOFIA's own state) seeded.
+    /// Streaming steps applied so far: the handle counts the steps the
+    /// shard completed on top of whatever the checkpoint envelope (or
+    /// SOFIA's own state) seeded.
     pub fn model_steps(&self) -> u64 {
         self.steps
     }
@@ -208,8 +282,10 @@ pub(crate) mod tests {
         let mut h = ModelHandle::serve(Echo);
         assert_eq!(h.name(), "echo");
         let slice = ObservedTensor::fully_observed(DenseTensor::full(Shape::new(&[2, 2]), 3.0));
-        let out = h.step(&slice);
-        assert_eq!(out.completed.data(), slice.values().data());
+        match h.step(&slice) {
+            LastStep::Dense(out) => assert_eq!(out.completed.data(), slice.values().data()),
+            LastStep::Sofia { .. } => panic!("a transient model keeps its own output"),
+        }
         assert!(h.forecast(1).is_none());
         assert!(h.checkpoint_text().is_none());
         assert!(!h.is_durable());

@@ -16,6 +16,11 @@
 //!   returns immediately. Callers pipeline many in-flight queries by
 //!   holding several tickets and settling them with
 //!   [`QueryTicket::wait`] or polling [`QueryTicket::try_take`].
+//! * [`Answer`] — what a ticket carries from the shard. A SOFIA
+//!   stream's `Latest` and `Forecast` stay in Kruskal form (the factors
+//!   plus R weights) until a caller asks for the dense value, so the
+//!   shard never builds a dense slice and the wire ships the paper's
+//!   sizes.
 //!
 //! Validation happens at the API boundary: [`Query::validate`] rejects
 //! requests no model could answer (for example a zero forecast horizon)
@@ -27,7 +32,7 @@ use crate::error::FleetError;
 use crate::stats::{MetricKind, StreamStats};
 use sofia_core::snapshot::wire as hexwire;
 use sofia_core::traits::StepOutput;
-use sofia_tensor::{DenseTensor, Mask};
+use sofia_tensor::{kruskal, DenseTensor, Mask, Matrix, Shape};
 use std::sync::mpsc;
 
 /// The discriminant of a [`Query`] / [`QueryResponse`] pair, used for
@@ -291,6 +296,150 @@ impl QueryResponse {
     }
 }
 
+/// A slice in SOFIA's Kruskal form `⟦U⁽¹⁾, …, U⁽ᴺ⁻¹⁾; w⟧` (Eqs. 27–28):
+/// the non-temporal factors plus one weight per component — `u_t` for
+/// the latest reconstruction, the Holt-Winters forecast `û_{t+h|t}` for
+/// a forecast. [`KruskalSlice::to_dense`] runs the kernel that SOFIA's
+/// own `step` and `forecast_slice` run, so the dense value has their
+/// bits.
+#[derive(Debug, Clone)]
+pub(crate) struct KruskalSlice {
+    factors: Vec<Matrix>,
+    weights: Vec<f64>,
+}
+
+impl KruskalSlice {
+    /// Pairs factors with weights; every factor has `weights.len()`
+    /// columns.
+    pub(crate) fn new(factors: Vec<Matrix>, weights: Vec<f64>) -> KruskalSlice {
+        debug_assert!(factors.iter().all(|f| f.cols() == weights.len()));
+        KruskalSlice { factors, weights }
+    }
+
+    /// The dense slice, through [`kruskal::kruskal_slice`].
+    pub(crate) fn to_dense(&self) -> DenseTensor {
+        let refs: Vec<&Matrix> = self.factors.iter().collect();
+        kruskal::kruskal_slice(&refs, &self.weights)
+    }
+}
+
+/// An outlier tensor as the list of its entries whose bit pattern is not
+/// +0.0, ascending by flat offset. Keeping −0.0 and NaN makes the list
+/// exact: [`SparseOutliers::to_dense`] gives back every bit of the
+/// tensor it was gathered from.
+#[derive(Debug, Clone)]
+pub(crate) struct SparseOutliers {
+    shape: Shape,
+    offsets: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl SparseOutliers {
+    /// The entries of `t` at `offsets` (ascending) that are not +0.0;
+    /// `t` must be +0.0 everywhere else.
+    pub(crate) fn gather(t: &DenseTensor, offsets: impl IntoIterator<Item = usize>) -> Self {
+        let mut list = SparseOutliers {
+            shape: t.shape().clone(),
+            offsets: Vec::new(),
+            values: Vec::new(),
+        };
+        for off in offsets {
+            let v = t.get_flat(off);
+            if v.to_bits() != 0 {
+                list.offsets.push(off);
+                list.values.push(v);
+            }
+        }
+        list
+    }
+
+    /// Every entry of `t` that is not +0.0.
+    pub(crate) fn of(t: &DenseTensor) -> Self {
+        SparseOutliers::gather(t, 0..t.len())
+    }
+
+    /// The dense tensor: the listed entries, +0.0 elsewhere.
+    pub(crate) fn to_dense(&self) -> DenseTensor {
+        let mut t = DenseTensor::zeros(self.shape.clone());
+        for (&off, &v) in self.offsets.iter().zip(&self.values) {
+            t.set_flat(off, v);
+        }
+        t
+    }
+
+    /// The entries flagged as outliers: those with `v != 0.0`.
+    pub(crate) fn mask(&self) -> Mask {
+        let mut flagged = vec![false; self.shape.len()];
+        for (&off, &v) in self.offsets.iter().zip(&self.values) {
+            flagged[off] = v != 0.0;
+        }
+        Mask::from_vec(self.shape.clone(), flagged)
+    }
+}
+
+/// A shard's answer to one [`Query`], as a [`QueryTicket`] carries it.
+///
+/// A SOFIA stream's `Latest` and `Forecast` stay in Kruskal form — a
+/// copy of the non-temporal factors plus R weights, and `Latest`'s
+/// outliers as a sparse list — so the shard never builds the dense
+/// slice. [`Answer::into_response`] rebuilds the dense value with
+/// [`kruskal::kruskal_slice`]; [`wire::push_answer`] ships the factored
+/// form as it is, and the client's [`wire::parse_response`] rebuilds it
+/// with the same kernel. Either way the caller sees the bits the model's
+/// dense `step` and `forecast_slice` would have produced.
+#[derive(Debug)]
+pub struct Answer(AnswerForm);
+
+#[derive(Debug)]
+enum AnswerForm {
+    /// Any answer held densely (every model's other queries, and a
+    /// transient model's `Latest` and `Forecast`).
+    Dense(QueryResponse),
+    /// `Latest(Some(..))` of a SOFIA stream.
+    Latest {
+        completed: KruskalSlice,
+        outliers: SparseOutliers,
+    },
+    /// `Forecast(Some(..))` of a SOFIA stream.
+    Forecast(KruskalSlice),
+}
+
+impl Answer {
+    /// An answer held densely.
+    pub(crate) fn dense(resp: QueryResponse) -> Answer {
+        Answer(AnswerForm::Dense(resp))
+    }
+
+    /// A SOFIA `Latest`: the completed slice in Kruskal form and its
+    /// outliers.
+    pub(crate) fn latest(completed: KruskalSlice, outliers: SparseOutliers) -> Answer {
+        Answer(AnswerForm::Latest {
+            completed,
+            outliers,
+        })
+    }
+
+    /// A SOFIA `Forecast` in Kruskal form.
+    pub(crate) fn forecast(forecast: KruskalSlice) -> Answer {
+        Answer(AnswerForm::Forecast(forecast))
+    }
+
+    /// The dense response, rebuilt with the model's own kernel.
+    pub fn into_response(self) -> QueryResponse {
+        match self.0 {
+            AnswerForm::Dense(resp) => resp,
+            AnswerForm::Latest {
+                completed,
+                outliers,
+            } => QueryResponse::Latest(Some(StepOutput {
+                completed: completed.to_dense(),
+                outliers: Some(outliers.to_dense()),
+            })),
+            AnswerForm::Forecast(forecast) => QueryResponse::Forecast(Some(forecast.to_dense())),
+        }
+    }
+}
+
 /// Completion handle of one in-flight query.
 ///
 /// [`crate::Fleet::query`] returns the ticket immediately after handing
@@ -321,28 +470,39 @@ impl QueryResponse {
 pub struct QueryTicket {
     /// `None` once the response has been taken through
     /// [`QueryTicket::try_take`].
-    rx: Option<mpsc::Receiver<Result<QueryResponse, FleetError>>>,
+    rx: Option<mpsc::Receiver<Result<Answer, FleetError>>>,
 }
 
 impl QueryTicket {
-    pub(crate) fn new(rx: mpsc::Receiver<Result<QueryResponse, FleetError>>) -> Self {
+    pub(crate) fn new(rx: mpsc::Receiver<Result<Answer, FleetError>>) -> Self {
         QueryTicket { rx: Some(rx) }
     }
 
-    /// Blocks until the response arrives.
+    /// Blocks until the response arrives, and rebuilds a factored answer
+    /// into its dense value ([`Answer::into_response`]).
     ///
     /// Returns [`FleetError::ShuttingDown`] if the owning shard exited
     /// before answering. Panics if [`QueryTicket::try_take`] already
     /// returned the response (the ticket is spent).
     pub fn wait(mut self) -> Result<QueryResponse, FleetError> {
         let rx = self.rx.take().expect("query ticket already taken");
-        rx.recv().map_err(|_| FleetError::ShuttingDown)?
+        rx.recv()
+            .map_err(|_| FleetError::ShuttingDown)?
+            .map(Answer::into_response)
     }
 
     /// Non-blocking poll: `None` while the query is still in flight (or
     /// after the response has already been taken), `Some` exactly once
-    /// when it resolves.
+    /// when it resolves — densely, as [`QueryTicket::wait`] returns it.
     pub fn try_take(&mut self) -> Option<Result<QueryResponse, FleetError>> {
+        self.try_take_answer()
+            .map(|res| res.map(Answer::into_response))
+    }
+
+    /// [`QueryTicket::try_take`] without the rebuild: the answer as the
+    /// shard produced it, for a front end that encodes it onto the wire
+    /// ([`wire::push_answer`]).
+    pub fn try_take_answer(&mut self) -> Option<Result<Answer, FleetError>> {
         let rx = self.rx.as_ref()?;
         match rx.try_recv() {
             Ok(res) => {
@@ -362,7 +522,9 @@ impl QueryResponse {
     /// Serializes the response into its multi-line wire form (first line
     /// `<kind> <some|none>` — or bare `stream-stats` — followed by the
     /// payload encoded by [`wire`]; floats travel as IEEE 754 hex bit
-    /// patterns, so the round-trip is bit-exact).
+    /// patterns, so the round-trip is bit-exact). Tensors take the dense
+    /// `data` form here; a shard's factored [`Answer`] goes out through
+    /// [`wire::push_answer`].
     pub fn to_wire(&self) -> String {
         let mut out = String::new();
         wire::push_response(&mut out, self);
@@ -370,12 +532,16 @@ impl QueryResponse {
     }
 
     /// Parses the multi-line wire form produced by
-    /// [`QueryResponse::to_wire`]. Malformed input — truncated blocks,
-    /// bad hex, shape/data mismatches, oversized shapes — is a typed
-    /// [`wire::WireError`], never a panic.
+    /// [`QueryResponse::to_wire`] or [`wire::push_answer`], rebuilding a
+    /// `kruskal` block into its dense slice. Malformed input — truncated
+    /// blocks, bad hex, shape/data mismatches, oversized shapes or ranks —
+    /// is a typed [`wire::WireError`], never a panic.
     pub fn from_wire(text: &str) -> Result<QueryResponse, wire::WireError> {
         let mut cur = wire::LineCursor::new(text);
-        let resp = wire::parse_response(&mut cur)?;
+        // One block decodes to at most a completed slice and its
+        // outliers, each within the shape bound.
+        let mut budget = wire::DecodeBudget::new(2 * wire::MAX_WIRE_ELEMS);
+        let resp = wire::parse_response(&mut cur, &mut budget)?;
         cur.finish()?;
         Ok(resp)
     }
@@ -388,35 +554,105 @@ pub mod wire {
     //! *reply* direction (and the data plane's slices) one too, so a
     //! network transport can carry the whole protocol as framed text:
     //!
-    //! * [`DenseTensor`] / [`Mask`] / [`ObservedTensor`] — a `shape` line
-    //!   plus `data` (floats as 16-hex-digit IEEE 754 bit patterns, via
-    //!   [`sofia_core::snapshot::wire`]) and/or `bits` (a 0/1 string);
-    //! * [`StepOutput`] — completed tensor plus an `outliers some|none`
-    //!   marker;
+    //! * a tensor block — a `shape` line plus one of two forms: dense
+    //!   `data` (floats as 16-hex-digit IEEE 754 bit patterns, via
+    //!   [`sofia_core::snapshot::wire`]), or `kruskal <R>` followed by
+    //!   one `factor` line per mode (`I_n·R` values, row-major) and a
+    //!   `weights` line (R values), which the parser rebuilds with
+    //!   [`sofia_tensor::kruskal::kruskal_slice`];
+    //! * [`Mask`] / [`ObservedTensor`] — a `shape` line plus `bits` (a
+    //!   0/1 string); an observed slice's `data` line carries its `|Ω|`
+    //!   observed values only, in ascending offset order;
+    //! * [`StepOutput`] — the completed tensor block plus `outliers none`
+    //!   or `outliers <k>` with the k entries whose bit pattern is not
+    //!   +0.0 as ascending `offsets` and their `values`;
     //! * [`crate::StreamStats`] — one `key value` line per field;
-    //! * [`QueryResponse`] — kind header plus the matching payload;
+    //! * [`QueryResponse`] / [`Answer`] — kind header plus the matching
+    //!   payload;
     //! * [`FleetError`] — a one-line typed form for `err` replies.
     //!
     //! Every parser is **total**: malformed input (truncated blocks,
-    //! non-hex floats, shape/data length mismatches, absurd shapes that
-    //! would allocate gigabytes) comes back as a typed [`WireError`],
-    //! never a panic — the transport feeds these parsers bytes from the
-    //! network.
+    //! non-hex floats, shape/data length mismatches, absurd shapes or
+    //! ranks, a frame whose tensors would decode to more than its
+    //! [`DecodeBudget`]) comes back as a typed [`WireError`], never a
+    //! panic — the transport feeds these parsers bytes from the network.
 
-    use super::{Query, QueryResponse};
+    use super::{Answer, AnswerForm, KruskalSlice, Query, QueryResponse, SparseOutliers};
     use crate::durability::{decode_stream_id, encode_stream_id};
     use crate::error::FleetError;
     use crate::stats::{MetricKind, StreamStats};
     use sofia_core::snapshot::wire as hexwire;
     use sofia_core::traits::StepOutput;
     use sofia_sketch::{metric::METRIC_WIRE_LINES, MetricSummary};
-    use sofia_tensor::{DenseTensor, Mask, ObservedTensor, Shape};
+    use sofia_tensor::{DenseTensor, Mask, Matrix, ObservedTensor, Shape};
+    use std::fmt::Write as _;
 
     /// Upper bound on the element count of any tensor accepted off the
     /// wire (4Mi elements ≈ 32 MB of floats). Shapes whose dimension
     /// product exceeds this — or overflows — are rejected before any
     /// allocation happens.
     pub const MAX_WIRE_ELEMS: usize = 1 << 22;
+
+    /// Upper bound on elements × R of a `kruskal` block accepted off the
+    /// wire: the multiply-adds its rebuild costs (R = 64 at the largest
+    /// shape). The parser checks it from the `shape` and `kruskal` lines,
+    /// before anything is allocated; the encoder writes a slice over it
+    /// in the dense form, so every slice still crosses the wire.
+    pub const MAX_KRUSKAL_TERMS: usize = MAX_WIRE_ELEMS * 64;
+
+    /// Whether a `elems`-entry slice of rank `r` may travel as a
+    /// `kruskal` block.
+    pub(crate) fn kruskal_fits(elems: usize, r: usize) -> bool {
+        elems
+            .checked_mul(r)
+            .is_some_and(|terms| terms <= MAX_KRUSKAL_TERMS)
+    }
+
+    /// Bytes of one value on a dense `data` line: a space and 16 hex
+    /// digits.
+    const DENSE_VALUE_BYTES: usize = 17;
+
+    /// How many tensor elements the rest of one frame may decode to.
+    ///
+    /// A `kruskal` block, an outlier list and an observed slice's `bits`
+    /// each stand for a tensor many times the size of their lines, so
+    /// the frame-size bound alone does not bound what a frame decodes
+    /// to. Every float tensor a parser builds draws its element count
+    /// from the frame's one budget before it is allocated, and a frame
+    /// that would overdraw it is a [`WireError`].
+    #[derive(Debug, Clone)]
+    pub struct DecodeBudget {
+        left: usize,
+    }
+
+    impl DecodeBudget {
+        /// A budget of `elems` elements.
+        pub fn new(elems: usize) -> Self {
+            DecodeBudget { left: elems }
+        }
+
+        /// The elements a `bytes`-byte frame carries as dense `data`
+        /// values: no frame decodes to more than the dense form of a
+        /// frame at the same bound would.
+        pub fn for_frame(bytes: usize) -> Self {
+            DecodeBudget::new(bytes / DENSE_VALUE_BYTES)
+        }
+
+        /// Draws `elems` elements, or refuses without drawing any.
+        pub fn take(&mut self, elems: usize) -> Result<(), WireError> {
+            match self.left.checked_sub(elems) {
+                Some(left) => {
+                    self.left = left;
+                    Ok(())
+                }
+                None => Err(WireError::new(format!(
+                    "a {elems}-element tensor overdraws the frame's decode budget of {} \
+                     elements left",
+                    self.left
+                ))),
+            }
+        }
+    }
 
     /// A malformed wire payload: what the parser expected and what it
     /// found. Deliberately a plain diagnostic — transport code maps it
@@ -494,13 +730,30 @@ pub mod wire {
             .map_err(|_| WireError::new(format!("bad {what} `{tok}`")))
     }
 
-    fn push_shape(out: &mut String, shape: &Shape) {
+    /// Parses a count or offset of the `kruskal` and outlier-list lines:
+    /// decimal digits in their one canonical spelling (no sign, no
+    /// leading zero).
+    fn parse_count(tok: &str, what: &str) -> Result<usize, WireError> {
+        let canonical = !tok.is_empty()
+            && tok.bytes().all(|b| b.is_ascii_digit())
+            && (tok == "0" || !tok.starts_with('0'));
+        if !canonical {
+            return Err(WireError::new(format!("bad {what} `{tok}`")));
+        }
+        parse_int(tok, what)
+    }
+
+    /// Appends a `shape` line with the given mode lengths.
+    fn push_dims(out: &mut String, dims: impl IntoIterator<Item = usize>) {
         out.push_str("shape");
-        for d in shape.dims() {
-            out.push(' ');
-            out.push_str(&d.to_string());
+        for d in dims {
+            let _ = write!(out, " {d}");
         }
         out.push('\n');
+    }
+
+    fn push_shape(out: &mut String, shape: &Shape) {
+        push_dims(out, shape.dims().iter().copied());
     }
 
     /// Parses and **bounds** a `shape` line: every dimension positive,
@@ -537,16 +790,44 @@ pub mod wire {
         hexwire::parse_f64s(line, label).map_err(|e| WireError::new(e.to_string()))
     }
 
-    /// Appends a tensor as `shape …` + `data <hex>…` lines.
+    /// Appends a tensor block in the dense form: `shape …` + `data
+    /// <hex>…`.
     pub fn push_tensor(out: &mut String, t: &DenseTensor) {
         push_shape(out, t.shape());
         hexwire::push_f64s(out, "data", t.data().iter().copied());
     }
 
-    /// Parses the two lines written by [`push_tensor`].
-    pub fn parse_tensor(cur: &mut LineCursor<'_>) -> Result<DenseTensor, WireError> {
+    /// Appends a tensor block in the Kruskal form: `shape …`, `kruskal
+    /// <R>`, one `factor` line per mode and a `weights` line — or the
+    /// dense form when elements × R exceeds [`MAX_KRUSKAL_TERMS`].
+    fn push_kruskal(out: &mut String, slice: &KruskalSlice) {
+        let r = slice.weights.len();
+        // The model holds tensors of this shape, so the product fits.
+        let elems = slice.factors.iter().map(Matrix::rows).product();
+        if !kruskal_fits(elems, r) {
+            return push_tensor(out, &slice.to_dense());
+        }
+        push_dims(out, slice.factors.iter().map(Matrix::rows));
+        let _ = writeln!(out, "kruskal {r}");
+        for f in &slice.factors {
+            hexwire::push_f64s(out, "factor", f.data().iter().copied());
+        }
+        hexwire::push_f64s(out, "weights", slice.weights.iter().copied());
+    }
+
+    /// Parses a tensor block in either form, drawing its element count
+    /// from `budget`; a `kruskal` block is rebuilt into its dense slice.
+    pub fn parse_tensor(
+        cur: &mut LineCursor<'_>,
+        budget: &mut DecodeBudget,
+    ) -> Result<DenseTensor, WireError> {
         let shape = parse_shape(cur)?;
-        let data = parse_hex_f64s(cur.next("tensor data")?, "data")?;
+        budget.take(shape.len())?;
+        let line = cur.next("tensor data")?;
+        if let Some(rank) = line.strip_prefix("kruskal ") {
+            return Ok(parse_kruskal(cur, shape, rank)?.to_dense());
+        }
+        let data = parse_hex_f64s(line, "data")?;
         if data.len() != shape.len() {
             return Err(WireError::new(format!(
                 "tensor data carries {} values for a {}-element shape",
@@ -555,6 +836,45 @@ pub mod wire {
             )));
         }
         Ok(DenseTensor::from_vec(shape, data))
+    }
+
+    /// Parses the `factor` and `weights` lines after `kruskal <rank>`,
+    /// with R and elements × R bounded before anything is allocated.
+    fn parse_kruskal(
+        cur: &mut LineCursor<'_>,
+        shape: Shape,
+        rank: &str,
+    ) -> Result<KruskalSlice, WireError> {
+        let r = parse_count(rank, "kruskal rank")?;
+        if r == 0 {
+            return Err(WireError::new("kruskal rank must be at least 1"));
+        }
+        if !kruskal_fits(shape.len(), r) {
+            return Err(WireError::new(format!(
+                "a rank-{r} block over {} elements exceeds the wire bound of \
+                 {MAX_KRUSKAL_TERMS} terms",
+                shape.len()
+            )));
+        }
+        let mut factors = Vec::with_capacity(shape.order());
+        for &rows in shape.dims() {
+            let values = parse_hex_f64s(cur.next("kruskal factor")?, "factor")?;
+            if values.len() != rows * r {
+                return Err(WireError::new(format!(
+                    "factor carries {} values for a {rows}×{r} matrix",
+                    values.len()
+                )));
+            }
+            factors.push(Matrix::from_vec(rows, r, values));
+        }
+        let weights = parse_hex_f64s(cur.next("kruskal weights")?, "weights")?;
+        if weights.len() != r {
+            return Err(WireError::new(format!(
+                "weights carries {} values for rank {r}",
+                weights.len()
+            )));
+        }
+        Ok(KruskalSlice::new(factors, weights))
     }
 
     fn push_bits(out: &mut String, mask: &Mask) {
@@ -604,60 +924,139 @@ pub mod wire {
     }
 
     /// Appends an observed slice as `shape` + `data` + `bits` lines (one
-    /// shared shape; this is the ingest payload of the data plane).
+    /// shared shape; this is the ingest payload of the data plane). The
+    /// `data` line carries the `|Ω|` observed values only, in ascending
+    /// offset order: nothing reads a value at an unobserved entry.
     pub fn push_observed(out: &mut String, slice: &ObservedTensor) {
         push_shape(out, slice.shape());
-        hexwire::push_f64s(out, "data", slice.values().data().iter().copied());
+        hexwire::push_f64s(out, "data", slice.observed_entries().map(|(_, v)| v));
         push_bits(out, slice.mask());
     }
 
-    /// Parses the three lines written by [`push_observed`].
-    pub fn parse_observed(cur: &mut LineCursor<'_>) -> Result<ObservedTensor, WireError> {
+    /// Parses the three lines written by [`push_observed`]: the `data`
+    /// line must carry exactly one value per observed bit, and the
+    /// values land in a zero tensor, whose element count is drawn from
+    /// `budget`.
+    pub fn parse_observed(
+        cur: &mut LineCursor<'_>,
+        budget: &mut DecodeBudget,
+    ) -> Result<ObservedTensor, WireError> {
         let shape = parse_shape(cur)?;
+        budget.take(shape.len())?;
         let data = parse_hex_f64s(cur.next("slice data")?, "data")?;
-        if data.len() != shape.len() {
+        let mask = parse_bits(cur.next("slice bits")?, &shape)?;
+        if data.len() != mask.count_observed() {
             return Err(WireError::new(format!(
-                "slice data carries {} values for a {}-element shape",
+                "slice data carries {} values for {} observed entries",
                 data.len(),
+                mask.count_observed()
+            )));
+        }
+        let mut values = DenseTensor::zeros(shape);
+        for (&off, v) in mask.observed_offsets().iter().zip(data) {
+            values.set_flat(off, v);
+        }
+        Ok(ObservedTensor::new(values, mask))
+    }
+
+    /// Appends an outlier list: `outliers <k>`, then the k ascending
+    /// `offsets` and their `values`.
+    fn push_outliers(out: &mut String, list: &SparseOutliers) {
+        let _ = write!(out, "outliers {}\noffsets", list.offsets.len());
+        for &off in &list.offsets {
+            let _ = write!(out, " {off}");
+        }
+        out.push('\n');
+        hexwire::push_f64s(out, "values", list.values.iter().copied());
+    }
+
+    /// Parses the outliers that follow a `shape`-shaped completed block:
+    /// `outliers none`, or an outlier list whose offsets are strictly
+    /// ascending, below the element count, and matched one to one by
+    /// values. The dense outlier tensor draws on `budget`.
+    fn parse_outliers(
+        cur: &mut LineCursor<'_>,
+        shape: &Shape,
+        budget: &mut DecodeBudget,
+    ) -> Result<Option<DenseTensor>, WireError> {
+        let count = field(cur, "outliers")?;
+        if count == "none" {
+            return Ok(None);
+        }
+        let k = parse_count(count, "outlier count")?;
+        budget.take(shape.len())?;
+        if k > shape.len() {
+            return Err(WireError::new(format!(
+                "{k} outliers in a {}-element slice",
                 shape.len()
             )));
         }
-        let mask = parse_bits(cur.next("slice bits")?, &shape)?;
-        Ok(ObservedTensor::new(
-            DenseTensor::from_vec(shape, data),
-            mask,
-        ))
+        let offsets = parse_offsets(cur.next("outlier offsets")?, shape.len())?;
+        if offsets.len() != k {
+            return Err(WireError::new(format!(
+                "outliers {k} lists {} offsets",
+                offsets.len()
+            )));
+        }
+        let values = parse_hex_f64s(cur.next("outlier values")?, "values")?;
+        if values.len() != k {
+            return Err(WireError::new(format!(
+                "outliers {k} carries {} values",
+                values.len()
+            )));
+        }
+        let mut dense = DenseTensor::zeros(shape.clone());
+        for (off, v) in offsets.into_iter().zip(values) {
+            dense.set_flat(off, v);
+        }
+        Ok(Some(dense))
     }
 
-    /// Appends a step output: the completed tensor plus an
-    /// `outliers some|none` marker (outliers reuse the completed shape).
+    /// Parses an `offsets` line: decimal offsets, one space before each,
+    /// every one canonical ([`parse_count`]), strictly ascending and
+    /// below `len`.
+    fn parse_offsets(line: &str, len: usize) -> Result<Vec<usize>, WireError> {
+        let rest = line
+            .strip_prefix("offsets")
+            .ok_or_else(|| WireError::new(format!("expected `offsets`, got `{line}`")))?;
+        if !rest.is_empty() && !rest.starts_with(' ') {
+            return Err(WireError::new(format!("bad outlier offsets `{line}`")));
+        }
+        // Each offset takes at least two bytes of the line.
+        let mut offsets = Vec::with_capacity(rest.len() / 2);
+        let mut next = 0;
+        for token in rest.split(' ').skip(1) {
+            let off = parse_count(token, "outlier offset")?;
+            if off < next || off >= len {
+                return Err(WireError::new(format!(
+                    "outlier offset {off} is out of order or past the {len}-element slice"
+                )));
+            }
+            next = off + 1;
+            offsets.push(off);
+        }
+        Ok(offsets)
+    }
+
+    /// Appends a step output: the completed tensor block (dense form)
+    /// plus its outliers, listed so that every bit comes back.
     pub fn push_step_output(out: &mut String, step: &StepOutput) {
         push_tensor(out, &step.completed);
         match &step.outliers {
-            Some(o) => {
-                out.push_str("outliers some\n");
-                hexwire::push_f64s(out, "data", o.data().iter().copied());
-            }
+            Some(o) => push_outliers(out, &SparseOutliers::of(o)),
             None => out.push_str("outliers none\n"),
         }
     }
 
-    /// Parses the block written by [`push_step_output`].
-    pub fn parse_step_output(cur: &mut LineCursor<'_>) -> Result<StepOutput, WireError> {
-        let completed = parse_tensor(cur)?;
-        let outliers = match field(cur, "outliers")? {
-            "none" => None,
-            "some" => {
-                let data = parse_hex_f64s(cur.next("outlier data")?, "data")?;
-                if data.len() != completed.len() {
-                    return Err(WireError::new(
-                        "outlier data does not match the completed shape",
-                    ));
-                }
-                Some(DenseTensor::from_vec(completed.shape().clone(), data))
-            }
-            other => return Err(WireError::new(format!("bad outliers marker `{other}`"))),
-        };
+    /// Parses a step output's completed block (either form) and its
+    /// outliers (which take the completed shape), both drawn from
+    /// `budget`.
+    pub fn parse_step_output(
+        cur: &mut LineCursor<'_>,
+        budget: &mut DecodeBudget,
+    ) -> Result<StepOutput, WireError> {
+        let completed = parse_tensor(cur, budget)?;
+        let outliers = parse_outliers(cur, completed.shape(), budget)?;
         Ok(StepOutput {
             completed,
             outliers,
@@ -728,7 +1127,6 @@ pub mod wire {
     /// percent-encoded with the checkpoint-filename encoding), followed
     /// by the metric sketch block ([`parse_sketch_block`]).
     pub fn push_stream_stats(out: &mut String, stats: &StreamStats) {
-        use std::fmt::Write as _;
         let _ = writeln!(out, "stream {}", encode_stream_id(&stats.stream));
         let _ = writeln!(out, "model {}", stats.model);
         let _ = writeln!(out, "shard {}", stats.shard);
@@ -804,8 +1202,35 @@ pub mod wire {
         }
     }
 
-    /// Parses one [`QueryResponse`] block written by [`push_response`].
-    pub fn parse_response(cur: &mut LineCursor<'_>) -> Result<QueryResponse, WireError> {
+    /// Appends one [`Answer`] as the block [`parse_response`] reads: a
+    /// factored answer in the `kruskal` form, never densified on the way
+    /// out; any other answer as [`push_response`] writes it.
+    pub fn push_answer(out: &mut String, answer: &Answer) {
+        match &answer.0 {
+            AnswerForm::Dense(resp) => push_response(out, resp),
+            AnswerForm::Latest {
+                completed,
+                outliers,
+            } => {
+                out.push_str("latest some\n");
+                push_kruskal(out, completed);
+                push_outliers(out, outliers);
+            }
+            AnswerForm::Forecast(forecast) => {
+                out.push_str("forecast some\n");
+                push_kruskal(out, forecast);
+            }
+        }
+    }
+
+    /// Parses one [`QueryResponse`] block written by [`push_response`] or
+    /// [`push_answer`]; a factored answer comes back dense, with the bits
+    /// [`Answer::into_response`] gives it. The block's tensors draw on
+    /// `budget`, which the blocks of one frame share.
+    pub fn parse_response(
+        cur: &mut LineCursor<'_>,
+        budget: &mut DecodeBudget,
+    ) -> Result<QueryResponse, WireError> {
         let head = cur.next("response header")?;
         let mut parts = head.split_whitespace();
         let kind = parts.next().unwrap_or("");
@@ -823,12 +1248,12 @@ pub mod wire {
         };
         match kind {
             "latest" => Ok(QueryResponse::Latest(if some {
-                Some(parse_step_output(cur)?)
+                Some(parse_step_output(cur, budget)?)
             } else {
                 None
             })),
             "forecast" => Ok(QueryResponse::Forecast(if some {
-                Some(parse_tensor(cur)?)
+                Some(parse_tensor(cur, budget)?)
             } else {
                 None
             })),
@@ -929,6 +1354,8 @@ pub mod wire {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use sofia_sketch::MetricSummary;
     use sofia_tensor::ObservedTensor;
 
@@ -1024,7 +1451,6 @@ mod tests {
     }
 
     fn sample_responses() -> Vec<QueryResponse> {
-        use sofia_tensor::Shape;
         let t = DenseTensor::from_vec(
             Shape::new(&[2, 3]),
             vec![1.5, -0.0, f64::INFINITY, 2.0f64.powi(-1030), 3.25, -9.5e300],
@@ -1154,18 +1580,194 @@ mod tests {
 
     #[test]
     fn observed_slice_wire_round_trips() {
-        use sofia_tensor::Shape;
         let slice = ObservedTensor::new(
             DenseTensor::from_vec(Shape::new(&[2, 2]), vec![1.0, -2.5, 0.0, 4.0]),
             Mask::from_vec(Shape::new(&[2, 2]), vec![true, true, false, true]),
         );
         let mut out = String::new();
         wire::push_observed(&mut out, &slice);
+        assert_eq!(
+            out, "shape 2 2\ndata 3ff0000000000000 c004000000000000 4010000000000000\nbits 1101\n",
+            "the data line carries the observed values only"
+        );
         let mut cur = wire::LineCursor::new(&out);
-        let back = wire::parse_observed(&mut cur).expect("parse");
+        let back = wire::parse_observed(&mut cur, &mut wire::DecodeBudget::new(4)).expect("parse");
         cur.finish().expect("no trailing lines");
         assert_eq!(back.values().data(), slice.values().data());
         assert_eq!(back.count_observed(), 3);
+    }
+
+    /// A fully observed slice keeps the frame it had when every slice
+    /// carried a value per entry.
+    #[test]
+    fn fully_observed_slice_frame_is_the_dense_form() {
+        let values = DenseTensor::from_vec(
+            Shape::new(&[2, 3]),
+            vec![1.5, -0.0, 2.0f64.powi(-1030), 3.25, -9.5e300, 0.0],
+        );
+        let mut dense = String::from("shape 2 3\n");
+        hexwire::push_f64s(&mut dense, "data", values.data().iter().copied());
+        dense.push_str("bits 111111\n");
+        let mut out = String::new();
+        wire::push_observed(&mut out, &ObservedTensor::fully_observed(values));
+        assert_eq!(out, dense);
+    }
+
+    /// A value that stresses bit-identity — a signed zero, a subnormal,
+    /// a huge magnitude, an infinity or NaN — or else a uniform one.
+    fn stress_value(rng: &mut SmallRng) -> f64 {
+        const POOL: [f64; 9] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -2.2e-310,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        if rng.gen_bool(0.2) {
+            POOL[rng.gen_range(0..POOL.len())]
+        } else {
+            rng.gen_range(-2.0..2.0)
+        }
+    }
+
+    fn bits(t: &DenseTensor) -> Vec<u64> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// An outlier tensor's −0.0 and NaN entries survive the list form
+    /// bit for bit, and the mask flags exactly the entries `!= 0.0`.
+    #[test]
+    fn outlier_list_round_trips_negative_zero_and_nan() {
+        let payload_nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let outliers = DenseTensor::from_vec(
+            Shape::new(&[2, 3]),
+            vec![0.0, -0.0, f64::NAN, 0.0, payload_nan, -3.5],
+        );
+        let latest = QueryResponse::Latest(Some(StepOutput {
+            completed: DenseTensor::full(Shape::new(&[2, 3]), 1.0),
+            outliers: Some(outliers.clone()),
+        }));
+        let text = latest.to_wire();
+        assert!(
+            text.contains("\noutliers 4\noffsets 1 2 4 5\nvalues "),
+            "{text}"
+        );
+        let step = QueryResponse::from_wire(&text)
+            .expect("parse")
+            .expect_latest()
+            .expect("some");
+        assert_eq!(bits(&step.outliers.expect("outliers")), bits(&outliers));
+        let mask = SparseOutliers::of(&outliers).mask();
+        let flagged: Vec<bool> = (0..6).map(|i| mask.is_observed_flat(i)).collect();
+        assert_eq!(flagged, [false, false, true, false, true, true]);
+    }
+
+    /// The byte-level example in WIRE.md: a rank-2 2×3 slice in Kruskal
+    /// form, as a forecast and as a latest step with two outliers, and
+    /// the dense slice it rebuilds to.
+    #[test]
+    fn kruskal_reply_forms_are_pinned() {
+        let factors = vec![
+            Matrix::from_rows(&[&[1.0, 0.5], &[2.0, -1.0]]),
+            Matrix::from_rows(&[&[1.0, 0.0], &[0.5, 1.0], &[0.0, 2.0]]),
+        ];
+        let block = "shape 2 3\nkruskal 2\n\
+            factor 3ff0000000000000 3fe0000000000000 4000000000000000 bff0000000000000\n\
+            factor 3ff0000000000000 0000000000000000 3fe0000000000000 3ff0000000000000 \
+            0000000000000000 4000000000000000\n\
+            weights 4000000000000000 4010000000000000\n";
+        let slice = KruskalSlice::new(factors, vec![2.0, 4.0]);
+        let mut text = String::new();
+        wire::push_answer(&mut text, &Answer::forecast(slice.clone()));
+        assert_eq!(text, format!("forecast some\n{block}"));
+        let dense = QueryResponse::from_wire(&text)
+            .expect("parse")
+            .expect_forecast()
+            .expect("some");
+        assert_eq!(dense.data(), &[2.0, 3.0, 4.0, 4.0, -2.0, -8.0]);
+        assert_eq!(
+            QueryResponse::Forecast(Some(dense)).to_wire(),
+            "forecast some\nshape 2 3\ndata 4000000000000000 4008000000000000 \
+             4010000000000000 4010000000000000 c000000000000000 c020000000000000\n"
+        );
+
+        let outliers =
+            DenseTensor::from_vec(Shape::new(&[2, 3]), vec![0.0, 7.5, 0.0, 0.0, -12.0, 0.0]);
+        let mut text = String::new();
+        wire::push_answer(
+            &mut text,
+            &Answer::latest(slice, SparseOutliers::of(&outliers)),
+        );
+        assert_eq!(
+            text,
+            format!(
+                "latest some\n{block}outliers 2\noffsets 1 4\n\
+                 values 401e000000000000 c028000000000000\n"
+            )
+        );
+    }
+
+    /// The one bound the encoder and the decoder share: R = 64 at the
+    /// largest wire shape, overflow refused. (A slice over it is written
+    /// densely; its rebuild alone is 2^28 multiply-adds, too slow for an
+    /// unoptimized test build.)
+    #[test]
+    fn kruskal_bound_admits_rank_64_at_the_largest_shape() {
+        assert!(wire::kruskal_fits(wire::MAX_WIRE_ELEMS, 64));
+        assert!(!wire::kruskal_fits(wire::MAX_WIRE_ELEMS, 65));
+        assert!(wire::kruskal_fits(265 * 265, 3822));
+        assert!(!wire::kruskal_fits(usize::MAX, 2));
+    }
+
+    /// A `kruskal` block and an outlier list stand for tensors far larger
+    /// than their lines; every tensor a frame decodes to draws on the
+    /// frame's one budget, checked before anything is allocated.
+    #[test]
+    fn decoded_tensors_draw_on_one_budget_per_frame() {
+        // 192 factor values and an empty outlier list that stand for two
+        // 4Mi-element tensors, 64 MiB of floats.
+        let mut huge = String::from("latest some\nshape 32 32 64 64\nkruskal 1\n");
+        for rows in [32, 32, 64, 64] {
+            hexwire::push_f64s(&mut huge, "factor", (0..rows).map(|_| 1.0));
+        }
+        huge.push_str("weights 3ff0000000000000\noutliers 0\noffsets\nvalues\n");
+        let mut budget = wire::DecodeBudget::for_frame(32 << 20);
+        let err = wire::parse_response(&mut wire::LineCursor::new(&huge), &mut budget)
+            .expect_err("refused before the rebuild");
+        assert!(err.reason.contains("decode budget"), "{err}");
+
+        // A 10-element completed slice plus its outlier tensor is 20
+        // elements: 19 refuse it at the outlier list, 20 admit it, and a
+        // second reply in the same frame finds the budget spent.
+        let reply = "latest some\nshape 10\nkruskal 1\n\
+                     factor 3ff0000000000000 3ff0000000000000 3ff0000000000000 \
+                     3ff0000000000000 3ff0000000000000 3ff0000000000000 3ff0000000000000 \
+                     3ff0000000000000 3ff0000000000000 3ff0000000000000\n\
+                     weights 4000000000000000\noutliers 0\noffsets\nvalues\n";
+        let mut short = wire::DecodeBudget::new(19);
+        assert!(wire::parse_response(&mut wire::LineCursor::new(reply), &mut short).is_err());
+        let frame = format!("{reply}{reply}");
+        let mut cur = wire::LineCursor::new(&frame);
+        let mut budget = wire::DecodeBudget::new(20);
+        let QueryResponse::Latest(Some(step)) =
+            wire::parse_response(&mut cur, &mut budget).expect("within budget")
+        else {
+            panic!("a latest reply");
+        };
+        assert_eq!(step.completed.data(), &[2.0; 10]);
+        assert!(wire::parse_response(&mut cur, &mut budget).is_err());
+
+        // An observed slice's zero tensor draws on the budget too: bits
+        // alone stand for eight bytes of floats each.
+        let slice = "shape 2 3\ndata\nbits 000000\n";
+        let mut cur = wire::LineCursor::new(slice);
+        assert!(wire::parse_observed(&mut cur, &mut wire::DecodeBudget::new(5)).is_err());
+        let mut cur = wire::LineCursor::new(slice);
+        wire::parse_observed(&mut cur, &mut wire::DecodeBudget::new(6)).expect("within budget");
     }
 
     #[test]
@@ -1219,11 +1821,54 @@ mod tests {
             "forecast some\nshape 2\ndata 3ff0000000000000  3ff0000000000000",
             "forecast some\nshape 2\ndata 3ff0000000000000\t3ff0000000000000",
             "forecast some\nshape 1\ndata 3ff0000000000000 ",
-            "latest some\nshape 1\ndata 3ff0000000000000\noutliers some\ndata 3fF0000000000000",
+            "latest some\nshape 1\ndata 3ff0000000000000\noutliers 1\noffsets 0\nvalues 3fF0000000000000",
             "quantile some\nvalue +3ff000000000000",
             "quantile some\nvalue 3FF0000000000000",
             "quantile some\nvalue 3ff000000000000",
             "quantile some\nvalue 03ff0000000000000",
+            // The retired dense outlier form, well-formed as it was.
+            "latest some\nshape 1\ndata 3ff0000000000000\noutliers some\ndata 3ff0000000000000",
+            // Kruskal blocks: a zero, missing or bad rank; a factor line
+            // one value short and one value long; a `weights` count that
+            // is not R; elements × R over the bound (refused from the
+            // header lines alone); a truncated block.
+            "forecast some\nshape 2\nkruskal 0\nfactor\nweights",
+            "forecast some\nshape 2\nkruskal\nfactor\nweights",
+            "forecast some\nshape 2\nkruskal x\nfactor\nweights",
+            "forecast some\nshape 2\nkruskal -1\nfactor\nweights",
+            "forecast some\nshape 1\nkruskal +1\nfactor 3ff0000000000000\nweights 3ff0000000000000",
+            "forecast some\nshape 1\nkruskal 01\nfactor 3ff0000000000000\nweights 3ff0000000000000",
+            "forecast some\nshape 2\nkruskal 1\nfactor 3ff0000000000000\nweights 3ff0000000000000",
+            "forecast some\nshape 1\nkruskal 1\nfactor 3ff0000000000000 3ff0000000000000\nweights 3ff0000000000000",
+            "forecast some\nshape 1 2\nkruskal 1\nfactor 3ff0000000000000\nfactor 3ff0000000000000\nweights 3ff0000000000000",
+            "forecast some\nshape 1\nkruskal 1\nfactor 3ff0000000000000\nweights",
+            "forecast some\nshape 1\nkruskal 1\nfactor 3ff0000000000000\nweights 3ff0000000000000 3ff0000000000000",
+            "forecast some\nshape 1\nkruskal 2\nfactor 3ff0000000000000 3ff0000000000000\nweights 3ff0000000000000",
+            "forecast some\nshape 2048 2048\nkruskal 65\nfactor\nfactor\nweights",
+            "forecast some\nshape 1\nkruskal 18446744073709551615\nfactor\nweights",
+            "forecast some\nshape 1\nkruskal 1\nfactor 3ff0000000000000",
+            "forecast some\nshape 1\nkruskal 1\nweights 3ff0000000000000",
+            "latest some\nshape 1\nkruskal 1\nfactor 3ff0000000000000\nweights 3ff0000000000000",
+            // Outlier lists: unsorted, duplicate and out-of-range
+            // offsets; an offset count and a value count that differ from
+            // the header's; more outliers than elements; a truncated list.
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 2\noffsets 2 1\nvalues 3ff0000000000000 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 2\noffsets 1 1\nvalues 3ff0000000000000 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 1\noffsets 3\nvalues 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 2\noffsets 0 1\nvalues 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 2\noffsets 0\nvalues 3ff0000000000000 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 1\noffsets 0 1\nvalues 3ff0000000000000 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 4\noffsets 0 1 2 3\nvalues 3ff0000000000000 3ff0000000000000 3ff0000000000000 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 1\noffsets x\nvalues 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 1\noffsets +1\nvalues 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 1\noffsets 01\nvalues 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 2\noffsets 0  1\nvalues 3ff0000000000000 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 1\noffsets 1 \nvalues 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 1\noffsets1\nvalues 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 1\noffsets 0",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers x",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers 01\noffsets 1\nvalues 3ff0000000000000",
+            "latest some\nshape 3\ndata 0000000000000000 0000000000000000 0000000000000000\noutliers +1\noffsets 1\nvalues 3ff0000000000000",
         ];
         for case in cases {
             assert!(
@@ -1239,7 +1884,6 @@ mod tests {
         //! survives the wire byte-for-byte.
         use super::*;
         use proptest::prelude::*;
-        use sofia_tensor::Shape;
 
         fn assert_bits(a: &DenseTensor, b: &DenseTensor) {
             assert_eq!(a.shape().dims(), b.shape().dims());
@@ -1280,6 +1924,79 @@ mod tests {
                 assert_eq!(step.outliers.is_some(), with_outliers);
                 if let Some(o) = &step.outliers {
                     assert_bits(&t.map(|v| -v), o);
+                }
+            }
+
+            /// Random shapes, masks and values (with ±0.0, subnormals,
+            /// ±∞ and NaN at unobserved entries) come back as the same
+            /// slice, and the `data` line holds one token per observed
+            /// entry.
+            #[test]
+            fn observed_slices_round_trip_with_one_value_per_observed_entry(
+                seed in 0u64..u64::MAX
+            ) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let dims: Vec<usize> = (0..rng.gen_range(1..=3))
+                    .map(|_| rng.gen_range(1..=6))
+                    .collect();
+                let shape = Shape::new(&dims);
+                let observed: Vec<bool> = (0..shape.len()).map(|_| rng.gen_bool(0.5)).collect();
+                let mask = Mask::from_vec(shape.clone(), observed);
+                let values = DenseTensor::from_vec(
+                    shape.clone(),
+                    (0..shape.len()).map(|_| stress_value(&mut rng)).collect(),
+                );
+                let slice = ObservedTensor::new(values, mask);
+                let mut text = String::new();
+                wire::push_observed(&mut text, &slice);
+                let data = text.lines().nth(1).expect("data line");
+                prop_assert_eq!(data.split(' ').count() - 1, slice.count_observed());
+                let mut cur = wire::LineCursor::new(&text);
+                let mut budget = wire::DecodeBudget::new(shape.len());
+                let back = wire::parse_observed(&mut cur, &mut budget).expect("parse");
+                cur.finish().expect("no trailing lines");
+                prop_assert_eq!(back.mask(), slice.mask());
+                prop_assert_eq!(bits(back.values()), bits(slice.values()));
+            }
+
+            /// A random Kruskal answer decodes to `kruskal_slice`'s bits,
+            /// over the wire and through `Answer::into_response` alike.
+            #[test]
+            fn kruskal_blocks_decode_to_the_kernels_bits(seed in 0u64..u64::MAX) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let r = rng.gen_range(1..=5);
+                let factors: Vec<Matrix> = (0..rng.gen_range(1..=3))
+                    .map(|_| {
+                        Matrix::from_fn(rng.gen_range(1..=6), r, |_, _| stress_value(&mut rng))
+                    })
+                    .collect();
+                let weights: Vec<f64> = (0..r).map(|_| stress_value(&mut rng)).collect();
+                let refs: Vec<&Matrix> = factors.iter().collect();
+                let want = sofia_tensor::kruskal::kruskal_slice(&refs, &weights);
+                let outliers = want.map(|_| {
+                    if rng.gen_bool(0.3) { stress_value(&mut rng) } else { 0.0 }
+                });
+                let slice = KruskalSlice::new(factors.clone(), weights.clone());
+                let answers = [
+                    Answer::forecast(slice.clone()),
+                    Answer::latest(slice, SparseOutliers::of(&outliers)),
+                ];
+                for answer in answers {
+                    let mut text = String::new();
+                    wire::push_answer(&mut text, &answer);
+                    prop_assert!(text.contains(&format!("\nkruskal {r}\n")));
+                    let wired = QueryResponse::from_wire(&text).expect("parse");
+                    for resp in [wired, answer.into_response()] {
+                        let (completed, listed) = match resp {
+                            QueryResponse::Forecast(Some(f)) => (f, None),
+                            QueryResponse::Latest(Some(step)) => (step.completed, step.outliers),
+                            other => panic!("unexpected {:?}", other.kind()),
+                        };
+                        prop_assert_eq!(bits(&completed), bits(&want));
+                        if let Some(o) = listed {
+                            prop_assert_eq!(bits(&o), bits(&outliers));
+                        }
+                    }
                 }
             }
         }

@@ -47,13 +47,12 @@
 
 use crate::durability::{load_stream, write_checkpoint, CheckpointPolicy};
 use crate::error::FleetError;
-use crate::model::ModelHandle;
-use crate::protocol::{Query, QueryResponse};
+use crate::model::{LastStep, ModelHandle};
+use crate::protocol::{Answer, Query, QueryResponse};
 use crate::registry::Registry;
 use crate::stats::{MetricKind, QueryCounters, ShardStats, StreamStats};
-use sofia_core::traits::StepOutput;
 use sofia_sketch::MetricSummary;
-use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
+use sofia_tensor::{DenseTensor, ObservedTensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
@@ -123,7 +122,7 @@ pub(crate) enum Command {
 pub(crate) struct QueryRequest {
     pub(crate) stream: Arc<str>,
     pub(crate) query: Query,
-    pub(crate) reply: Sender<Result<QueryResponse, FleetError>>,
+    pub(crate) reply: Sender<Result<Answer, FleetError>>,
 }
 
 /// One stream's serving state inside a shard.
@@ -139,7 +138,9 @@ struct StreamSlot {
     /// residual of the model's own pre-step forecast against the slice
     /// it then ingested, over the slice's observed entries.
     forecast_error: MetricSummary,
-    last: Option<StepOutput>,
+    /// The latest step, for `Latest` and `OutlierMask`: a SOFIA stream
+    /// keeps `u_t` and its sparse outliers, never a dense slice.
+    last: Option<LastStep>,
     /// Shard step-clock reading at this stream's last ingest (or its
     /// registration/restore); the eviction sweep compares against it.
     last_active: u64,
@@ -307,7 +308,7 @@ impl ShardWorker {
 
     /// Answers one typed query, lazily restoring an evicted stream
     /// first ("restored on the next ingest or query").
-    fn answer(&mut self, stream: &Arc<str>, query: &Query) -> Result<QueryResponse, FleetError> {
+    fn answer(&mut self, stream: &Arc<str>, query: &Query) -> Result<Answer, FleetError> {
         self.queries.record(query.kind());
         // The engine validates at the API boundary; revalidate here so
         // the network data plane (`sofia-net` feeds decoded wire queries
@@ -323,24 +324,20 @@ impl ShardWorker {
             .slots
             .get(stream)
             .ok_or_else(|| FleetError::UnknownStream(stream.to_string()))?;
-        Ok(match query {
-            Query::Latest => QueryResponse::Latest(slot.last.clone()),
-            Query::Forecast { horizon } => match slot.model.forecast_guarded(*horizon) {
-                Ok(f) => QueryResponse::Forecast(f),
-                Err(()) => {
-                    return Err(FleetError::ModelPanicked {
+        // A SOFIA stream's `Latest` and `Forecast` leave in Kruskal form;
+        // the ticket (or the network client) rebuilds the dense slice.
+        let resp = match query {
+            Query::Latest => return Ok(slot.model.latest(slot.last.as_ref())),
+            Query::Forecast { horizon } => {
+                return slot.model.forecast_answer(*horizon).map_err(|()| {
+                    FleetError::ModelPanicked {
                         stream: stream.to_string(),
-                    })
-                }
-            },
-            Query::OutlierMask => QueryResponse::OutlierMask(slot.last.as_ref().and_then(|out| {
-                out.outliers.as_ref().map(|o| {
-                    Mask::from_vec(
-                        o.shape().clone(),
-                        o.data().iter().map(|&v| v != 0.0).collect(),
-                    )
+                    }
                 })
-            })),
+            }
+            Query::OutlierMask => {
+                QueryResponse::OutlierMask(slot.last.as_ref().and_then(LastStep::outlier_mask))
+            }
             Query::StreamStats => {
                 let stats = StreamStats {
                     stream: stream.to_string(),
@@ -357,7 +354,8 @@ impl ShardWorker {
             Query::Quantile { metric, q } => {
                 QueryResponse::Quantile(slot.metric(*metric).quantile(*q))
             }
-        })
+        };
+        Ok(Answer::dense(resp))
     }
 
     /// Brings an evicted stream back from its checkpoint. On success the

@@ -1,9 +1,14 @@
 //! Integration tests of the typed query plane: batched multi-stream
 //! queries costing one queue round-trip per involved shard (the
-//! acceptance requirement, pinned via per-shard query counters), and
-//! concurrent `query_batch` callers racing a live ingest thread.
+//! acceptance requirement, pinned via per-shard query counters),
+//! concurrent `query_batch` callers racing a live ingest thread, and a
+//! SOFIA stream's factored answers rebuilt to its replica's bits.
 
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
+use sofia_core::{Sofia, SofiaConfig};
+use sofia_datagen::corrupt::{CorruptionConfig, Corruptor};
+use sofia_datagen::seasonal::SeasonalStream;
+use sofia_datagen::stream::TensorStream;
 use sofia_fleet::{
     Fleet, FleetConfig, MetricKind, ModelHandle, Query, QueryKind, QueryResponse, StreamKey,
 };
@@ -221,5 +226,76 @@ fn concurrent_query_batches_under_ingest_load() {
     assert_eq!(counters.total(), (QUERY_THREADS * ROUNDS * STREAMS) as u64);
     assert_eq!(stats.query_queue_depth(), 0, "gauge settles at zero");
 
+    fleet.shutdown().expect("shutdown");
+}
+
+fn bits(t: &DenseTensor) -> Vec<u64> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A SOFIA stream's shard steps without the dense reconstruction, keeps
+/// `u_t` and a sparse outlier list, and answers `Latest` and `Forecast`
+/// in Kruskal form. Everything a caller gets back is still what a
+/// replica `Sofia` computes with its dense `step` and `forecast_slice`,
+/// bit for bit, on partially observed slices with injected outliers.
+#[test]
+fn sofia_answers_rebuild_to_the_replicas_bits() {
+    const PERIOD: usize = 4;
+    const STEPS: usize = 10;
+    let stream = SeasonalStream::paper_fig2(&[6, 5], 2, PERIOD, 77);
+    let t0 = 3 * PERIOD;
+    let startup: Vec<ObservedTensor> = (0..t0)
+        .map(|t| ObservedTensor::fully_observed(stream.clean_slice(t)))
+        .collect();
+    let config = SofiaConfig::new(2, PERIOD)
+        .with_lambdas(0.01, 0.01, 10.0)
+        .with_als_limits(1e-4, 2, 50);
+    let mut replica = Sofia::init(&config, &startup, 5).expect("init");
+    let fleet = Fleet::new(FleetConfig::with_shards(2)).expect("fleet");
+    let key = fleet
+        .register("sofia", ModelHandle::sofia(replica.clone()))
+        .expect("register");
+    let ask = |query: Query| {
+        fleet
+            .query("sofia", query)
+            .and_then(|ticket| ticket.wait())
+            .expect("query")
+    };
+    assert!(ask(Query::Latest).expect_latest().is_none());
+    let max_abs = (0..t0 + STEPS)
+        .map(|t| stream.clean_slice(t).max_abs())
+        .fold(0.0, f64::max);
+    let corruptor = Corruptor::new(CorruptionConfig::from_percents(50, 10, 5.0), max_abs, 9);
+    let mut flagged = 0;
+    for t in t0..t0 + STEPS {
+        let slice = corruptor.corrupt(&stream.clean_slice(t), t);
+        fleet.ingest_blocking(&key, slice.clone()).expect("ingest");
+        fleet.flush().expect("flush");
+        let want = replica.step(&slice);
+        let latest = ask(Query::Latest).expect_latest().expect("stepped");
+        assert_eq!(bits(&latest.completed), bits(&want.completed), "t={t}");
+        let outliers = latest.outliers.expect("SOFIA reports outliers");
+        assert_eq!(bits(&outliers), bits(&want.outliers), "t={t}");
+        let mask = ask(Query::OutlierMask)
+            .expect_outlier_mask()
+            .expect("stepped");
+        let want_mask: Vec<bool> = want.outliers.data().iter().map(|&v| v != 0.0).collect();
+        let got_mask: Vec<bool> = (0..want_mask.len())
+            .map(|i| mask.is_observed_flat(i))
+            .collect();
+        assert_eq!(got_mask, want_mask, "t={t}");
+        flagged += want_mask.iter().filter(|&&f| f).count();
+        for horizon in 1..=3 {
+            let forecast = ask(Query::Forecast { horizon })
+                .expect_forecast()
+                .expect("SOFIA forecasts");
+            assert_eq!(
+                bits(&forecast),
+                bits(&replica.forecast_slice(horizon)),
+                "t={t} h={horizon}"
+            );
+        }
+    }
+    assert!(flagged > 0, "some step flagged an outlier");
     fleet.shutdown().expect("shutdown");
 }

@@ -21,7 +21,7 @@ use crate::wire::{
     self, parse_fleet_stats, read_frame, split_reply, write_frame, FrameError, ReplyHead, Request,
     ShardMap, MAX_FRAME_BYTES,
 };
-use sofia_fleet::protocol::wire::{self as pwire, LineCursor};
+use sofia_fleet::protocol::wire::{self as pwire, DecodeBudget, LineCursor};
 use sofia_fleet::{FleetError, FleetStats, ModelHandle, Query, QueryResponse};
 use sofia_tensor::ObservedTensor;
 use std::io::{self, BufReader};
@@ -214,11 +214,13 @@ impl Client {
         (self.map.epoch() > 0).then(|| self.map.epoch())
     }
 
-    /// Caps the frames this client accepts **and** sizes its ingest
-    /// chunks (a chunk targets half the bound, so large batches split
-    /// into several frames instead of tripping the server's
-    /// [`MAX_FRAME_BYTES`] rejection). Defaults to [`MAX_FRAME_BYTES`];
-    /// lower it to send smaller frames. Clamped to at least 1 KiB.
+    /// Caps the frames this client accepts and what each decodes to
+    /// ([`DecodeBudget::for_frame`]), **and** sizes its ingest chunks (a
+    /// chunk targets half the bound, in bytes and in decoded elements,
+    /// so large batches split into several frames instead of tripping
+    /// the server's [`MAX_FRAME_BYTES`] rejection). Defaults to
+    /// [`MAX_FRAME_BYTES`]; lower it to send smaller frames. Clamped to
+    /// at least 1 KiB.
     pub fn set_max_frame_bytes(&mut self, bytes: usize) {
         self.max_frame = bytes.max(1024);
     }
@@ -235,6 +237,12 @@ impl Client {
     fn read_reply_body(&mut self) -> Result<String, ClientError> {
         read_frame(&mut self.reader, self.max_frame)?
             .ok_or_else(|| ClientError::Protocol("server closed the connection".to_string()))
+    }
+
+    /// What one reply frame may decode to: as many elements as a frame
+    /// at this client's bound carries in the dense form.
+    fn decode_budget(&self) -> DecodeBudget {
+        DecodeBudget::for_frame(self.max_frame)
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -292,7 +300,7 @@ impl Client {
         match self.expect_reply(id)? {
             Ok(reply) => {
                 let mut cur = LineCursor::new(reply.payload());
-                let resp = pwire::parse_response(&mut cur)?;
+                let resp = pwire::parse_response(&mut cur, &mut self.decode_budget())?;
                 cur.finish()?;
                 Ok(resp)
             }
@@ -330,11 +338,13 @@ impl Client {
                 requests.len()
             )));
         }
+        // Every item's tensors draw on the one frame's budget.
+        let mut budget = self.decode_budget();
         let mut results = Vec::with_capacity(n);
         for _ in 0..n {
             let line = cur.next("batch item")?;
             if line == "item ok" {
-                results.push(Ok(pwire::parse_response(&mut cur)?));
+                results.push(Ok(pwire::parse_response(&mut cur, &mut budget)?));
             } else if let Some(err_line) = line.strip_prefix("item err ") {
                 results.push(Err(FleetError::from_wire(err_line)?));
             } else {
@@ -390,7 +400,7 @@ impl Client {
         match self.expect_reply(id)? {
             Ok(reply) => {
                 let mut cur = LineCursor::new(reply.payload());
-                let resp = pwire::parse_response(&mut cur)?;
+                let resp = pwire::parse_response(&mut cur, &mut self.decode_budget())?;
                 cur.finish()?;
                 Ok(Ok(resp))
             }
@@ -495,9 +505,9 @@ impl Client {
     }
 
     /// Ships `tagged` in frame-bounded chunks (the server rejects
-    /// frames over its byte bound and batches over `MAX_BATCH_ITEMS`;
-    /// chunking client-side turns those hard limits into ordinary
-    /// multi-frame ingest). Slices are **borrowed** for serialization
+    /// frames over its byte bound or its decode budget and batches over
+    /// `MAX_BATCH_ITEMS`; chunking client-side turns those hard limits
+    /// into ordinary multi-frame ingest). Slices are **borrowed** for serialization
     /// — no tensor is cloned — and the unapplied tail is handed back
     /// from the same vector. On backpressure mid-chunk everything from
     /// the first rejected slice onward (later chunks included) comes
@@ -510,20 +520,28 @@ impl Client {
         let mut accepted = 0u64;
         let mut remaining = tagged;
         while !remaining.is_empty() {
-            // Take the longest prefix of the unsent slices within both
-            // wire bounds (always at least one slice: a single slice
-            // over the frame bound must still be attempted — the
-            // server's Oversized rejection is the honest answer).
+            // Take the longest prefix of the unsent slices within the
+            // wire bounds — items, bytes and decoded elements (always at
+            // least one slice: a single slice over the frame bound must
+            // still be attempted — the server's rejection is the honest
+            // answer).
             let mut count = 0usize;
             let mut bytes = 64usize;
+            let mut elems = DecodeBudget::for_frame(self.max_frame / 2);
             for (_, slice) in &remaining {
                 let est = wire::ingest_slice_wire_bound(slice);
-                if count > 0 && (count >= wire::MAX_BATCH_ITEMS || bytes + est > self.max_frame / 2)
+                let fits = elems.take(slice.shape().len()).is_ok();
+                if count > 0
+                    && (count >= wire::MAX_BATCH_ITEMS || bytes + est > self.max_frame / 2 || !fits)
                 {
                     break;
                 }
                 count += 1;
                 bytes += est;
+                if !fits {
+                    // A first slice over the element bound goes alone.
+                    break;
+                }
             }
             let id = self.fresh_id();
             let body = wire::ingest_body(id, self.fence_epoch(), stream, &remaining[..count]);

@@ -23,13 +23,16 @@
 //! * **Reply serialization reuses per-connection scratch.** Settling a
 //!   query reply encodes into the connection's scratch `String` and
 //!   appends the frame straight into the write buffer — no fresh
-//!   allocation per settled frame on the hot path.
+//!   allocation per settled frame on the hot path. A SOFIA stream's
+//!   `Latest` and `Forecast` are encoded in the Kruskal form the shard
+//!   answered with ([`pwire::push_answer`]); the server never builds the
+//!   dense slice, the client does.
 
 use crate::server::{dispatch, Shared};
 use crate::stats::SlowRequest;
 use crate::wire::{err_body, ok_body, FrameError, MAX_FRAME_BYTES};
 use sofia_fleet::protocol::wire as pwire;
-use sofia_fleet::{FleetError, QueryResponse, QueryTicket};
+use sofia_fleet::{Answer, FleetError, QueryTicket};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};
@@ -202,7 +205,7 @@ pub(crate) enum BatchSlot {
     /// Ticket not yet answered by its shard.
     Pending(QueryTicket),
     /// Answered (or failed at staging); held until the whole batch is.
-    Done(Result<QueryResponse, FleetError>),
+    Done(Result<Answer, FleetError>),
 }
 
 /// Per-request observability carried alongside a queued [`Completion`]:
@@ -548,14 +551,14 @@ impl Conn {
                     self.observe_settled(shared, meta);
                 }
                 Completion::Query { id, ticket } => {
-                    let Some(result) = ticket.try_take() else {
+                    let Some(result) = ticket.try_take_answer() else {
                         return Settled::Ticket;
                     };
                     let id = *id;
                     self.scratch.clear();
                     let _ = writeln!(self.scratch, "ok {id}");
                     match result {
-                        Ok(resp) => pwire::push_response(&mut self.scratch, &resp),
+                        Ok(answer) => pwire::push_answer(&mut self.scratch, &answer),
                         Err(e) => {
                             self.scratch.clear();
                             let _ = writeln!(self.scratch, "err {id} {}", e.to_wire());
@@ -569,7 +572,7 @@ impl Conn {
                     let mut all_done = true;
                     for slot in slots.iter_mut() {
                         if let BatchSlot::Pending(ticket) = slot {
-                            match ticket.try_take() {
+                            match ticket.try_take_answer() {
                                 Some(result) => *slot = BatchSlot::Done(result),
                                 None => all_done = false,
                             }
@@ -583,9 +586,9 @@ impl Conn {
                     let _ = write!(self.scratch, "ok {id}\nresults {}\n", slots.len());
                     for slot in slots.iter() {
                         match slot {
-                            BatchSlot::Done(Ok(resp)) => {
+                            BatchSlot::Done(Ok(answer)) => {
                                 self.scratch.push_str("item ok\n");
-                                pwire::push_response(&mut self.scratch, resp);
+                                pwire::push_answer(&mut self.scratch, answer);
                             }
                             BatchSlot::Done(Err(e)) => {
                                 let _ = writeln!(self.scratch, "item err {}", e.to_wire());

@@ -24,6 +24,7 @@
 //! batch <req-id> <n>                   n lines `<stream> <query…>`
 //! register <req-id> <stream>           rest of body = checkpoint envelope
 //! ingest <req-id> <stream> <n>         n blocks `seq <s>` + shape/data/bits
+//!                                      (`data` = the |Ω| observed values)
 //! snapshot <req-id> <stream>           read the model as an envelope (migration)
 //! deregister <req-id> <stream>         unload + delete the stream here
 //! remap <req-id>                       rest of body = shard-map block to install
@@ -567,6 +568,7 @@ impl Request {
                     )));
                 }
                 let mut cur = LineCursor::new(rest);
+                let mut budget = wire::DecodeBudget::for_frame(MAX_FRAME_BYTES);
                 let mut slices = Vec::with_capacity(n);
                 for _ in 0..n {
                     let seq_line = cur.next("slice sequence number")?;
@@ -574,7 +576,7 @@ impl Request {
                         .strip_prefix("seq ")
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| WireError::new(format!("bad seq line `{seq_line}`")))?;
-                    slices.push((seq, wire::parse_observed(&mut cur)?));
+                    slices.push((seq, wire::parse_observed(&mut cur, &mut budget)?));
                 }
                 cur.finish()?;
                 return Ok(Request::Ingest {
@@ -672,13 +674,13 @@ fn epoch_token(epoch: Option<u64>) -> String {
 }
 
 /// Upper bound (in bytes) of one slice's encoded ingest block: the
-/// `seq` line, the shape line, 17 bytes per hex float, one bit per
-/// mask entry, and label overhead. Used to chunk client batches under
-/// the frame bound without serializing twice.
+/// `seq` line, the shape line, 17 bytes per observed value's hex float,
+/// one bit per mask entry, and label overhead. Used to chunk client
+/// batches under the frame bound without serializing twice.
 pub fn ingest_slice_wire_bound(slice: &ObservedTensor) -> usize {
     let elems = slice.shape().len();
     let dims = slice.shape().order();
-    32 + 8 + 21 * dims + 17 * elems + elems + 16
+    32 + 8 + 21 * dims + 17 * slice.count_observed() + elems + 16
 }
 
 fn finish_single_line(rest: &str, req: Request) -> Result<Request, WireError> {
@@ -1284,7 +1286,11 @@ mod tests {
             "batch 1 999999999",
             "batch 1 1\nmissing-query-token",
             "ingest 1 s 1\nseq nope\nshape 1\ndata 0\nbits 1",
-            "ingest 1 s 1\nseq 5\nshape 2\ndata 0000000000000000\nbits 10",
+            // The `data` line carries one value per observed bit: two
+            // values for one observed entry, and the retired dense form
+            // (a value per entry) under a partial mask.
+            "ingest 1 s 1\nseq 5\nshape 2\ndata 0000000000000000 3ff0000000000000\nbits 10",
+            "ingest 1 s 1\nseq 5\nshape 2 2\ndata 3ff0000000000000 4000000000000000 4008000000000000 4010000000000000\nbits 1110",
             "ingest 1 s 2\nseq 5\nshape 1\ndata 0000000000000000\nbits 1",
             "ingest 1 s 1\nseq 5\nshape 2\ndata 3ff0000000000000 3fF0000000000000\nbits 11",
             "flush",
@@ -1308,6 +1314,23 @@ mod tests {
         for case in cases {
             assert!(Request::from_body(case).is_err(), "should reject:\n{case}");
         }
+    }
+
+    /// An observed slice's `bits` stand for eight bytes of floats each,
+    /// so the slices of one `ingest` frame share a decode budget: two
+    /// unobserved 1024×1024 slices, 2 MiB of bits, are 2Mi elements,
+    /// over the 1,973,790 a frame at [`MAX_FRAME_BYTES`] carries densely.
+    #[test]
+    fn ingest_frame_over_the_decode_budget_is_refused() {
+        let slice = format!("shape 1024 1024\ndata\nbits {}\n", "0".repeat(1 << 20));
+        let one = format!("ingest 1 s 1\nseq 1\n{slice}");
+        assert!(
+            Request::from_body(&one).is_ok(),
+            "one slice is within budget"
+        );
+        let two = format!("ingest 1 s 2\nseq 1\n{slice}seq 2\n{slice}");
+        let err = Request::from_body(&two).expect_err("two overdraw it");
+        assert!(err.reason.contains("decode budget"), "{err}");
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //!   TCP);
 //! * pipelined queries on one socket, settled in request order;
 //! * flush as the read-your-writes barrier over TCP;
+//! * partially observed, corrupted slices over the socket: every
+//!   `Latest` (completed and outliers), `Forecast` and `OutlierMask` the
+//!   client rebuilds from the factored replies has the in-process bits;
 //! * malformed frames, bodies and `register` envelopes: typed errors,
 //!   not panics — including a vendored-proptest fuzz over random byte
 //!   lines.
 
 use sofia_core::config::SofiaConfig;
 use sofia_core::Sofia;
+use sofia_datagen::corrupt::{CorruptionConfig, Corruptor};
 use sofia_datagen::seasonal::SeasonalStream;
 use sofia_datagen::stream::TensorStream;
 use sofia_fleet::{
@@ -23,7 +27,7 @@ use sofia_fleet::{
 };
 use sofia_net::wire::{ok_body, read_frame, write_frame, Request, ShardMap};
 use sofia_net::{Client, ClientError, Server, ServerConfig};
-use sofia_tensor::ObservedTensor;
+use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -77,12 +81,20 @@ fn fleet_config(dir: &PathBuf) -> FleetConfig {
 }
 
 fn expect_forecast(resp: QueryResponse) -> Vec<u64> {
-    resp.expect_forecast()
-        .expect("SOFIA forecasts")
-        .data()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect()
+    bits(&resp.expect_forecast().expect("SOFIA forecasts"))
+}
+
+/// A tensor's bit patterns: `assert_eq!` on `f64` values would pass
+/// `-0.0 == 0.0` and fail on NaN.
+fn bits(t: &DenseTensor) -> Vec<u64> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A `Latest` answer's completed and outlier tensors, as bits.
+fn expect_latest(resp: QueryResponse) -> (Vec<u64>, Vec<u64>) {
+    let step = resp.expect_latest().expect("stepped");
+    let outliers = step.outliers.expect("SOFIA reports outliers");
+    (bits(&step.completed), bits(&outliers))
 }
 
 /// The acceptance scenario: register + ingest over the socket, crash,
@@ -204,30 +216,123 @@ fn wire_crash_recovery_matches_in_process_fleet_bit_exactly() {
                 .expect("control forecast"),
         );
         assert_eq!(over_wire, in_process, "{id}: wire vs in-process forecast");
-        // Latest completed slices agree bit-exactly too.
-        let wire_latest = client
-            .query(&id, Query::Latest)
-            .expect("latest")
-            .expect_latest()
-            .expect("stepped");
-        let control_latest = control
-            .query(&id, Query::Latest)
-            .expect("query")
-            .wait()
-            .expect("latest")
-            .expect_latest()
-            .expect("stepped");
-        assert_eq!(
-            wire_latest.completed.data(),
-            control_latest.completed.data(),
-            "{id}: latest diverged"
+        // Latest completed slices and outliers agree bit-exactly too.
+        let wire_latest = expect_latest(client.query(&id, Query::Latest).expect("latest"));
+        let control_latest = expect_latest(
+            control
+                .query(&id, Query::Latest)
+                .expect("query")
+                .wait()
+                .expect("latest"),
         );
+        assert_eq!(wire_latest, control_latest, "{id}: latest diverged");
     }
 
     // Graceful shutdown via the client this time: final checkpoints.
     client.shutdown_server().expect("shutdown frame");
     control.shutdown().expect("control shutdown");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a caller sees of one stream, as bits: `Latest` (completed and
+/// outliers), `Forecast` at horizons 1–3, and the `OutlierMask`.
+#[derive(Debug, PartialEq)]
+struct Served {
+    latest: (Vec<u64>, Vec<u64>),
+    forecasts: Vec<Vec<u64>>,
+    flagged: Vec<bool>,
+}
+
+fn served(mut ask: impl FnMut(Query) -> QueryResponse) -> Served {
+    let mask = ask(Query::OutlierMask)
+        .expect_outlier_mask()
+        .expect("stepped");
+    Served {
+        latest: expect_latest(ask(Query::Latest)),
+        forecasts: (1..=3)
+            .map(|horizon| expect_forecast(ask(Query::Forecast { horizon })))
+            .collect(),
+        flagged: (0..mask.shape().len())
+            .map(|i| mask.is_observed_flat(i))
+            .collect(),
+    }
+}
+
+/// SOFIA streams fed partially observed slices (about half missing,
+/// with injected outliers) over the socket serve the bits an in-process
+/// fleet fed the same slices serves: the observed-only ingest form loses
+/// nothing the model reads, and the client's rebuild of the factored
+/// `Latest` and `Forecast` replies matches the shard's.
+#[test]
+fn partially_observed_slices_serve_the_in_process_bits_over_the_wire() {
+    const STREAMS: usize = 3;
+    const STEPS: usize = 8;
+    let t0 = 3 * PERIOD;
+    let control = Fleet::new(FleetConfig::with_shards(2)).expect("control fleet");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Fleet::new(FleetConfig::with_shards(2)).expect("fleet"),
+    )
+    .expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut streamed = Vec::new();
+    for i in 0..STREAMS {
+        let s = SeasonalStream::paper_fig2(&[6, 5], RANK, PERIOD, 500 + i as u64);
+        let startup: Vec<ObservedTensor> = (0..t0)
+            .map(|t| ObservedTensor::fully_observed(s.clean_slice(t)))
+            .collect();
+        let max_abs = (0..t0 + STEPS)
+            .map(|t| s.clean_slice(t).max_abs())
+            .fold(0.0, f64::max);
+        let corruptor = Corruptor::new(
+            CorruptionConfig::from_percents(50, 10, 5.0),
+            max_abs,
+            900 + i as u64,
+        );
+        let id = format!("partial-{i}");
+        client
+            .register(&id, &handle(i, &startup))
+            .expect("register");
+        control
+            .register(&id, handle(i, &startup))
+            .expect("register");
+        streamed.push(
+            (t0..t0 + STEPS)
+                .map(|t| corruptor.corrupt(&s.clean_slice(t), t))
+                .collect::<Vec<_>>(),
+        );
+    }
+    let mut flagged_any = false;
+    for t in 0..STEPS {
+        for (i, slices) in streamed.iter().enumerate() {
+            let slice = &slices[t];
+            assert!(slice.count_observed() < slice.shape().len(), "partial mask");
+            let id = format!("partial-{i}");
+            client
+                .ingest_blocking(&id, vec![slice.clone()])
+                .expect("wire ingest");
+            control
+                .try_ingest_id(&id, slice.clone())
+                .expect("control ingest");
+        }
+        client.flush().expect("flush");
+        control.flush().expect("control flush");
+        for i in 0..STREAMS {
+            let id = format!("partial-{i}");
+            let over_wire = served(|q| client.query(&id, q).expect("wire query"));
+            let in_process = served(|q| {
+                control
+                    .query(&id, q)
+                    .and_then(|ticket| ticket.wait())
+                    .expect("control query")
+            });
+            assert_eq!(over_wire, in_process, "{id} after step {t}");
+            flagged_any |= over_wire.flagged.contains(&true);
+        }
+    }
+    assert!(flagged_any, "some step flagged an outlier, so the list ran");
+    server.shutdown().expect("shutdown");
+    control.shutdown().expect("control shutdown");
 }
 
 #[test]
@@ -422,6 +527,53 @@ fn streams_reply_with_an_unbacked_count_is_a_protocol_error() {
     stand_in.join().expect("stand-in exits");
 }
 
+/// A batch reply whose tensors stand for more elements than a frame at
+/// the client's bound carries densely is a typed protocol error,
+/// refused before the rebuild: the stand-in server answers two
+/// forecasts with 1Mi-element `kruskal` blocks of 2,048 factor values
+/// each, and the second overdraws the 32 MiB frame's budget of
+/// 1,973,790 elements.
+#[test]
+fn batch_reply_over_the_decode_budget_is_a_protocol_error() {
+    use std::io::BufReader;
+    use std::net::TcpListener;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let stand_in = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut r = BufReader::new(stream.try_clone().expect("clone"));
+        let mut w = stream;
+        let _hello = read_frame(&mut r, 1 << 20).expect("hello");
+        let map = ShardMap::single_node("stand-in", 1);
+        write_frame(&mut w, &ok_body(0, |out| map.push_wire(out))).expect("handshake");
+        let body = read_frame(&mut r, 1 << 20).expect("request").unwrap();
+        let id = Request::from_body(&body).expect("request parses").id();
+        let factor = format!("factor{}\n", " 3ff0000000000000".repeat(1024));
+        let reply = ok_body(id, |out| {
+            out.push_str("results 2\n");
+            for _ in 0..2 {
+                out.push_str("item ok\nforecast some\nshape 1024 1024\nkruskal 1\n");
+                out.push_str(&factor);
+                out.push_str(&factor);
+                out.push_str("weights 3ff0000000000000\n");
+            }
+        });
+        write_frame(&mut w, &reply).expect("reply");
+    });
+
+    let mut client = Client::connect(addr).expect("connect");
+    let forecast = Query::Forecast { horizon: 1 };
+    match client.query_batch(&[("a", forecast.clone()), ("b", forecast)]) {
+        Err(ClientError::Protocol(reason)) => {
+            assert!(reason.contains("decode budget"), "{reason}")
+        }
+        other => panic!("an overdrawn reply must be a protocol error, got {other:?}"),
+    }
+    drop(client);
+    stand_in.join().expect("stand-in exits");
+}
+
 #[test]
 fn large_ingest_batches_chunk_under_the_frame_bound() {
     let fleet = Fleet::new(FleetConfig::with_shards(1)).expect("fleet");
@@ -562,6 +714,68 @@ fn ingest_frame_with_an_uppercase_hex_digit_is_refused_and_the_connection_keeps_
         .expect("stats")
         .expect_stream_stats();
     assert_eq!(stats.steps, 1);
+    server.shutdown().expect("shutdown");
+}
+
+/// The ingest `data` line carries the observed values only. A frame in
+/// the retired dense form — a value per entry under a partial mask — is
+/// refused with a typed `invalid-query`, applies nothing, and the
+/// connection keeps serving: the canonical frame is acked next.
+#[test]
+fn dense_ingest_frame_under_a_partial_mask_is_refused_and_the_connection_keeps_serving() {
+    use sofia_core::snapshot::wire::push_f64s;
+    use sofia_net::wire::ingest_body;
+    use std::io::BufReader;
+    use std::net::TcpStream;
+
+    let (startup, streamed) = slices(0);
+    let fleet = Fleet::new(FleetConfig::with_shards(1)).expect("fleet");
+    fleet.register("s", handle(0, &startup)).expect("register");
+    let server = Server::bind("127.0.0.1:0", fleet).expect("bind");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let hello = Request::Hello {
+        client: "dense".into(),
+    };
+    write_frame(&mut raw, &hello.to_body()).expect("hello");
+    read_frame(&mut reader, 1 << 20).expect("map").unwrap();
+
+    let values = streamed[0].values().clone();
+    let observed = (0..values.len()).map(|i| i % 3 != 1).collect();
+    let slice = ObservedTensor::new(
+        values.clone(),
+        Mask::from_vec(values.shape().clone(), observed),
+    );
+    let good = ingest_body(7, None, "s", &[(1, slice)]);
+    let data = good.find("\ndata ").expect("data line") + 1;
+    let data_end = data + good[data..].find('\n').expect("line end") + 1;
+    let mut dense_line = String::new();
+    push_f64s(&mut dense_line, "data", values.data().iter().copied());
+    let dense = format!("{}{dense_line}{}", &good[..data], &good[data_end..]);
+    write_frame(&mut raw, &dense).expect("dense ingest");
+    let reply = read_frame(&mut reader, 1 << 20).expect("reply").unwrap();
+    assert!(
+        reply.starts_with("err 0 invalid-query")
+            && reply.contains("slice data carries 12 values for 8 observed entries"),
+        "typed refusal: {reply}"
+    );
+
+    write_frame(&mut raw, &good).expect("good ingest");
+    let reply = read_frame(&mut reader, 1 << 20).expect("reply").unwrap();
+    assert_eq!(reply, "ok 7\naccepted 1\nbackpressure\n");
+    write_frame(&mut raw, &Request::Flush { id: 8 }.to_body()).expect("flush");
+    assert_eq!(
+        read_frame(&mut reader, 1 << 20).expect("reply").unwrap(),
+        "ok 8\n"
+    );
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let stats = client
+        .query("s", Query::StreamStats)
+        .expect("stats")
+        .expect_stream_stats();
+    assert_eq!(stats.steps, 1, "the refused frame applied nothing");
     server.shutdown().expect("shutdown");
 }
 

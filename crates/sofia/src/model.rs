@@ -152,6 +152,13 @@ impl Sofia {
     pub fn forecast_slice(&self, h: usize) -> DenseTensor {
         self.dynamic.forecast_slice(h)
     }
+
+    /// The Holt-Winters forecast `û_{t+h|t}` of the temporal vector: the
+    /// weights `w` of [`Sofia::forecast_slice`]'s Kruskal form
+    /// `⟦{U⁽ⁿ⁾}; w⟧` over [`Sofia::factors`] (Eq. (28)).
+    pub fn forecast_weights(&self, h: usize) -> Vec<f64> {
+        self.dynamic.hw().forecast(h)
+    }
 }
 
 impl StreamingFactorizer for Sofia {

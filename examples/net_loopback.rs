@@ -11,19 +11,41 @@
 //!
 //! What it shows, in order: the handshake shard map, registering a
 //! model *over the socket* (its checkpoint envelope is the wire form),
-//! batched seq-tagged ingest with flush as the read-your-writes
-//! barrier, pipelined queries on one connection, a one-frame
-//! multi-stream batch, and the in-process fleet answering bit-exactly
-//! the same as the wire — the assertion that makes this example a
+//! batched seq-tagged ingest of partially observed, corrupted slices
+//! (only the observed values cross the wire) with flush as the
+//! read-your-writes barrier, pipelined queries on one connection, a
+//! one-frame multi-stream batch, and the in-process fleet answering
+//! bit-exactly the same as the wire — every `Latest` (completed and
+//! outliers) and `Forecast` the client rebuilt from the server's
+//! factored replies — the assertion that makes this example a
 //! regression test.
 
 use sofia::core::SofiaConfig;
+use sofia::datagen::corrupt::{CorruptionConfig, Corruptor};
 use sofia::datagen::seasonal::SeasonalStream;
 use sofia::datagen::stream::TensorStream;
 use sofia::fleet::{Fleet, FleetConfig, ModelHandle, Query, QueryResponse};
 use sofia::net::{Client, Server};
-use sofia::tensor::ObservedTensor;
+use sofia::tensor::{DenseTensor, ObservedTensor};
 use sofia::Sofia;
+
+/// A tensor's bit patterns (`==` on `f64` would pass `-0.0 == 0.0`).
+fn bits(t: &DenseTensor) -> Vec<u64> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The bits of a `Latest` or `Forecast` answer: one tensor, or the
+/// completed slice followed by the outliers.
+fn answer_bits(resp: QueryResponse) -> Vec<Vec<u64>> {
+    match resp {
+        QueryResponse::Latest(Some(step)) => {
+            let outliers = step.outliers.expect("SOFIA reports outliers");
+            vec![bits(&step.completed), bits(&outliers)]
+        }
+        QueryResponse::Forecast(Some(f)) => vec![bits(&f)],
+        other => panic!("SOFIA answers {:?} with a tensor", other.kind()),
+    }
+}
 
 fn main() {
     let period = 6;
@@ -89,11 +111,22 @@ fn main() {
 
     // --- 4. Ingest two seasons per stream over the socket — batched,
     // sequence-tagged, with typed backpressure hand-back under the
-    // hood — and mirror it in-process.
+    // hood — and mirror it in-process. The slices are partially
+    // observed (40% missing) with injected outliers; an ingest frame
+    // carries only the observed values.
     for (i, s) in streams.iter().enumerate() {
         let id = format!("net-{i}");
-        let slices: Vec<ObservedTensor> = (startup_len..startup_len + 2 * period)
-            .map(|t| ObservedTensor::fully_observed(s.clean_slice(t)))
+        let end = startup_len + 2 * period;
+        let max_abs = (0..end)
+            .map(|t| s.clean_slice(t).max_abs())
+            .fold(0.0, f64::max);
+        let corruptor = Corruptor::new(
+            CorruptionConfig::from_percents(40, 10, 4.0),
+            max_abs,
+            190 + i as u64,
+        );
+        let slices: Vec<ObservedTensor> = (startup_len..end)
+            .map(|t| corruptor.corrupt(&s.clean_slice(t), t))
             .collect();
         for slice in &slices {
             control.try_ingest_id(&id, slice.clone()).expect("control");
@@ -121,30 +154,33 @@ fn main() {
     println!("pipelined {} queries on one connection", pipelined.len());
 
     // --- 6. One frame, many streams: the server answers a batch with
-    // one queue round-trip per involved shard.
+    // one queue round-trip per involved shard. A SOFIA stream answers
+    // `Latest` and `Forecast` in Kruskal form (its factors plus R
+    // weights); the client rebuilds the dense slices with the model's
+    // own kernel.
     let batch: Vec<(String, Query)> = (0..3)
-        .map(|i| (format!("net-{i}"), Query::Forecast { horizon: 3 }))
+        .flat_map(|i| {
+            [Query::Latest, Query::Forecast { horizon: 3 }].map(|q| (format!("net-{i}"), q))
+        })
         .collect();
     let refs: Vec<(&str, Query)> = batch.iter().map(|(s, q)| (s.as_str(), q.clone())).collect();
     let over_wire = client.query_batch(&refs).expect("wire batch");
     let in_process = control.query_batch(&refs).expect("control batch");
 
     // --- 7. The claim that matters: the wire changes *nothing*. Every
-    // forecast that crossed the socket (hex-float encoded, framed,
-    // parsed back) is bit-identical to the in-process answer.
-    for (i, (wire_resp, local_resp)) in over_wire.into_iter().zip(in_process).enumerate() {
-        let (QueryResponse::Forecast(Some(w)), QueryResponse::Forecast(Some(l))) =
-            (wire_resp.expect("wire"), local_resp.expect("local"))
-        else {
-            panic!("SOFIA forecasts");
-        };
+    // latest slice, outlier tensor and forecast that crossed the socket
+    // (factored, hex-float encoded, framed, parsed back and rebuilt) is
+    // bit-identical to the in-process answer.
+    for ((wire_resp, local_resp), (id, query)) in over_wire.into_iter().zip(in_process).zip(&batch)
+    {
         assert_eq!(
-            w.data(),
-            l.data(),
-            "net-{i}: wire forecast diverged from in-process"
+            answer_bits(wire_resp.expect("wire")),
+            answer_bits(local_resp.expect("local")),
+            "{id}: wire {query:?} diverged from in-process"
         );
     }
     println!("wire forecasts are bit-exact against the in-process fleet");
+    println!("wire latest slices and outliers are bit-exact against the in-process fleet");
 
     let stats = client.stats().expect("stats");
     println!(
