@@ -466,19 +466,27 @@ mod tests {
         let next = sofia_slice(7, STARTUP + 1);
         match (handle.step(&next), restored.step(&next)) {
             (
-                LastStep::Sofia {
-                    temporal: ua,
-                    outliers: oa,
-                },
-                LastStep::Sofia {
-                    temporal: ub,
-                    outliers: ob,
-                },
+                (
+                    LastStep::Sofia {
+                        temporal: ua,
+                        outliers: oa,
+                    },
+                    da,
+                ),
+                (
+                    LastStep::Sofia {
+                        temporal: ub,
+                        outliers: ob,
+                    },
+                    db,
+                ),
             ) => {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&ua), bits(&ub), "u_t");
                 let (oa, ob) = (oa.to_dense(), ob.to_dense());
                 assert_eq!(bits(oa.data()), bits(ob.data()), "outliers");
+                assert_eq!(da.map(f64::to_bits), db.map(f64::to_bits), "drift");
+                assert!(da.is_some(), "a SOFIA step reports its drift");
             }
             _ => panic!("a SOFIA model takes a SOFIA step"),
         }

@@ -619,16 +619,18 @@ mod tests {
         assert_eq!(stats.steps, 5);
         assert_eq!(stats.ingest_latency.count(), 5);
         assert!(stats.ingest_latency.p99().is_some());
-        // Counter forecasts shape [1] against [2, 2] slices: the drift
-        // probe's shape guard must keep the sketch empty, not poison it.
+        // Drift is what SOFIA's update reports; a transient model
+        // records none, whatever it forecasts.
         assert!(stats.forecast_error.is_empty());
     }
 
     #[test]
     fn drift_sketch_records_prediction_residuals() {
-        /// Forecasts the value of its last slice, shaped like it — so
-        /// the residual of the pre-step forecast against the next slice
-        /// is exactly the step-to-step relative change.
+        use crate::model::tests::{small_sofia, sofia_slice, STARTUP};
+        use sofia_tensor::Mask;
+
+        /// Forecasts the value of its last slice: a transient double
+        /// that could be probed, and records no drift all the same.
         struct Echo {
             last: Option<DenseTensor>,
         }
@@ -648,22 +650,78 @@ mod tests {
             }
         }
 
-        let fleet = small_fleet(1);
+        const STEPS: usize = 6;
+        // Each slice hides one entry, so the residual runs over Ω only.
+        let slices: Vec<ObservedTensor> = (0..STEPS)
+            .map(|k| {
+                let s = sofia_slice(5, STARTUP + k);
+                let mut observed = vec![true; s.shape().len()];
+                observed[k] = false;
+                let mask = Mask::from_vec(s.shape().clone(), observed);
+                ObservedTensor::new(s.values().clone(), mask)
+            })
+            .collect();
+        // A replica computes each step's residual densely: its
+        // `forecast_slice(1)` before the step against the slice at Ω.
+        let mut replica = small_sofia(5);
+        let mut before = Vec::new();
+        let mut expected = Vec::new();
+        for s in &slices {
+            let forecast = replica.forecast_slice(1);
+            let (mut num, mut den) = (0.0, 0.0);
+            for (off, y) in s.observed_entries() {
+                let d = forecast.get_flat(off) - y;
+                num += d * d;
+                den += y * y;
+            }
+            expected.push((num / den).sqrt());
+            before.push(replica.clone());
+            replica.step(s);
+        }
+        // The update's ŷ associates its product differently from the
+        // kernel, so the two residuals may differ in their last bits.
+        // A residual is already relative to ‖y‖_Ω: bound the gap by
+        // 1e-14 of the slice's own scale.
+        let close = |got: Option<f64>, want: f64| got.is_some_and(|g| (g - want).abs() <= 1e-14);
+
+        let fleet = small_fleet(2);
         let key = fleet
-            .register("drift", ModelHandle::serve(Echo { last: None }))
+            .register("drift", ModelHandle::sofia(small_sofia(5)))
             .unwrap();
-        // Constant stream of 2s after the first slice: every recorded
-        // residual is ‖2−2‖/‖2‖ = 0 except the second step's ‖1−2‖/‖2‖.
-        fleet.try_ingest(&key, slice(1.0)).unwrap();
-        for _ in 0..4 {
-            fleet.try_ingest(&key, slice(2.0)).unwrap();
+        // Stream `probe-k` starts from the replica's state before step k
+        // and takes that step alone, so its sketch holds one value.
+        let probes: Vec<StreamKey> = before
+            .into_iter()
+            .enumerate()
+            .map(|(k, m)| {
+                fleet
+                    .register(&format!("probe-{k}"), ModelHandle::sofia(m))
+                    .unwrap()
+            })
+            .collect();
+        let echo = fleet
+            .register("echo", ModelHandle::serve(Echo { last: None }))
+            .unwrap();
+        for (probe, s) in probes.iter().zip(&slices) {
+            fleet.try_ingest(&key, s.clone()).unwrap();
+            fleet.try_ingest(probe, s.clone()).unwrap();
+            fleet.try_ingest(&echo, s.clone()).unwrap();
         }
         fleet.flush().unwrap();
+
         let stats = stream_stats(&fleet, "drift").unwrap();
-        // Slice 1 has no forecast yet; slices 2..=5 each record one.
-        assert_eq!(stats.forecast_error.count(), 4);
-        assert_eq!(stats.forecast_error.max(), Some(0.5));
-        assert_eq!(stats.forecast_error.min(), Some(0.0));
+        assert_eq!(stats.forecast_error.count(), STEPS as u64);
+        let max = expected.iter().copied().fold(f64::MIN, f64::max);
+        let min = expected.iter().copied().fold(f64::MAX, f64::min);
+        assert!(close(stats.forecast_error.max(), max));
+        assert!(close(stats.forecast_error.min(), min));
+        for (k, &want) in expected.iter().enumerate() {
+            let drift = stream_stats(&fleet, &format!("probe-{k}"))
+                .unwrap()
+                .forecast_error;
+            assert_eq!(drift.count(), 1, "probe-{k}");
+            assert!(close(drift.max(), want), "step {k}: {drift:?} vs {want}");
+        }
         // The same numbers answer as a typed quantile query.
         let p_max = fleet
             .query(
@@ -677,8 +735,8 @@ mod tests {
             .wait()
             .unwrap()
             .expect_quantile();
-        assert_eq!(p_max, Some(0.5));
-        let empty_metric = fleet
+        assert!(close(p_max, max));
+        let latency = fleet
             .query(
                 "drift",
                 Query::Quantile {
@@ -690,7 +748,11 @@ mod tests {
             .wait()
             .unwrap()
             .expect_quantile();
-        assert!(empty_metric.is_some(), "latency sketch has samples");
+        assert!(latency.is_some(), "latency sketch has samples");
+        // The transient double stepped every slice and recorded no drift.
+        let echo_stats = stream_stats(&fleet, "echo").unwrap();
+        assert_eq!(echo_stats.ingest_latency.count(), STEPS as u64);
+        assert!(echo_stats.forecast_error.is_empty());
         fleet.shutdown().unwrap();
     }
 

@@ -13,9 +13,11 @@
 //! restore, and it is what checkpoint cadence, eviction bookkeeping, and
 //! `StreamStats::steps` report.
 //!
-//! A shard steps a SOFIA model without the dense reconstruction
-//! (`Sofia::update_only`) and keeps what the paper's Eq. (27) needs to
-//! rebuild it: `u_t` and the outliers (`LastStep`). Its `Latest` and
+//! A shard steps a SOFIA model with the update alone
+//! (`Sofia::update_only`), which builds no dense tensor, and keeps what
+//! the paper's Eq. (27) needs to rebuild the slice: `u_t` and the outlier
+//! list the update found (`LastStep`). The same update reports its
+//! one-step forecast's residual, the stream's drift. Its `Latest` and
 //! `Forecast` answers are the model's factors plus R weights
 //! ([`Answer`]).
 
@@ -113,24 +115,27 @@ impl ModelHandle {
     /// Applies one streaming step and advances the applied-steps counter
     /// (the counter only moves on a completed step: if the model panics
     /// the increment never happens, matching the quarantine semantics).
-    /// A SOFIA model updates without the dense reconstruction of Eq. (27)
-    /// (`Sofia::update_only`) and keeps its outliers as a list.
-    pub(crate) fn step(&mut self, slice: &ObservedTensor) -> LastStep {
-        let last = match &mut self.served {
+    ///
+    /// A SOFIA model runs the update alone (`Sofia::update_only`): no
+    /// dense tensor is built, the outliers stay the list the update
+    /// found, and the second value is the relative residual of the
+    /// model's one-step forecast against the slice over its observed
+    /// entries (`None` when nothing is observed). A transient model
+    /// reports no residual.
+    pub(crate) fn step(&mut self, slice: &ObservedTensor) -> (LastStep, Option<f64>) {
+        let stepped = match &mut self.served {
             Served::Sofia(model) => {
-                let (temporal, outliers) = model.update_only(slice);
-                // O_t is +0.0 off the observed entries, so only those
-                // can be listed.
-                let observed = slice.mask().observed_offsets().iter().copied();
-                LastStep::Sofia {
-                    temporal,
-                    outliers: SparseOutliers::gather(&outliers, observed),
-                }
+                let update = model.update_only(slice);
+                let last = LastStep::Sofia {
+                    temporal: update.temporal,
+                    outliers: SparseOutliers::new(slice.shape().clone(), update.outliers),
+                };
+                (last, update.residual.relative())
             }
-            Served::Transient(model) => LastStep::Dense(model.step(slice)),
+            Served::Transient(model) => (LastStep::Dense(model.step(slice)), None),
         };
         self.steps += 1;
-        last
+        stepped
     }
 
     /// Answers `Latest` from the stream's last step (`None` before its
@@ -157,20 +162,14 @@ impl ModelHandle {
         self.factorizer().forecast(h)
     }
 
-    /// [`ModelHandle::forecast`] behind a panic guard: a model assert
-    /// (a horizon the concrete model rejects, arithmetic on exotic
-    /// state) fails this one call — `Err(())` — instead of unwinding
-    /// through the shard worker. Forecasting takes `&self`, so the
-    /// model's state is untouched by the unwind and the stream keeps
-    /// serving.
-    pub(crate) fn forecast_guarded(&self, h: usize) -> Result<Option<DenseTensor>, ()> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.forecast(h))).map_err(|_| ())
-    }
-
-    /// Answers `Forecast { horizon: h }` behind the same panic guard: a
-    /// SOFIA model's forecast as a copy of its factors weighted by the
+    /// Answers `Forecast { horizon: h }` behind a panic guard: a SOFIA
+    /// model's forecast as a copy of its factors weighted by the
     /// Holt-Winters forecast `û_{t+h|t}` (Eq. (28)), any other model's
-    /// dense forecast.
+    /// dense forecast. A model assert (a horizon the concrete model
+    /// rejects, arithmetic on exotic state) fails this one call —
+    /// `Err(())` — instead of unwinding through the shard worker.
+    /// Forecasting takes `&self`, so the model's state is untouched by
+    /// the unwind and the stream keeps serving.
     pub(crate) fn forecast_answer(&self, h: usize) -> Result<Answer, ()> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &self.served {
             Served::Sofia(model) => Answer::forecast(KruskalSlice::new(
@@ -283,8 +282,11 @@ pub(crate) mod tests {
         assert_eq!(h.name(), "echo");
         let slice = ObservedTensor::fully_observed(DenseTensor::full(Shape::new(&[2, 2]), 3.0));
         match h.step(&slice) {
-            LastStep::Dense(out) => assert_eq!(out.completed.data(), slice.values().data()),
-            LastStep::Sofia { .. } => panic!("a transient model keeps its own output"),
+            (LastStep::Dense(out), None) => {
+                assert_eq!(out.completed.data(), slice.values().data())
+            }
+            (LastStep::Dense(_), Some(_)) => panic!("a transient model reports no drift"),
+            (LastStep::Sofia { .. }, _) => panic!("a transient model keeps its own output"),
         }
         assert!(h.forecast(1).is_none());
         assert!(h.checkpoint_text().is_none());

@@ -324,44 +324,46 @@ impl KruskalSlice {
 }
 
 /// An outlier tensor as the list of its entries whose bit pattern is not
-/// +0.0, ascending by flat offset. Keeping −0.0 and NaN makes the list
-/// exact: [`SparseOutliers::to_dense`] gives back every bit of the
-/// tensor it was gathered from.
+/// +0.0, `(flat offset, value)` ascending by offset. Keeping −0.0 and
+/// NaN makes the list exact: [`SparseOutliers::to_dense`] gives back
+/// every bit of the tensor it stands for.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseOutliers {
     shape: Shape,
-    offsets: Vec<usize>,
-    values: Vec<f64>,
+    entries: Vec<(usize, f64)>,
 }
 
 impl SparseOutliers {
-    /// The entries of `t` at `offsets` (ascending) that are not +0.0;
-    /// `t` must be +0.0 everywhere else.
-    pub(crate) fn gather(t: &DenseTensor, offsets: impl IntoIterator<Item = usize>) -> Self {
-        let mut list = SparseOutliers {
-            shape: t.shape().clone(),
-            offsets: Vec::new(),
-            values: Vec::new(),
-        };
-        for off in offsets {
-            let v = t.get_flat(off);
-            if v.to_bits() != 0 {
-                list.offsets.push(off);
-                list.values.push(v);
-            }
-        }
-        list
+    /// Wraps a list that already holds exactly the entries of a
+    /// `shape`-shaped tensor that are not +0.0, ascending by offset —
+    /// the list SOFIA's update finds.
+    pub(crate) fn new(shape: Shape, entries: Vec<(usize, f64)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(entries
+            .iter()
+            .all(|&(off, v)| off < shape.len() && v.to_bits() != 0));
+        SparseOutliers { shape, entries }
     }
 
     /// Every entry of `t` that is not +0.0.
     pub(crate) fn of(t: &DenseTensor) -> Self {
-        SparseOutliers::gather(t, 0..t.len())
+        let entries = t
+            .data()
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.to_bits() != 0)
+            .map(|(off, &v)| (off, v))
+            .collect();
+        SparseOutliers {
+            shape: t.shape().clone(),
+            entries,
+        }
     }
 
     /// The dense tensor: the listed entries, +0.0 elsewhere.
     pub(crate) fn to_dense(&self) -> DenseTensor {
         let mut t = DenseTensor::zeros(self.shape.clone());
-        for (&off, &v) in self.offsets.iter().zip(&self.values) {
+        for &(off, v) in &self.entries {
             t.set_flat(off, v);
         }
         t
@@ -370,7 +372,7 @@ impl SparseOutliers {
     /// The entries flagged as outliers: those with `v != 0.0`.
     pub(crate) fn mask(&self) -> Mask {
         let mut flagged = vec![false; self.shape.len()];
-        for (&off, &v) in self.offsets.iter().zip(&self.values) {
+        for &(off, v) in &self.entries {
             flagged[off] = v != 0.0;
         }
         Mask::from_vec(self.shape.clone(), flagged)
@@ -725,22 +727,18 @@ pub mod wire {
             .ok_or_else(|| WireError::new(format!("expected `{key}`, got `{line}`")))
     }
 
-    fn parse_int<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, WireError> {
-        tok.parse()
-            .map_err(|_| WireError::new(format!("bad {what} `{tok}`")))
-    }
-
-    /// Parses a count or offset of the `kruskal` and outlier-list lines:
-    /// decimal digits in their one canonical spelling (no sign, no
-    /// leading zero).
-    fn parse_count(tok: &str, what: &str) -> Result<usize, WireError> {
+    /// Parses an integer of the wire — a count, offset, dimension,
+    /// counter or request field — in its one canonical spelling: decimal
+    /// digits, no sign, no leading zero. `what` names it in the error.
+    pub fn parse_int<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, WireError> {
+        let bad = || WireError::new(format!("bad {what} `{tok}`"));
         let canonical = !tok.is_empty()
             && tok.bytes().all(|b| b.is_ascii_digit())
             && (tok == "0" || !tok.starts_with('0'));
         if !canonical {
-            return Err(WireError::new(format!("bad {what} `{tok}`")));
+            return Err(bad());
         }
-        parse_int(tok, what)
+        tok.parse().map_err(|_| bad())
     }
 
     /// Appends a `shape` line with the given mode lengths.
@@ -845,7 +843,7 @@ pub mod wire {
         shape: Shape,
         rank: &str,
     ) -> Result<KruskalSlice, WireError> {
-        let r = parse_count(rank, "kruskal rank")?;
+        let r = parse_int(rank, "kruskal rank")?;
         if r == 0 {
             return Err(WireError::new("kruskal rank must be at least 1"));
         }
@@ -877,37 +875,43 @@ pub mod wire {
         Ok(KruskalSlice::new(factors, weights))
     }
 
+    /// Appends a `bits` line: a line of `0`s with a `1` set at each
+    /// observed offset.
     fn push_bits(out: &mut String, mask: &Mask) {
-        let n = mask.shape().len();
-        out.reserve("bits \n".len() + n);
+        let mut bits = vec![b'0'; mask.shape().len()];
+        for &off in mask.observed_offsets() {
+            bits[off] = b'1';
+        }
+        out.reserve("bits \n".len() + bits.len());
         out.push_str("bits ");
-        out.extend((0..n).map(|i| if mask.is_observed_flat(i) { '1' } else { '0' }));
+        out.push_str(std::str::from_utf8(&bits).expect("ASCII digits"));
         out.push('\n');
     }
 
+    /// Parses a `bits` line: every byte is checked in one pass, then
+    /// mapped to a flag in a second.
     fn parse_bits(line: &str, shape: &Shape) -> Result<Mask, WireError> {
         let bits = line
             .strip_prefix("bits ")
             .ok_or_else(|| WireError::new(format!("expected `bits`, got `{line}`")))?;
-        let mut observed = Vec::with_capacity(shape.len());
-        for (at, b) in bits.bytes().enumerate() {
-            observed.push(match b {
-                b'1' => true,
-                b'0' => false,
-                _ => {
-                    // Every byte before `at` is ASCII, so a char starts here.
-                    let other = bits[at..].chars().next().expect("a char starts at `at`");
-                    return Err(WireError::new(format!("bad mask bit `{other}`")));
-                }
-            });
+        // `b'0'` and `b'1'` differ in the lowest bit alone.
+        if bits.bytes().fold(0, |seen, b| seen | (b ^ b'0')) > 1 {
+            let at = bits
+                .bytes()
+                .position(|b| b | 1 != b'1')
+                .expect("a byte is neither `0` nor `1`");
+            // Every byte before `at` is ASCII, so a char starts here.
+            let other = bits[at..].chars().next().expect("a char starts at `at`");
+            return Err(WireError::new(format!("bad mask bit `{other}`")));
         }
-        if observed.len() != shape.len() {
+        if bits.len() != shape.len() {
             return Err(WireError::new(format!(
                 "mask carries {} bits for a {}-element shape",
-                observed.len(),
+                bits.len(),
                 shape.len()
             )));
         }
+        let observed = bits.bytes().map(|b| b == b'1').collect();
         Ok(Mask::from_vec(shape.clone(), observed))
     }
 
@@ -962,12 +966,12 @@ pub mod wire {
     /// Appends an outlier list: `outliers <k>`, then the k ascending
     /// `offsets` and their `values`.
     fn push_outliers(out: &mut String, list: &SparseOutliers) {
-        let _ = write!(out, "outliers {}\noffsets", list.offsets.len());
-        for &off in &list.offsets {
+        let _ = write!(out, "outliers {}\noffsets", list.entries.len());
+        for &(off, _) in &list.entries {
             let _ = write!(out, " {off}");
         }
         out.push('\n');
-        hexwire::push_f64s(out, "values", list.values.iter().copied());
+        hexwire::push_f64s(out, "values", list.entries.iter().map(|&(_, v)| v));
     }
 
     /// Parses the outliers that follow a `shape`-shaped completed block:
@@ -983,7 +987,7 @@ pub mod wire {
         if count == "none" {
             return Ok(None);
         }
-        let k = parse_count(count, "outlier count")?;
+        let k = parse_int(count, "outlier count")?;
         budget.take(shape.len())?;
         if k > shape.len() {
             return Err(WireError::new(format!(
@@ -1013,7 +1017,7 @@ pub mod wire {
     }
 
     /// Parses an `offsets` line: decimal offsets, one space before each,
-    /// every one canonical ([`parse_count`]), strictly ascending and
+    /// every one canonical ([`parse_int`]), strictly ascending and
     /// below `len`.
     fn parse_offsets(line: &str, len: usize) -> Result<Vec<usize>, WireError> {
         let rest = line
@@ -1026,7 +1030,7 @@ pub mod wire {
         let mut offsets = Vec::with_capacity(rest.len() / 2);
         let mut next = 0;
         for token in rest.split(' ').skip(1) {
-            let off = parse_count(token, "outlier offset")?;
+            let off = parse_int(token, "outlier offset")?;
             if off < next || off >= len {
                 return Err(WireError::new(format!(
                     "outlier offset {off} is out of order or past the {len}-element slice"
@@ -1333,9 +1337,7 @@ pub mod wire {
                     })
                 }
                 "stale-epoch" => Ok(FleetError::StaleEpoch {
-                    epoch: rest
-                        .parse()
-                        .map_err(|_| WireError::new(format!("bad epoch `{rest}`")))?,
+                    epoch: parse_int(rest, "epoch")?,
                 }),
                 other => Err(WireError::new(format!("unknown error code `{other}`"))),
             }
@@ -1876,6 +1878,69 @@ mod tests {
                 "should reject:\n{case}"
             );
         }
+        // Every integer admits one spelling: no sign, no leading zero.
+        // Each case respells one integer of a valid reply.
+        let forecast =
+            QueryResponse::Forecast(Some(DenseTensor::full(Shape::new(&[1]), 1.0))).to_wire();
+        let stats = QueryResponse::StreamStats(StreamStats {
+            stream: "s".to_string(),
+            model: "SOFIA".to_string(),
+            shard: 1,
+            steps: 3,
+            queue_depth: 0,
+            steps_since_checkpoint: 2,
+            ingest_latency: MetricSummary::new(),
+            forecast_error: MetricSummary::new(),
+        })
+        .to_wire();
+        let respelled = [
+            (&forecast, "shape 1\n", "shape +1\n"),
+            (&forecast, "shape 1\n", "shape 01\n"),
+            (&stats, "steps 3\n", "steps +3\n"),
+            (&stats, "shard 1\n", "shard 01\n"),
+            (&stats, "queue-depth 0\n", "queue-depth 00\n"),
+            (&stats, "since-checkpoint 2\n", "since-checkpoint +2\n"),
+            (&stats, "sketches 2\n", "sketches 02\n"),
+        ];
+        for (valid, from, to) in respelled {
+            assert!(
+                QueryResponse::from_wire(valid).is_ok(),
+                "should accept:\n{valid}"
+            );
+            let case = valid.replacen(from, to, 1);
+            assert_ne!(&case, valid);
+            assert!(
+                QueryResponse::from_wire(&case).is_err(),
+                "should reject:\n{case}"
+            );
+        }
+    }
+
+    /// A `bits` line is checked byte by byte in one pass: a bad byte is
+    /// refused wherever it sits — either side of a 64-byte boundary, at
+    /// the ends, or as a multibyte character — and named in the error.
+    #[test]
+    fn bad_mask_bits_are_refused_at_every_position() {
+        let len = 130;
+        for at in [0, 63, 64, 65, len - 1] {
+            for bad in ["2", "x", " ", "é"] {
+                let mut bits = "01".repeat(len / 2);
+                bits.replace_range(at..at + 1, bad);
+                let text = format!("shape {len}\nbits {bits}");
+                let err =
+                    wire::parse_mask(&mut wire::LineCursor::new(&text)).expect_err("a bad byte");
+                assert_eq!(err.reason, format!("bad mask bit `{bad}`"), "at {at}");
+            }
+        }
+        // After a multibyte character the line is no longer one byte
+        // per entry; the character is still what the error names.
+        let bits = format!("{}€{}", "1".repeat(70), "0".repeat(57));
+        let text = format!("shape 130\nbits {bits}");
+        let err = wire::parse_mask(&mut wire::LineCursor::new(&text)).expect_err("a bad char");
+        assert_eq!(err.reason, "bad mask bit `€`");
+        // A good line of the wrong length keeps its own message.
+        let err = wire::parse_mask(&mut wire::LineCursor::new("shape 3\nbits 01")).unwrap_err();
+        assert_eq!(err.reason, "mask carries 2 bits for a 3-element shape");
     }
 
     mod roundtrip_property {
@@ -2058,6 +2123,9 @@ mod tests {
         assert!(FleetError::from_wire("").is_err());
         assert!(FleetError::from_wire("stale-epoch").is_err());
         assert!(FleetError::from_wire("stale-epoch x").is_err());
+        assert!(FleetError::from_wire("stale-epoch 3").is_ok());
+        assert!(FleetError::from_wire("stale-epoch +3").is_err());
+        assert!(FleetError::from_wire("stale-epoch 03").is_err());
         assert!(FleetError::from_wire("lease-expired 3").is_err());
     }
 

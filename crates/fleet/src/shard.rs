@@ -52,7 +52,7 @@ use crate::protocol::{Answer, Query, QueryResponse};
 use crate::registry::Registry;
 use crate::stats::{MetricKind, QueryCounters, ShardStats, StreamStats};
 use sofia_sketch::MetricSummary;
-use sofia_tensor::{DenseTensor, ObservedTensor};
+use sofia_tensor::ObservedTensor;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
@@ -136,7 +136,8 @@ struct StreamSlot {
     ingest_latency: MetricSummary,
     /// Mergeable one-step-ahead forecast-error summary: the relative
     /// residual of the model's own pre-step forecast against the slice
-    /// it then ingested, over the slice's observed entries.
+    /// it then ingested, over the slice's observed entries (SOFIA's
+    /// update reports it; a transient model records none).
     forecast_error: MetricSummary,
     /// The latest step, for `Latest` and `OutlierMask`: a SOFIA stream
     /// keeps `u_t` and its sparse outliers, never a dense slice.
@@ -165,35 +166,6 @@ impl StreamSlot {
             MetricKind::ForecastError => &self.forecast_error,
         }
     }
-}
-
-/// Relative residual of a one-step forecast against the slice that was
-/// actually ingested, over the slice's **observed** entries only:
-/// `‖pred − obs‖_Ω / ‖obs‖_Ω` (the raw residual norm when the observed
-/// values are all zero). `None` when the shapes disagree — a reshaped
-/// stream's first post-reshape slice is not a forecast failure.
-fn forecast_residual(prediction: &DenseTensor, slice: &ObservedTensor) -> Option<f64> {
-    if prediction.shape().dims() != slice.values().shape().dims() {
-        return None;
-    }
-    let pred = prediction.data();
-    let mut num = 0.0;
-    let mut den = 0.0;
-    let mut any = false;
-    for (idx, obs) in slice.observed_entries() {
-        any = true;
-        let d = pred[idx] - obs;
-        num += d * d;
-        den += obs * obs;
-    }
-    if !any {
-        return None;
-    }
-    Some(if den > 0.0 {
-        (num / den).sqrt()
-    } else {
-        num.sqrt()
-    })
 }
 
 /// The worker-side state of one shard.
@@ -489,19 +461,16 @@ impl ShardWorker {
                     }
                 }
                 let slot = self.slots.get_mut(&stream).expect("resident");
-                // One-step-ahead drift probe: what the model would have
-                // predicted for this slice, captured *before* the slice
-                // updates it. `forecast_guarded` already shields the
-                // shard from a panicking model; a model that cannot
-                // forecast (or has not warmed up) contributes nothing.
-                let prediction = slot.model.forecast_guarded(1).ok().flatten();
                 let start = Instant::now();
                 // A panicking model (e.g. a shape assert on a malformed
                 // slice) must quarantine only its own stream — never take
                 // down the shard and every other stream hashed onto it.
                 // The model may be mid-update when it panics, so the slot
                 // is removed rather than kept in an unknown state; its
-                // last durable checkpoint stays on disk.
+                // last durable checkpoint stays on disk. A SOFIA step
+                // builds no dense tensor: it keeps `u_t` and the outlier
+                // list, and reports its drift — the residual of the
+                // one-step forecast it compared each observed entry with.
                 let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     slot.model.step(&slice)
                 }));
@@ -517,21 +486,18 @@ impl ShardWorker {
                         // in its place.
                         self.registry.remove(&stream);
                     }
-                    Ok(out) => {
+                    Ok((last, drift)) => {
                         let us = start.elapsed().as_secs_f64() * 1e6;
                         slot.ingest_latency.observe(us);
                         self.ingest_latency.observe(us);
-                        if let Some(residual) = prediction
-                            .as_ref()
-                            .and_then(|pred| forecast_residual(pred, &slice))
-                        {
+                        if let Some(residual) = drift {
                             slot.forecast_error.observe(residual);
                             self.forecast_error.observe(residual);
                         }
                         slot.steps_since_checkpoint += 1;
                         self.steps += 1;
                         slot.last_active = self.steps;
-                        slot.last = Some(out);
+                        slot.last = Some(last);
                         if let Some(policy) = &self.policy {
                             if slot.steps_since_checkpoint >= policy.every_steps {
                                 let dir = policy.dir.clone();

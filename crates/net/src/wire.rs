@@ -457,6 +457,8 @@ impl Request {
             Some(i) => (&body[..i], &body[i + 1..]),
             None => (body, ""),
         };
+        // Every integer of the head takes the wire's one canonical
+        // spelling (`wire::parse_int`).
         fn int<'a>(
             toks: &mut impl Iterator<Item = &'a str>,
             verb: &str,
@@ -465,8 +467,7 @@ impl Request {
             let tok = toks
                 .next()
                 .ok_or_else(|| WireError::new(format!("`{verb}` needs a {what}")))?;
-            tok.parse()
-                .map_err(|_| WireError::new(format!("bad {what} `{tok}`")))
+            wire::parse_int(tok, what)
         }
         // The optional `@<epoch>` fencing token right after the request
         // id. `@` never appears in a percent-encoded stream id, so the
@@ -478,8 +479,7 @@ impl Request {
             match toks.peek() {
                 Some(tok) if tok.starts_with('@') => {
                     let tok = toks.next().expect("peeked");
-                    tok[1..]
-                        .parse()
+                    wire::parse_int(&tok[1..], "epoch")
                         .map(Some)
                         .map_err(|_| WireError::new(format!("bad epoch token `{tok}`")))
                 }
@@ -574,7 +574,7 @@ impl Request {
                     let seq_line = cur.next("slice sequence number")?;
                     let seq = seq_line
                         .strip_prefix("seq ")
-                        .and_then(|s| s.parse().ok())
+                        .and_then(|s| wire::parse_int(s, "seq").ok())
                         .ok_or_else(|| WireError::new(format!("bad seq line `{seq_line}`")))?;
                     slices.push((seq, wire::parse_observed(&mut cur, &mut budget)?));
                 }
@@ -1313,6 +1313,28 @@ mod tests {
         ];
         for case in cases {
             assert!(Request::from_body(case).is_err(), "should reject:\n{case}");
+        }
+        // Every integer of a request admits one spelling: no sign, no
+        // leading zero. Each case respells one integer of a valid body.
+        let ingest = "ingest 1 s 1\nseq 5\nshape 1\ndata 3ff0000000000000\nbits 1";
+        let respelled = [
+            (ingest, "ingest 1 ", "ingest 01 "),
+            (ingest, "ingest 1 ", "ingest +1 "),
+            (ingest, " s 1\n", " s 01\n"),
+            (ingest, "seq 5", "seq +5"),
+            (ingest, "seq 5", "seq 05"),
+            (ingest, "shape 1", "shape +1"),
+            ("query 1 @3 s latest", "@3", "@+3"),
+            ("query 1 @3 s latest", "@3", "@03"),
+            ("batch 7 1\na latest", "batch 7", "batch 07"),
+            ("batch 7 1\na latest", " 1\n", " +1\n"),
+            ("flush 0", "0", "00"),
+        ];
+        for (valid, from, to) in respelled {
+            assert!(Request::from_body(valid).is_ok(), "should accept:\n{valid}");
+            let case = valid.replacen(from, to, 1);
+            assert_ne!(case, valid);
+            assert!(Request::from_body(&case).is_err(), "should reject:\n{case}");
         }
     }
 

@@ -17,12 +17,15 @@
 //! Total per-step cost is `O(|Ω_t|·N·R)` plus the `O(Π Iₙ · R)`
 //! reconstruction requested for imputation output (Lemma 2 counts only the
 //! model update, which is what `update_only` exposes for the scalability
-//! experiments). The reconstruction and the forecast of Eq. (28) both run
-//! through [`kruskal::kruskal_slice`], whose entries have the bits of the
-//! point evaluator [`kruskal::kruskal_at_with_vec`]. A serving layer's
-//! drift probe is the dense `forecast_slice(1)`: evaluating the forecast
-//! at the observed entries alone, one point at a time, was measured slower
-//! than that kernel even at 10% observed.
+//! experiments and for serving). The reconstruction and the forecast of
+//! Eq. (28) both run through [`kruskal::kruskal_slice`], whose entries have
+//! the bits of the point evaluator [`kruskal::kruskal_at_with_vec`].
+//!
+//! The update also returns what it found at the observed entries alone:
+//! the outliers as a sparse list, and the residual of the one-step
+//! forecast ŷ (Eq. (20)) it compared every observation with — a serving
+//! layer's drift signal, with no forecast evaluated beyond the ones the
+//! update needs ([`ForecastResidual`]).
 
 use crate::config::SofiaConfig;
 use crate::hw::HwBank;
@@ -39,6 +42,56 @@ pub struct DynStepOutput {
     pub outliers: DenseTensor,
     /// The updated temporal vector `u⁽ᴺ⁾_t`.
     pub temporal: Vec<f64>,
+}
+
+/// The residual of the one-step forecast ŷ (Eq. (20)) against a slice,
+/// summed over the slice's observed entries in ascending offset order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ForecastResidual {
+    /// `Σ_Ω (y − ŷ)²`.
+    pub sq_error: f64,
+    /// `Σ_Ω y²`.
+    pub sq_observed: f64,
+    /// `|Ω_t|`, the number of observed entries summed.
+    pub observed: usize,
+}
+
+impl ForecastResidual {
+    /// The relative residual `‖y − ŷ‖_Ω / ‖y‖_Ω` — the raw `‖y − ŷ‖_Ω`
+    /// when every observed value is zero, and `None` for a slice with no
+    /// observed entry.
+    pub fn relative(&self) -> Option<f64> {
+        if self.observed == 0 {
+            return None;
+        }
+        Some(if self.sq_observed > 0.0 {
+            (self.sq_error / self.sq_observed).sqrt()
+        } else {
+            self.sq_error.sqrt()
+        })
+    }
+}
+
+/// What one model update ([`DynamicState::update_only`]) found.
+#[derive(Debug, Clone)]
+pub struct UpdateOutput {
+    /// The updated temporal vector `u⁽ᴺ⁾_t`.
+    pub temporal: Vec<f64>,
+    /// The outlier subtensor `O_t` as `(flat offset, value)` for every
+    /// observed entry whose value is nonzero, ascending by offset;
+    /// `O_t` is +0.0 everywhere else.
+    pub outliers: Vec<(usize, f64)>,
+    /// The pre-update forecast's residual against the slice.
+    pub residual: ForecastResidual,
+}
+
+/// The dense outlier subtensor of an [`UpdateOutput::outliers`] list.
+fn outlier_tensor(shape: &Shape, outliers: &[(usize, f64)]) -> DenseTensor {
+    let mut t = DenseTensor::zeros(shape.clone());
+    for &(off, o) in outliers {
+        t.set_flat(off, o);
+    }
+    t
 }
 
 /// The evolving state of SOFIA's dynamic phase.
@@ -190,22 +243,23 @@ impl DynamicState {
     /// Processes one streaming subtensor (Algorithm 3 body) and returns the
     /// completed reconstruction plus diagnostics.
     pub fn step(&mut self, slice: &ObservedTensor) -> DynStepOutput {
-        let (u_t, outliers) = self.update_only(slice);
+        let update = self.update_only(slice);
         // Step 5 (Eq. 27): dense reconstruction for imputation.
         let refs: Vec<&Matrix> = self.factors.iter().collect();
-        let completed = kruskal::kruskal_slice(&refs, &u_t);
+        let completed = kruskal::kruskal_slice(&refs, &update.temporal);
         DynStepOutput {
             completed,
-            outliers,
-            temporal: u_t,
+            outliers: outlier_tensor(&self.slice_shape, &update.outliers),
+            temporal: update.temporal,
         }
     }
 
     /// The model-update portion of Algorithm 3 **without** materializing
-    /// the dense reconstruction — exactly the `O(|Ω_t|·N·R)` work counted
-    /// by Lemma 2. Returns the new temporal vector and the outlier
-    /// subtensor.
-    pub fn update_only(&mut self, slice: &ObservedTensor) -> (Vec<f64>, DenseTensor) {
+    /// any dense tensor — exactly the `O(|Ω_t|·N·R)` work counted by
+    /// Lemma 2. Returns the new temporal vector, the outliers it found as
+    /// a list, and the residual of the one-step forecast ŷ it compared
+    /// each observed entry with ([`UpdateOutput`]).
+    pub fn update_only(&mut self, slice: &ObservedTensor) -> UpdateOutput {
         assert_eq!(
             slice.shape(),
             &self.slice_shape,
@@ -223,8 +277,13 @@ impl DynamicState {
         // is evaluated lazily per observed entry below.
         let u_hat = self.hw.forecast_one();
 
-        // Steps 2-4 fused over observed entries.
-        let mut outliers = DenseTensor::zeros(shape.clone());
+        // Steps 2-4 fused over observed entries, which also sum the
+        // forecast's residual.
+        let mut outliers = Vec::new();
+        let mut residual = ForecastResidual {
+            observed: slice.count_observed(),
+            ..ForecastResidual::default()
+        };
         // Gradient accumulators: ΔU⁽ⁿ⁾ per non-temporal mode and Δu for the
         // temporal vector, plus diagonal curvature accumulators used to damp
         // the steps (see the stability note below).
@@ -265,6 +324,8 @@ impl DynamicState {
             }
             let y = slice.values().get_flat(off);
             let err = y - y_hat;
+            residual.sq_error += err * err;
+            residual.sq_observed += y * y;
 
             // Step 2 (Eq. 21): Huber pre-cleaning → outlier estimate.
             // Inside the Huber band Ψ(e/σ)·σ = e exactly, so o = 0; compute
@@ -276,7 +337,7 @@ impl DynamicState {
                 err - huber_psi(err / sig, DEFAULT_K) * sig
             };
             if o != 0.0 {
-                outliers.set_flat(off, o);
+                outliers.push((off, o));
             }
 
             // Step 3 (Eq. 22): per-entry biweight scale update (after the
@@ -383,7 +444,11 @@ impl DynamicState {
         self.history.push_back(u_t.clone());
         self.steps += 1;
 
-        (u_t, outliers)
+        UpdateOutput {
+            temporal: u_t,
+            outliers,
+            residual,
+        }
     }
 
     /// Forecasts the subtensor `h` steps ahead of the last processed one
@@ -534,11 +599,53 @@ mod tests {
         let toy = Toy::new();
         let mut s1 = toy.exact_state(toy_config());
         let mut s2 = toy.exact_state(toy_config());
-        let slice = ObservedTensor::fully_observed(toy.slice(4));
+        // Warm up on clean slices, then spike two entries and hide one so
+        // the lists are not empty and skip an unobserved entry.
+        for t in 4..12 {
+            let slice = ObservedTensor::fully_observed(toy.slice(t));
+            s1.step(&slice);
+            s2.update_only(&slice);
+        }
+        let mut corrupted = toy.slice(12);
+        corrupted.set(&[0, 0], 1000.0);
+        corrupted.set(&[2, 1], -500.0);
+        corrupted.set(&[1, 1], 1e6);
+        let mask = Mask::from_vec(
+            corrupted.shape().clone(),
+            vec![true, true, true, false, true, true],
+        );
+        let slice = ObservedTensor::new(corrupted, mask);
         let out = s1.step(&slice);
-        let (u, o) = s2.update_only(&slice);
-        assert_eq!(out.temporal, u);
-        assert_eq!(out.outliers.data(), o.data());
+        let update = s2.update_only(&slice);
+        assert_eq!(out.temporal, update.temporal);
+        assert!(update.outliers.len() >= 2, "{:?}", update.outliers);
+        assert!(update.outliers.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(update
+            .outliers
+            .iter()
+            .all(|&(off, o)| o != 0.0 && slice.mask().is_observed_flat(off)));
+        // The list densifies to `step`'s tensor bit for bit.
+        let mut dense = DenseTensor::zeros(slice.shape().clone());
+        for &(off, o) in &update.outliers {
+            dense.set_flat(off, o);
+        }
+        let bits = |t: &DenseTensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.outliers), bits(&dense));
+        assert_eq!(s1.sigma().data(), s2.sigma().data());
+    }
+
+    #[test]
+    fn forecast_residual_is_relative_over_observed_entries() {
+        let r = |sq_error, sq_observed, observed| ForecastResidual {
+            sq_error,
+            sq_observed,
+            observed,
+        };
+        assert_eq!(r(1.0, 4.0, 3).relative(), Some(0.5));
+        // All observed values zero: the raw residual norm.
+        assert_eq!(r(9.0, 0.0, 2).relative(), Some(3.0));
+        // Nothing observed: no residual.
+        assert_eq!(r(0.0, 0.0, 0).relative(), None);
     }
 
     #[test]

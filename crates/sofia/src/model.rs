@@ -5,7 +5,7 @@
 //! Algorithm 3 for every subsequent subtensor.
 
 use crate::config::SofiaConfig;
-use crate::dynamic::{DynStepOutput, DynamicState};
+use crate::dynamic::{DynStepOutput, DynamicState, UpdateOutput};
 use crate::hw::HwBank;
 use crate::init::{initialize_with_factors, InitResult};
 use crate::traits::{StepOutput, StreamingFactorizer};
@@ -141,9 +141,11 @@ impl Sofia {
         self.dynamic.step(slice)
     }
 
-    /// Model update without dense reconstruction (for scalability
-    /// measurements; see [`DynamicState::update_only`]).
-    pub fn update_only(&mut self, slice: &ObservedTensor) -> (Vec<f64>, DenseTensor) {
+    /// The model update alone, without any dense tensor: `u_t`, the
+    /// outliers as a list and the one-step forecast's residual (for
+    /// scalability measurements and serving; see
+    /// [`DynamicState::update_only`]).
+    pub fn update_only(&mut self, slice: &ObservedTensor) -> UpdateOutput {
         self.dynamic.update_only(slice)
     }
 

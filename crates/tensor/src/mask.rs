@@ -41,12 +41,7 @@ impl Mask {
     /// Builds a mask from a boolean vector in row-major order.
     pub fn from_vec(shape: Shape, observed: Vec<bool>) -> Self {
         assert_eq!(observed.len(), shape.len(), "mask length mismatch");
-        let observed_offsets = observed
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o)
-            .map(|(i, _)| i)
-            .collect();
+        let observed_offsets = set_offsets(&observed);
         Self {
             shape,
             observed,
@@ -185,6 +180,24 @@ impl Mask {
     }
 }
 
+/// The offsets of the `true` flags, ascending, in a vector of exactly
+/// that length: each 64-flag word is packed into a `u64` and its set bits
+/// are taken lowest first.
+fn set_offsets(flags: &[bool]) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(flags.iter().filter(|&&o| o).count());
+    for (w, chunk) in flags.chunks(64).enumerate() {
+        let mut word = chunk
+            .iter()
+            .enumerate()
+            .fold(0u64, |word, (i, &o)| word | (u64::from(o) << i));
+        while word != 0 {
+            offsets.push(w * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
+    offsets
+}
+
 impl std::fmt::Debug for Mask {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -279,6 +292,30 @@ mod tests {
         assert_eq!(stacked.count_observed(), 5);
         assert_eq!(stacked.slice_last_mode(0), m0);
         assert_eq!(stacked.slice_last_mode(1), m1);
+    }
+
+    /// The word-at-a-time scan finds exactly the offsets a plain scan
+    /// finds, across word boundaries and partial last words, at every
+    /// density.
+    #[test]
+    fn set_offsets_match_a_naive_scan() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for len in (0..=130).chain([70_225]) {
+            let mut cases = vec![vec![false; len], vec![true; len]];
+            for p in [0.1, 0.5, 0.9] {
+                cases.push((0..len).map(|_| rng.gen::<f64>() < p).collect());
+            }
+            for flags in cases {
+                let want: Vec<usize> = (0..len).filter(|&i| flags[i]).collect();
+                let got = set_offsets(&flags);
+                assert_eq!(got, want, "len {len}");
+                assert_eq!(got.capacity(), want.len(), "exact reservation");
+                if len > 0 {
+                    let mask = Mask::from_vec(Shape::new(&[len]), flags);
+                    assert_eq!(mask.observed_offsets(), &want[..]);
+                }
+            }
+        }
     }
 
     #[test]

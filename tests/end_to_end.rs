@@ -220,3 +220,67 @@ fn sofia_outlier_tensor_localizes_injected_outliers() {
         totals.precision()
     );
 }
+
+/// The drift residual SOFIA's update sums from its own one-step forecast
+/// ŷ (Eq. (20)) is the dense formula a serving layer would compute: the
+/// pre-step `forecast_slice(1)` against the slice at Ω. Pinned at each
+/// benchmark workload's shape and corruption (265×265 at R=5 with 90%
+/// missing, 12×10 and 24×20 at R=4), over 100 steps each. The update's
+/// ŷ associates its product differently from the kernel, so the two may
+/// differ in their last bits, never by more than 1e-14 relative.
+#[test]
+fn fused_forecast_residual_matches_the_dense_formula() {
+    use sofia::core::dynamic::DynamicState;
+    use sofia::core::hw::HwBank;
+
+    const STEPS: usize = 100;
+    let workloads = [
+        (
+            Dataset::NycTaxi.stream(2021),
+            5,
+            CorruptionConfig::from_percents(90, 10, 5.0),
+        ),
+        (
+            SeasonalStream::paper_fig2(&[12, 10], 4, 8, 2021),
+            4,
+            CorruptionConfig::from_percents(20, 10, 2.0),
+        ),
+        (
+            SeasonalStream::paper_fig2(&[24, 20], 4, 8, 2021),
+            4,
+            CorruptionConfig::from_percents(30, 15, 3.0),
+        ),
+    ];
+    for (stream, rank, corruption) in workloads {
+        let m = stream.period();
+        let config = SofiaConfig::new(rank, m).with_lambdas(0.01, 0.01, 10.0);
+        // Start from the ground truth: the residual then measures the
+        // corruption and whatever the stream teaches the model.
+        let temporal = stream.temporal_matrix(3 * m);
+        let recent = (2 * m..3 * m).map(|t| temporal.row(t).to_vec()).collect();
+        let hw = HwBank::fit(&temporal, m).expect("three seasons");
+        let dynamic = DynamicState::new(config.clone(), stream.factors().to_vec(), recent, hw);
+        let mut sofia = Sofia::from_dynamic(&config, dynamic).expect("model");
+        let corruptor = Corruptor::new(corruption, stream.max_abs_over_season(), 7);
+        for t in 3 * m..3 * m + STEPS {
+            let slice = corruptor.corrupt(&stream.clean_slice(t), t);
+            let forecast = sofia.forecast_slice(1);
+            let (mut num, mut den) = (0.0, 0.0);
+            for (off, y) in slice.observed_entries() {
+                let d = forecast.get_flat(off) - y;
+                num += d * d;
+                den += y * y;
+            }
+            let dense = (num / den).sqrt();
+            let residual = sofia.update_only(&slice).residual;
+            assert_eq!(residual.observed, slice.count_observed());
+            assert_eq!(residual.sq_observed.to_bits(), den.to_bits());
+            let fused = residual.relative().expect("observed entries");
+            assert!(
+                (fused - dense).abs() <= 1e-14 * dense,
+                "{:?} t={t}: fused {fused} vs dense {dense}",
+                slice.shape()
+            );
+        }
+    }
+}
