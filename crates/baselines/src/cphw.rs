@@ -51,16 +51,6 @@ impl CpHw {
         let refs: Vec<&Matrix> = self.factors.iter().collect();
         kruskal::kruskal_slice(&refs, &u)
     }
-
-    /// The non-temporal factors.
-    pub fn factors(&self) -> &[Matrix] {
-        &self.factors
-    }
-
-    /// The fitted Holt-Winters bank.
-    pub fn hw(&self) -> &HwBank {
-        &self.hw
-    }
 }
 
 #[cfg(test)]

@@ -111,11 +111,6 @@ impl Olstec {
         let (factors, _) = warm_start(startup, rank, 100, seed);
         Self::new(factors, forgetting)
     }
-
-    /// Current non-temporal factors.
-    pub fn factors(&self) -> &[Matrix] {
-        &self.factors
-    }
 }
 
 impl StreamingFactorizer for Olstec {

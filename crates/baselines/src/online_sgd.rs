@@ -32,11 +32,6 @@ impl OnlineSgd {
         let (factors, _) = warm_start(startup, rank, 100, seed);
         Self::new(factors, mu)
     }
-
-    /// Current non-temporal factors.
-    pub fn factors(&self) -> &[Matrix] {
-        &self.factors
-    }
 }
 
 impl StreamingFactorizer for OnlineSgd {

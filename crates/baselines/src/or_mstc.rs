@@ -18,7 +18,7 @@
 use crate::common::{reconstruct_slice, solve_temporal_weights};
 use crate::mast::Mast;
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
-use sofia_tensor::{DenseTensor, Matrix, ObservedTensor};
+use sofia_tensor::{DenseTensor, ObservedTensor};
 
 /// Robust windowed completion with slab (mode-0 fiber) outliers.
 #[derive(Debug, Clone)]
@@ -29,21 +29,6 @@ pub struct OrMstc {
 }
 
 impl OrMstc {
-    /// Creates a model from starting factors.
-    pub fn new(
-        factors: Vec<Matrix>,
-        window_len: usize,
-        theta: f64,
-        sweeps: usize,
-        lambda_group: f64,
-    ) -> Self {
-        assert!(lambda_group >= 0.0);
-        Self {
-            inner: Mast::new(factors, window_len, theta, sweeps),
-            lambda_group,
-        }
-    }
-
     /// Warm-starts from a start-up window of slices.
     #[allow(clippy::too_many_arguments)]
     pub fn init(
@@ -122,6 +107,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use sofia_tensor::random::random_factors;
+    use sofia_tensor::Matrix;
 
     fn slice_at(truth: &[Matrix], t: usize) -> DenseTensor {
         let w = vec![

@@ -34,9 +34,8 @@ impl VanillaAls {
         Self::fit_from(data, factors, max_iters)
     }
 
-    /// Fits from caller-supplied starting factors (used by Fig. 2, which
-    /// compares ALS variants from identical random starts).
-    pub fn fit_from(data: &ObservedTensor, mut factors: Vec<Matrix>, max_iters: usize) -> Self {
+    /// Fits from caller-supplied starting factors.
+    fn fit_from(data: &ObservedTensor, mut factors: Vec<Matrix>, max_iters: usize) -> Self {
         let opts = AlsOptions::vanilla(1e-6, max_iters);
         let stats = sofia_als(data, data.values(), &mut factors, &opts);
         let completed = reconstruct(&factors);

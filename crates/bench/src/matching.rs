@@ -9,7 +9,7 @@ use sofia_tensor::Matrix;
 //  absolute cosine similarity, then rescales each matched column by the
 /// least-squares coefficient. Returns the aligned matrix (same shape as
 /// `truth`).
-pub fn align_columns(estimate: &Matrix, truth: &Matrix) -> Matrix {
+fn align_columns(estimate: &Matrix, truth: &Matrix) -> Matrix {
     assert_eq!(estimate.rows(), truth.rows(), "row count mismatch");
     assert_eq!(estimate.cols(), truth.cols(), "rank mismatch");
     let r = truth.cols();

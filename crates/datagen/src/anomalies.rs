@@ -49,7 +49,7 @@ pub enum Anomaly {
 
 impl Anomaly {
     /// Whether the anomaly is active at stream time `t`.
-    pub fn active_at(&self, t: usize) -> bool {
+    fn active_at(&self, t: usize) -> bool {
         let (start, end) = match self {
             Anomaly::Point { start, end, .. }
             | Anomaly::Slab { start, end, .. }
@@ -85,7 +85,7 @@ impl Anomaly {
 
     /// The set of affected cell indices for a slice shape (used to score
     /// detections).
-    pub fn affected_cells(&self, shape: &Shape) -> Vec<Vec<usize>> {
+    fn affected_cells(&self, shape: &Shape) -> Vec<Vec<usize>> {
         match self {
             Anomaly::Point { index, .. } => vec![index.clone()],
             Anomaly::Slab { slab, .. } => shape.indices().filter(|idx| idx[0] == *slab).collect(),
@@ -112,11 +112,6 @@ impl AnomalyScript {
         self
     }
 
-    /// The scripted anomalies.
-    pub fn anomalies(&self) -> &[Anomaly] {
-        &self.anomalies
-    }
-
     /// Applies all active anomalies to a slice at time `t`, returning the
     /// corrupted copy.
     pub fn apply(&self, clean: &DenseTensor, t: usize) -> DenseTensor {
@@ -128,7 +123,7 @@ impl AnomalyScript {
     }
 
     /// Ground-truth anomalous cells at time `t`.
-    pub fn labels_at(&self, shape: &Shape, t: usize) -> Vec<Vec<usize>> {
+    fn labels_at(&self, shape: &Shape, t: usize) -> Vec<Vec<usize>> {
         let mut cells = Vec::new();
         for a in &self.anomalies {
             if a.active_at(t) {

@@ -79,11 +79,6 @@ impl Corruptor {
         }
     }
 
-    /// The corruption setting.
-    pub fn config(&self) -> &CorruptionConfig {
-        &self.config
-    }
-
     /// Corrupts the clean slice for time `t`: injects outliers, then hides
     /// entries. Returns the observed (masked, corrupted) slice.
     pub fn corrupt(&self, clean: &DenseTensor, t: usize) -> ObservedTensor {

@@ -50,13 +50,8 @@ impl RegimeSwitchStream {
     }
 
     /// Index of the regime active at time `t`.
-    pub fn regime_at(&self, t: usize) -> usize {
+    fn regime_at(&self, t: usize) -> usize {
         self.change_points.iter().filter(|&&cp| t >= cp).count()
-    }
-
-    /// The scripted change points.
-    pub fn change_points(&self) -> &[usize] {
-        &self.change_points
     }
 }
 

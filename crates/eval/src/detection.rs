@@ -3,7 +3,7 @@
 //!
 //! The paper evaluates imputation/forecasting error only; detection
 //! quality is implicit (good imputation under corruption requires finding
-//! the outliers). This module makes it explicit: precision/recall/F1 of
+//! the outliers). This module makes it explicit: precision and recall of
 //! the non-zero entries of `O_t` against the corruptor's ground-truth
 //! labels ([`sofia_datagen::corrupt::Corruptor::corrupt_labeled`]).
 
@@ -37,16 +37,6 @@ impl DetectionCounts {
             return f64::NAN;
         }
         self.true_positives as f64 / denom as f64
-    }
-
-    /// F1 score (harmonic mean of precision and recall).
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if !p.is_finite() || !r.is_finite() || p + r == 0.0 {
-            return f64::NAN;
-        }
-        2.0 * p * r / (p + r)
     }
 
     /// Accumulates another step's counts.
@@ -94,7 +84,6 @@ mod tests {
         assert_eq!(c.false_negatives, 0);
         assert_eq!(c.precision(), 1.0);
         assert_eq!(c.recall(), 1.0);
-        assert_eq!(c.f1(), 1.0);
     }
 
     #[test]
@@ -106,7 +95,6 @@ mod tests {
         assert_eq!(c.false_negatives, 1);
         assert_eq!(c.precision(), 0.0);
         assert_eq!(c.recall(), 0.0);
-        assert!(c.f1().is_nan());
     }
 
     #[test]
@@ -142,6 +130,5 @@ mod tests {
         let c = DetectionCounts::default();
         assert!(c.precision().is_nan());
         assert!(c.recall().is_nan());
-        assert!(c.f1().is_nan());
     }
 }

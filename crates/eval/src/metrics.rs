@@ -52,24 +52,6 @@ impl StreamSummary {
             .sum::<f64>()
             / self.steps.len() as f64
     }
-
-    /// Total processing time across the stream, in seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.steps
-            .iter()
-            .map(|s| s.elapsed.as_secs_f64())
-            .sum::<f64>()
-    }
-
-    /// The NRE series (for Fig. 3-style plots).
-    pub fn nre_series(&self) -> Vec<(usize, f64)> {
-        self.steps.iter().map(|s| (s.t, s.nre)).collect()
-    }
-}
-
-/// Normalized residual error of one reconstruction (the per-step NRE).
-pub fn nre(estimate: &DenseTensor, truth: &DenseTensor) -> f64 {
-    relative_error(estimate, truth)
 }
 
 /// Average forecasting error over a horizon of `(forecast, truth)` pairs:
@@ -115,7 +97,6 @@ mod tests {
     fn art_is_mean_time() {
         let s = summary(&[0.1, 0.2]);
         assert!((s.art_seconds() - 0.01).abs() < 1e-9);
-        assert!((s.total_seconds() - 0.02).abs() < 1e-9);
     }
 
     #[test]
@@ -126,24 +107,11 @@ mod tests {
     }
 
     #[test]
-    fn nre_matches_relative_error() {
-        let a = DenseTensor::full(Shape::new(&[4]), 2.0);
-        let b = DenseTensor::full(Shape::new(&[4]), 1.0);
-        assert!((nre(&a, &b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn afe_averages_pairs() {
         let truth = DenseTensor::full(Shape::new(&[4]), 1.0);
         let perfect = truth.clone();
         let off = DenseTensor::full(Shape::new(&[4]), 2.0);
         let pairs = vec![(perfect, truth.clone()), (off, truth)];
         assert!((afe(&pairs) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nre_series_preserves_order() {
-        let s = summary(&[0.5, 0.4]);
-        assert_eq!(s.nre_series(), vec![(0, 0.5), (1, 0.4)]);
     }
 }

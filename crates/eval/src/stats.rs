@@ -1,55 +1,7 @@
-//! Summary statistics over error series — quantiles, recovery time, and
-//! head-to-head comparisons used by the experiment reports.
+//! Summary statistics over error series: the recovery time that the drift
+//! experiment reports.
 
 use crate::metrics::StreamSummary;
-
-/// Empirical quantile of a sample (linear interpolation between order
-/// statistics). `q ∈ [0, 1]`.
-///
-/// # Panics
-/// Panics if the sample is empty or `q` is outside `[0, 1]`.
-pub fn quantile(sample: &[f64], q: f64) -> f64 {
-    assert!(!sample.is_empty(), "quantile of empty sample");
-    assert!((0.0..=1.0).contains(&q), "quantile level out of [0,1]");
-    let mut sorted: Vec<f64> = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = pos - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
-}
-
-/// Five-number NRE summary of a stream run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NreSummary {
-    /// Minimum NRE.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// Maximum NRE.
-    pub max: f64,
-}
-
-/// Computes the five-number summary of a run's per-step NRE.
-pub fn nre_summary(summary: &StreamSummary) -> NreSummary {
-    let nres: Vec<f64> = summary.steps.iter().map(|s| s.nre).collect();
-    NreSummary {
-        min: quantile(&nres, 0.0),
-        p25: quantile(&nres, 0.25),
-        median: quantile(&nres, 0.5),
-        p75: quantile(&nres, 0.75),
-        max: quantile(&nres, 1.0),
-    }
-}
 
 /// Number of steps after `from_t` until the NRE first drops below
 /// `threshold` (recovery time after a disturbance); `None` if it never
@@ -61,25 +13,6 @@ pub fn recovery_time(summary: &StreamSummary, from_t: usize, threshold: f64) -> 
         .filter(|s| s.t >= from_t)
         .find(|s| s.nre < threshold)
         .map(|s| s.t - from_t)
-}
-
-/// Fraction of time steps on which `a` beats `b` (strictly lower NRE).
-/// Both runs must cover identical time indices.
-pub fn win_rate(a: &StreamSummary, b: &StreamSummary) -> f64 {
-    assert_eq!(a.steps.len(), b.steps.len(), "run length mismatch");
-    if a.steps.is_empty() {
-        return f64::NAN;
-    }
-    let wins = a
-        .steps
-        .iter()
-        .zip(&b.steps)
-        .filter(|(x, y)| {
-            debug_assert_eq!(x.t, y.t);
-            x.nre < y.nre
-        })
-        .count();
-    wins as f64 / a.steps.len() as f64
 }
 
 #[cfg(test)]
@@ -104,49 +37,9 @@ mod tests {
     }
 
     #[test]
-    fn quantile_basics() {
-        let s = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&s, 0.0), 1.0);
-        assert_eq!(quantile(&s, 1.0), 4.0);
-        assert!((quantile(&s, 0.5) - 2.5).abs() < 1e-12);
-        // Order-independence.
-        let shuffled = [3.0, 1.0, 4.0, 2.0];
-        assert_eq!(quantile(&shuffled, 0.5), quantile(&s, 0.5));
-    }
-
-    #[test]
-    fn quantile_single_element() {
-        assert_eq!(quantile(&[7.0], 0.3), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn quantile_empty_panics() {
-        quantile(&[], 0.5);
-    }
-
-    #[test]
-    fn five_number_summary() {
-        let s = summary(&[0.5, 0.1, 0.3, 0.2, 0.4]);
-        let n = nre_summary(&s);
-        assert_eq!(n.min, 0.1);
-        assert_eq!(n.max, 0.5);
-        assert!((n.median - 0.3).abs() < 1e-12);
-        assert!(n.p25 <= n.median && n.median <= n.p75);
-    }
-
-    #[test]
     fn recovery_time_found_and_not_found() {
         let s = summary(&[0.9, 0.8, 0.7, 0.05, 0.04]);
         assert_eq!(recovery_time(&s, 1, 0.1), Some(2));
         assert_eq!(recovery_time(&s, 0, 0.01), None);
-    }
-
-    #[test]
-    fn win_rate_counts_strict_wins() {
-        let a = summary(&[0.1, 0.3, 0.2]);
-        let b = summary(&[0.2, 0.3, 0.1]);
-        // a wins at t0, ties t1, loses t2 → 1/3.
-        assert!((win_rate(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
     }
 }

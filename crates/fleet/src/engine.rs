@@ -436,22 +436,6 @@ impl Fleet {
         })
     }
 
-    /// Checkpoints every checkpointable stream now; returns how many
-    /// checkpoints were written. No-op (0) without a checkpoint policy.
-    pub fn checkpoint_now(&self) -> Result<usize, FleetError> {
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (reply, result) = mpsc::channel();
-            shard.send(Command::Checkpoint { reply })?;
-            pending.push(result);
-        }
-        let mut written = 0;
-        for result in pending {
-            written += result.recv().map_err(|_| FleetError::ShuttingDown)??;
-        }
-        Ok(written)
-    }
-
     /// Graceful shutdown: drains every queue, writes a final checkpoint
     /// per checkpointable stream, and joins the workers. Returns the
     /// number of final checkpoints written.
@@ -780,7 +764,7 @@ mod tests {
         let stats = fleet.fleet_stats().unwrap();
         assert_eq!(stats.streams(), 12);
         assert_eq!(stats.steps(), (1..=12).sum::<usize>() as u64);
-        assert_eq!(stats.queue_depth(), 0);
+        assert!(stats.shards.iter().all(|s| s.queue_depth == 0));
     }
 
     #[test]
@@ -1080,7 +1064,7 @@ mod tests {
             source.try_ingest(&key, slice(t)).unwrap();
         }
         source.flush().unwrap();
-        assert_eq!(source.checkpoint_now().unwrap(), 1);
+        assert!(source.checkpoint_stream("mig").unwrap());
         assert!(checkpoint_path(&dir, "mig").exists());
 
         // Export rides the command queue, so it reflects all 3 steps.

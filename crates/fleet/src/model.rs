@@ -26,7 +26,7 @@ use sofia_core::checkpoint;
 use sofia_core::snapshot::{self, SOFIA_KIND};
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
 use sofia_core::Sofia;
-use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
+use sofia_tensor::{Mask, ObservedTensor};
 
 /// What a handle serves.
 enum Served {
@@ -157,11 +157,6 @@ impl ModelHandle {
         }
     }
 
-    /// Forecasts `h` steps ahead, if the model supports forecasting.
-    pub fn forecast(&self, h: usize) -> Option<DenseTensor> {
-        self.factorizer().forecast(h)
-    }
-
     /// Answers `Forecast { horizon: h }` behind a panic guard: a SOFIA
     /// model's forecast as a copy of its factors weighted by the
     /// Holt-Winters forecast `û_{t+h|t}` (Eq. (28)), any other model's
@@ -229,7 +224,7 @@ pub(crate) mod tests {
     use sofia_core::SofiaConfig;
     use sofia_datagen::seasonal::SeasonalStream;
     use sofia_datagen::stream::TensorStream;
-    use sofia_tensor::Shape;
+    use sofia_tensor::{DenseTensor, Shape};
 
     /// Seasonal period of [`sofia_slice`]'s streams.
     const PERIOD: usize = 4;
@@ -288,7 +283,7 @@ pub(crate) mod tests {
             (LastStep::Dense(_), Some(_)) => panic!("a transient model reports no drift"),
             (LastStep::Sofia { .. }, _) => panic!("a transient model keeps its own output"),
         }
-        assert!(h.forecast(1).is_none());
+        assert!(h.factorizer().forecast(1).is_none());
         assert!(h.checkpoint_text().is_none());
         assert!(!h.is_durable());
         // The counter moves for transient models too.

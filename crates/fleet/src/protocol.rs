@@ -184,8 +184,7 @@ impl Query {
                     .next()
                     .ok_or_else(|| invalid("forecast needs a horizon".to_string()))?;
                 Query::Forecast {
-                    horizon: h
-                        .parse()
+                    horizon: wire::parse_int(h, "forecast horizon")
                         .map_err(|_| invalid(format!("bad forecast horizon `{h}`")))?,
                 }
             }
@@ -790,7 +789,7 @@ pub mod wire {
 
     /// Appends a tensor block in the dense form: `shape …` + `data
     /// <hex>…`.
-    pub fn push_tensor(out: &mut String, t: &DenseTensor) {
+    fn push_tensor(out: &mut String, t: &DenseTensor) {
         push_shape(out, t.shape());
         hexwire::push_f64s(out, "data", t.data().iter().copied());
     }
@@ -815,7 +814,7 @@ pub mod wire {
 
     /// Parses a tensor block in either form, drawing its element count
     /// from `budget`; a `kruskal` block is rebuilt into its dense slice.
-    pub fn parse_tensor(
+    fn parse_tensor(
         cur: &mut LineCursor<'_>,
         budget: &mut DecodeBudget,
     ) -> Result<DenseTensor, WireError> {
@@ -916,13 +915,13 @@ pub mod wire {
     }
 
     /// Appends a mask as `shape …` + `bits 0110…` lines.
-    pub fn push_mask(out: &mut String, mask: &Mask) {
+    fn push_mask(out: &mut String, mask: &Mask) {
         push_shape(out, mask.shape());
         push_bits(out, mask);
     }
 
     /// Parses the two lines written by [`push_mask`].
-    pub fn parse_mask(cur: &mut LineCursor<'_>) -> Result<Mask, WireError> {
+    pub(super) fn parse_mask(cur: &mut LineCursor<'_>) -> Result<Mask, WireError> {
         let shape = parse_shape(cur)?;
         parse_bits(cur.next("mask bits")?, &shape)
     }
@@ -1044,7 +1043,7 @@ pub mod wire {
 
     /// Appends a step output: the completed tensor block (dense form)
     /// plus its outliers, listed so that every bit comes back.
-    pub fn push_step_output(out: &mut String, step: &StepOutput) {
+    fn push_step_output(out: &mut String, step: &StepOutput) {
         push_tensor(out, &step.completed);
         match &step.outliers {
             Some(o) => push_outliers(out, &SparseOutliers::of(o)),
@@ -1055,7 +1054,7 @@ pub mod wire {
     /// Parses a step output's completed block (either form) and its
     /// outliers (which take the completed shape), both drawn from
     /// `budget`.
-    pub fn parse_step_output(
+    fn parse_step_output(
         cur: &mut LineCursor<'_>,
         budget: &mut DecodeBudget,
     ) -> Result<StepOutput, WireError> {
@@ -1130,7 +1129,7 @@ pub mod wire {
     /// Appends per-stream stats as `key value` lines (the id is
     /// percent-encoded with the checkpoint-filename encoding), followed
     /// by the metric sketch block ([`parse_sketch_block`]).
-    pub fn push_stream_stats(out: &mut String, stats: &StreamStats) {
+    fn push_stream_stats(out: &mut String, stats: &StreamStats) {
         let _ = writeln!(out, "stream {}", encode_stream_id(&stats.stream));
         let _ = writeln!(out, "model {}", stats.model);
         let _ = writeln!(out, "shard {}", stats.shard);
@@ -1142,7 +1141,8 @@ pub mod wire {
         push_metric_sketch(out, MetricKind::ForecastError, &stats.forecast_error);
     }
 
-    /// Parses the block written by [`push_stream_stats`].
+    /// Parses the per-stream stats block that a `stream-stats` response
+    /// carries ([`QueryResponse::to_wire`]).
     pub fn parse_stream_stats(cur: &mut LineCursor<'_>) -> Result<StreamStats, WireError> {
         let stream = decode_stream_id(field(cur, "stream")?)
             .ok_or_else(|| WireError::new("undecodable stream id"))?;
@@ -1168,7 +1168,7 @@ pub mod wire {
     /// Appends one [`QueryResponse`] (kind header + payload). The block
     /// is self-delimiting: [`parse_response`] consumes exactly these
     /// lines, so responses concatenate (batched replies).
-    pub fn push_response(out: &mut String, resp: &QueryResponse) {
+    pub(super) fn push_response(out: &mut String, resp: &QueryResponse) {
         match resp {
             QueryResponse::Latest(step) => match step {
                 None => out.push_str("latest none\n"),
@@ -1208,7 +1208,7 @@ pub mod wire {
 
     /// Appends one [`Answer`] as the block [`parse_response`] reads: a
     /// factored answer in the `kruskal` form, never densified on the way
-    /// out; any other answer as [`push_response`] writes it.
+    /// out; any other answer as [`QueryResponse::to_wire`] writes it.
     pub fn push_answer(out: &mut String, answer: &Answer) {
         match &answer.0 {
             AnswerForm::Dense(resp) => push_response(out, resp),
@@ -1227,10 +1227,11 @@ pub mod wire {
         }
     }
 
-    /// Parses one [`QueryResponse`] block written by [`push_response`] or
-    /// [`push_answer`]; a factored answer comes back dense, with the bits
-    /// [`Answer::into_response`] gives it. The block's tensors draw on
-    /// `budget`, which the blocks of one frame share.
+    /// Parses one [`QueryResponse`] block written by
+    /// [`QueryResponse::to_wire`] or [`push_answer`]; a factored answer
+    /// comes back dense, with the bits [`Answer::into_response`] gives it.
+    /// The block's tensors draw on `budget`, which the blocks of one
+    /// frame share.
     pub fn parse_response(
         cur: &mut LineCursor<'_>,
         budget: &mut DecodeBudget,
@@ -1438,6 +1439,18 @@ mod tests {
                 matches!(Query::from_wire(line), Err(FleetError::InvalidQuery { .. })),
                 "line `{line}` should not parse"
             );
+        }
+    }
+
+    /// The horizon takes the wire's one integer spelling.
+    #[test]
+    fn forecast_horizon_takes_one_spelling() {
+        assert_eq!(
+            Query::from_wire("forecast 4").unwrap(),
+            Query::Forecast { horizon: 4 }
+        );
+        for line in ["forecast +4", "forecast 04"] {
+            assert!(Query::from_wire(line).is_err(), "accepted {line:?}");
         }
     }
 

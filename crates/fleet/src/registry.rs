@@ -72,11 +72,6 @@ impl Registry {
         }
     }
 
-    /// Number of shards routed over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Interns `id`, assigns its shard, and records it. Errors if already
     /// present.
     pub fn insert(&self, id: &str) -> Result<StreamKey, crate::FleetError> {

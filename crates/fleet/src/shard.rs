@@ -78,11 +78,6 @@ pub(crate) enum Command {
     PumpQueries,
     /// Shard-wide statistics snapshot.
     ShardStats { reply: Sender<ShardStats> },
-    /// Checkpoint every checkpointable stream now; replies with the
-    /// number of streams written.
-    Checkpoint {
-        reply: Sender<Result<usize, FleetError>>,
-    },
     /// Barrier: processed strictly after everything enqueued before it
     /// (the queue is FIFO), so a reply means the shard has applied all
     /// previously ingested slices.
@@ -503,8 +498,8 @@ impl ShardWorker {
                                 let dir = policy.dir.clone();
                                 // Periodic checkpoints are best-effort
                                 // (I/O trouble must not take the shard
-                                // down); an explicit Checkpoint command
-                                // reports errors.
+                                // down); an explicit `CheckpointStream`
+                                // command reports errors.
                                 if Self::checkpoint_slot(&dir, &stream, slot).is_ok() {
                                     slot.steps_since_checkpoint = 0;
                                 }
@@ -549,10 +544,6 @@ impl ShardWorker {
                     endpoint: None,
                 };
                 let _ = reply.send(stats);
-                false
-            }
-            Command::Checkpoint { reply } => {
-                let _ = reply.send(self.checkpoint_all());
                 false
             }
             Command::Flush { reply } => {

@@ -232,11 +232,6 @@ impl FleetStats {
         self.shards.iter().map(|s| s.steps).sum()
     }
 
-    /// Total queued slices across shards.
-    pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue_depth).sum()
-    }
-
     /// Total slices dropped against quarantined streams.
     pub fn dropped(&self) -> u64 {
         self.shards.iter().map(|s| s.dropped).sum()
@@ -350,7 +345,6 @@ mod tests {
         assert_eq!(stats.streams(), 3);
         assert_eq!(stats.evicted(), 1);
         assert_eq!(stats.steps(), 40);
-        assert_eq!(stats.queue_depth(), 1);
         assert_eq!(stats.dropped(), 1);
         assert_eq!(stats.evictions(), 3);
         assert_eq!(stats.restores(), 2);

@@ -327,11 +327,7 @@ impl Client {
             Err(e) => return Err(ClientError::Fleet(e)),
         };
         let mut cur = LineCursor::new(reply.payload());
-        let head = cur.next("results header")?;
-        let n: usize = head
-            .strip_prefix("results ")
-            .and_then(|d| d.parse().ok())
-            .ok_or_else(|| ClientError::Protocol(format!("bad results header `{head}`")))?;
+        let n = parse_count(cur.next("results header")?, "results")?;
         if n != requests.len() {
             return Err(ClientError::Protocol(format!(
                 "{n} results for {} requests",
@@ -671,11 +667,7 @@ impl Client {
             Err(e) => return Err(ClientError::Fleet(e)),
         };
         let mut cur = LineCursor::new(reply.payload());
-        let head = cur.next("streams header")?;
-        let n: usize = head
-            .strip_prefix("streams ")
-            .and_then(|d| d.parse().ok())
-            .ok_or_else(|| ClientError::Protocol(format!("bad streams header `{head}`")))?;
+        let n = parse_count(cur.next("streams header")?, "streams")?;
         let mut ids = Vec::new();
         for _ in 0..n {
             let line = cur.next("stream line")?;
@@ -712,7 +704,7 @@ fn parse_ingest_reply(payload: &str) -> Result<(u64, std::collections::HashSet<u
     let accepted: u64 = cur
         .next("accepted count")?
         .strip_prefix("accepted ")
-        .and_then(|d| d.parse().ok())
+        .and_then(|d| pwire::parse_int(d, "accepted count").ok())
         .ok_or_else(|| ClientError::Protocol("bad accepted line".to_string()))?;
     let bp_line = cur.next("backpressure seqs")?;
     let rest = bp_line
@@ -721,10 +713,42 @@ fn parse_ingest_reply(payload: &str) -> Result<(u64, std::collections::HashSet<u
     cur.finish()?;
     let mut rejected = std::collections::HashSet::new();
     for tok in rest.split_whitespace() {
-        let seq: u64 = tok
-            .parse()
+        let seq: u64 = pwire::parse_int(tok, "rejected seq")
             .map_err(|_| ClientError::Protocol(format!("bad rejected seq `{tok}`")))?;
         rejected.insert(seq);
     }
     Ok((accepted, rejected))
+}
+
+/// Parses a `<key> <n>` count header; `n` takes the wire's one integer
+/// spelling.
+fn parse_count(head: &str, key: &str) -> Result<usize, ClientError> {
+    head.strip_prefix(key)
+        .and_then(|rest| rest.strip_prefix(' '))
+        .and_then(|d| pwire::parse_int(d, key).ok())
+        .ok_or_else(|| ClientError::Protocol(format!("bad {key} header `{head}`")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Count headers and ingest replies spell each integer one way, as
+    /// `protocol::wire::parse_int` reads it: no sign, no leading zero.
+    #[test]
+    fn integers_take_one_spelling() {
+        assert_eq!(parse_count("results 1", "results").unwrap(), 1);
+        assert_eq!(parse_count("streams 10", "streams").unwrap(), 10);
+        for (head, key) in [("results 01", "results"), ("streams +2", "streams")] {
+            assert!(parse_count(head, key).is_err(), "accepted {head:?}");
+        }
+        let (accepted, rejected) = parse_ingest_reply("accepted 1\nbackpressure 7\n").unwrap();
+        assert_eq!((accepted, rejected.len()), (1, 1));
+        for reply in [
+            "accepted +1\nbackpressure\n",
+            "accepted 1\nbackpressure 07\n",
+        ] {
+            assert!(parse_ingest_reply(reply).is_err(), "accepted {reply:?}");
+        }
+    }
 }

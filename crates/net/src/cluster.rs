@@ -384,11 +384,6 @@ impl ClusterClient {
         self.fenced(stream, |client, s| client.register(s, model))
     }
 
-    /// [`ClusterClient::register`] from raw envelope text.
-    pub fn register_envelope(&mut self, stream: &str, envelope: &str) -> Result<bool, ClientError> {
-        self.fenced(stream, |client, s| client.register_envelope(s, envelope))
-    }
-
     /// Batched, seq-tagged ingest routed to the stream's owner; the
     /// backpressure hand-back semantics are [`Client::ingest`]'s.
     ///
@@ -501,18 +496,6 @@ impl ClusterClient {
             nodes.push(stats);
         }
         Ok(ClusterMetrics { nodes })
-    }
-
-    /// Reads a stream's checkpoint envelope from its owner (see
-    /// [`Client::snapshot`]).
-    pub fn snapshot(&mut self, stream: &str) -> Result<String, ClientError> {
-        self.fenced(stream, |client, s| client.snapshot(s))
-    }
-
-    /// Removes a stream from its owner (model unloaded, checkpoint
-    /// file deleted).
-    pub fn deregister(&mut self, stream: &str) -> Result<(), ClientError> {
-        self.fenced(stream, |client, s| client.deregister(s))
     }
 
     /// Bumps the map's epoch and pushes the result at every member

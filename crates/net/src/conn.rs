@@ -30,7 +30,7 @@
 
 use crate::server::{dispatch, Shared};
 use crate::stats::SlowRequest;
-use crate::wire::{err_body, ok_body, FrameError, MAX_FRAME_BYTES};
+use crate::wire::{err_body, ok_body, parse_frame_header, FrameError, MAX_FRAME_BYTES};
 use sofia_fleet::protocol::wire as pwire;
 use sofia_fleet::{Answer, FleetError, QueryTicket};
 use std::collections::VecDeque;
@@ -100,14 +100,7 @@ impl FrameDecoder {
             }
             None => return Ok(None),
         };
-        let text = std::str::from_utf8(&self.buf[..hdr_end]).map_err(|_| FrameError::NotUtf8)?;
-        let len: usize = text
-            .strip_prefix('#')
-            .and_then(|d| d.parse().ok())
-            .ok_or_else(|| FrameError::BadHeader(text.to_string()))?;
-        if len > max {
-            return Err(FrameError::Oversized { len, max });
-        }
+        let len = parse_frame_header(&self.buf[..hdr_end], max)?;
         let start = hdr_end + 1;
         if self.buf.len() < start + len {
             return Ok(None);
@@ -183,7 +176,7 @@ pub(crate) enum Completion {
     Query {
         /// Echoed request id.
         id: u64,
-        /// The unsettled in-process handle, polled with `try_take`.
+        /// The unsettled in-process handle, polled with `try_take_answer`.
         ticket: QueryTicket,
     },
     /// A staged multi-stream batch; the reply needs every slot.
@@ -703,6 +696,20 @@ mod tests {
         let mut dec = FrameDecoder::default();
         dec.extend(&[b'#'; MAX_HEADER_BYTES + 2]);
         assert!(matches!(dec.peek(1024), Err(FrameError::BadHeader(_))));
+    }
+
+    /// The decoder reads `#<len>` with `read_frame`'s rule: the length
+    /// in its one spelling, no sign, no leading zero.
+    #[test]
+    fn decoder_header_takes_one_spelling() {
+        let mut dec = FrameDecoder::default();
+        dec.extend(b"#5\nhello");
+        assert_eq!(dec.peek(10).unwrap(), Some((3, 8)));
+        for bad in [&b"#+5\nhello"[..], b"#05\nhello"] {
+            let mut dec = FrameDecoder::default();
+            dec.extend(bad);
+            assert!(matches!(dec.peek(10), Err(FrameError::BadHeader(_))));
+        }
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //!   [`Server::abort`] for recovery testing). Thread count is
 //!   O(pool), never O(connections).
 //! * [`poll`] — the std-only readiness layer under the server: a
-//!   level-triggered poller (`ppoll(2)` via a local FFI declaration on
-//!   Linux, a bounded-sleep condvar fallback elsewhere — compiled and
-//!   tested on every target) with a wake pipe, no tokio/mio.
+//!   level-triggered poller (`ppoll(2)` via a local FFI declaration, so
+//!   the crate builds on Linux only) with a wake pipe, no tokio/mio.
 //! * [`stats`] — node-health observability: every layer above feeds a
 //!   [`NetStats`] (connection churn, frames decoded, decode errors,
 //!   backpressure onsets, poll wakeups, and per-request wire-to-settle

@@ -10,26 +10,17 @@
 //! writes less than everything simply sees the socket again on the
 //! next iteration — there is no edge to lose.
 //!
-//! Two implementations behind one API:
+//! It is a real `ppoll(2)` over the raw fds, declared locally with
+//! `extern "C"` (std already links libc; no `libc` crate), so the server
+//! builds on Linux only; other targets stop at a `compile_error!`. The
+//! wake channel is a nonblocking `pipe2(2)` whose read end rides the
+//! poll set, so wakes interrupt the sleep immediately and coalesce when
+//! the pipe is full. `ppoll`'s nanosecond timeout matters: the event
+//! loop polls in-flight [`sofia_fleet::QueryTicket`]s between
+//! iterations, and a millisecond floor (plain `poll(2)`) would put a
+//! millisecond on every settled query.
 //!
-//! * **Linux** — a real `ppoll(2)` over the raw fds, declared locally
-//!   with `extern "C"` (std already links libc; no `libc` crate). The
-//!   wake channel is a nonblocking `pipe2(2)` whose read end rides the
-//!   poll set, so wakes interrupt the sleep immediately and coalesce
-//!   when the pipe is full. `ppoll`'s nanosecond timeout matters: the
-//!   event loop polls in-flight [`sofia_fleet::QueryTicket`]s between
-//!   iterations, and a millisecond floor (plain `poll(2)`) would put a
-//!   millisecond on every settled query.
-//! * **Everywhere else** — [`fallback`]: a condvar-bounded sleep that
-//!   reports every interest as ready (the handlers tolerate
-//!   `WouldBlock`, so a conservative "try everything" answer is always
-//!   correct, just less efficient). Wakes hit the condvar; socket
-//!   readiness is discovered by the bounded sleep, capped at
-//!   [`FALLBACK_SLEEP_CAP`]. The module compiles on every target so the
-//!   Linux test suite exercises it too — the path only non-Linux
-//!   machines serve on must not rot where CI never looks.
-//!
-//! Both pollers count the explicit wakes they observe
+//! The poller counts the explicit wakes it observes
 //! ([`Poller::wakeups`]); the server folds those into the `metrics`
 //! verb's [`crate::NetStats`].
 //!
@@ -37,39 +28,22 @@
 //! and lend raw fds per call, so fd lifetime stays where the `Conn`
 //! state machine can reason about it.
 
-use std::time::Duration;
+#[cfg(not(target_os = "linux"))]
+compile_error!("sofia-net's server polls with ppoll(2) and builds on Linux only");
 
 /// Raw socket handle lent to the poller for one call.
-#[cfg(unix)]
 pub type SocketId = std::os::unix::io::RawFd;
-/// On non-unix targets the fallback poller never dereferences ids.
-#[cfg(not(unix))]
-pub type SocketId = i32;
 
 /// The fd of a socket, as the poller wants it.
-#[cfg(unix)]
 pub fn socket_id(s: &std::net::TcpStream) -> SocketId {
     use std::os::unix::io::AsRawFd as _;
     s.as_raw_fd()
 }
 
-/// Fallback targets poll by timeout only; the id is inert.
-#[cfg(not(unix))]
-pub fn socket_id(_s: &std::net::TcpStream) -> SocketId {
-    0
-}
-
 /// The listener's fd (the acceptor polls it like any socket).
-#[cfg(unix)]
 pub fn listener_id(l: &std::net::TcpListener) -> SocketId {
     use std::os::unix::io::AsRawFd as _;
     l.as_raw_fd()
-}
-
-/// Fallback targets poll by timeout only; the id is inert.
-#[cfg(not(unix))]
-pub fn listener_id(_l: &std::net::TcpListener) -> SocketId {
-    0
 }
 
 /// One entry of the interest set: what `token` wants to hear about.
@@ -97,11 +71,6 @@ pub struct Event {
     /// Writable without blocking (at least one byte).
     pub writable: bool,
 }
-
-/// Bound on the fallback poller's sleep, so socket readiness on
-/// non-Linux targets is discovered within this latency even without a
-/// real kernel poll.
-pub const FALLBACK_SLEEP_CAP: Duration = Duration::from_millis(5);
 
 #[cfg(target_os = "linux")]
 mod linux {
@@ -280,100 +249,6 @@ mod linux {
     }
 }
 
-/// The portable poller — the implementation every non-Linux target
-/// serves on, compiled (and tested) on every target so it cannot rot
-/// where CI never looks. A condvar-bounded sleep that reports every
-/// interest ready: handlers tolerate `WouldBlock`, so "try everything"
-/// is correct; the cost is a bounded discovery latency
-/// ([`FALLBACK_SLEEP_CAP`]) instead of a kernel wake.
-pub mod fallback {
-    use super::{Event, Interest, FALLBACK_SLEEP_CAP};
-    use std::io;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::Duration;
-
-    /// Portable fallback poller; see the [module docs](self).
-    pub struct Poller {
-        shared: Arc<(Mutex<bool>, Condvar)>,
-        /// Polls that observed an explicit wake.
-        wakeups: u64,
-    }
-
-    /// Cross-thread wake handle; see [`crate::poll::Waker`].
-    #[derive(Clone)]
-    pub struct Waker {
-        shared: Arc<(Mutex<bool>, Condvar)>,
-    }
-
-    impl Waker {
-        /// Interrupts (or pre-empts) the poller's sleep.
-        pub fn wake(&self) {
-            let (flag, cv) = &*self.shared;
-            *flag.lock().expect("waker flag") = true;
-            cv.notify_one();
-        }
-    }
-
-    impl Poller {
-        /// A fresh poller (never fails; exists for API parity with the
-        /// fd-backed implementation).
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                shared: Arc::new((Mutex::new(false), Condvar::new())),
-                wakeups: 0,
-            })
-        }
-
-        /// A wake handle targeting this poller.
-        pub fn waker(&self) -> Waker {
-            Waker {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-
-        /// Polls this poller observed an explicit [`Waker::wake`] in
-        /// (coalesced wakes count once, like the pipe-backed poller).
-        pub fn wakeups(&self) -> u64 {
-            self.wakeups
-        }
-
-        /// Sleeps (bounded) and reports every interest ready; see the
-        /// [module docs](self).
-        pub fn poll(
-            &mut self,
-            interests: &[Interest],
-            timeout: Duration,
-            events: &mut Vec<Event>,
-        ) -> io::Result<()> {
-            events.clear();
-            let (flag, cv) = &*self.shared;
-            let mut woken = flag.lock().expect("waker flag");
-            if !*woken {
-                let wait = timeout.min(FALLBACK_SLEEP_CAP);
-                let (guard, _) = cv.wait_timeout(woken, wait).expect("waker condvar");
-                woken = guard;
-            }
-            if *woken {
-                self.wakeups += 1;
-            }
-            *woken = false;
-            drop(woken);
-            for it in interests {
-                if it.read || it.write {
-                    events.push(Event {
-                        token: it.token,
-                        readable: it.read,
-                        writable: it.write,
-                    });
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-pub use fallback::{Poller, Waker};
 #[cfg(target_os = "linux")]
 pub use linux::{Poller, Waker};
 
@@ -413,8 +288,8 @@ mod tests {
             "wake must interrupt the sleep"
         );
         h.join().unwrap();
-        // The fallback's bounded sleep may take a few laps before the
-        // wake lands; poll until the counter shows it (bounded).
+        // A signal can end the poll before the wake lands; poll until
+        // the counter shows it (bounded).
         let deadline = Instant::now() + Duration::from_secs(10);
         while p.wakeups() == 0 {
             assert!(Instant::now() < deadline, "wake never counted");
@@ -450,98 +325,5 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "socket never reported readable");
         }
-    }
-
-    // The condvar fallback is what every non-Linux target serves on;
-    // exercise it explicitly so the Linux test suite covers it too.
-
-    #[test]
-    fn fallback_poll_times_out_when_nothing_is_ready() {
-        let mut p = fallback::Poller::new().unwrap();
-        let mut events = Vec::new();
-        let start = Instant::now();
-        p.poll(&[], Duration::from_millis(30), &mut events).unwrap();
-        assert!(start.elapsed() < Duration::from_secs(5));
-        assert!(events.is_empty());
-        assert_eq!(p.wakeups(), 0);
-    }
-
-    #[test]
-    fn fallback_waker_interrupts_and_counts() {
-        let mut p = fallback::Poller::new().unwrap();
-        let waker = p.waker();
-        // A wake before the poll pre-empts the sleep entirely.
-        waker.wake();
-        let start = Instant::now();
-        let mut events = Vec::new();
-        p.poll(&[], Duration::from_secs(30), &mut events).unwrap();
-        assert!(start.elapsed() < Duration::from_millis(500));
-        assert_eq!(p.wakeups(), 1);
-
-        // A wake landing mid-sleep interrupts it; coalesced wakes
-        // count once per poll that observes them.
-        let waker = p.waker();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(2));
-            waker.wake();
-            waker.wake();
-        });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while p.wakeups() < 2 {
-            assert!(Instant::now() < deadline, "wake never counted");
-            p.poll(&[], Duration::from_millis(5), &mut events).unwrap();
-        }
-        h.join().unwrap();
-        assert_eq!(p.wakeups(), 2, "coalesced wakes observed by one poll");
-    }
-
-    #[test]
-    fn fallback_sleep_is_capped_below_the_requested_timeout() {
-        let mut p = fallback::Poller::new().unwrap();
-        let mut events = Vec::new();
-        let start = Instant::now();
-        p.poll(&[], Duration::from_secs(3600), &mut events).unwrap();
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "an hour-long timeout must still return within the sleep cap"
-        );
-    }
-
-    #[test]
-    fn fallback_reports_every_interest_ready() {
-        let mut p = fallback::Poller::new().unwrap();
-        let interests = [
-            Interest {
-                token: 1,
-                socket: 0,
-                read: true,
-                write: false,
-            },
-            Interest {
-                token: 2,
-                socket: 0,
-                read: false,
-                write: true,
-            },
-            Interest {
-                token: 3,
-                socket: 0,
-                read: false,
-                write: false,
-            },
-        ];
-        let mut events = Vec::new();
-        p.poll(&interests, Duration::from_millis(1), &mut events)
-            .unwrap();
-        // "Try everything" semantics: each wanted interest reports as
-        // ready with exactly the flags it asked for; an interest that
-        // wants nothing reports nothing.
-        assert_eq!(events.len(), 2);
-        assert!(events
-            .iter()
-            .any(|e| e.token == 1 && e.readable && !e.writable));
-        assert!(events
-            .iter()
-            .any(|e| e.token == 2 && !e.readable && e.writable));
     }
 }

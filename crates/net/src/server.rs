@@ -15,7 +15,7 @@
 //!   frame decoder, dispatches complete requests to the shared
 //!   [`Fleet`] **without waiting** (queries hand back unsettled
 //!   [`sofia_fleet::QueryTicket`]s — that is the pipelining), settles
-//!   completions strictly in request order via `try_take`, and flushes reply
+//!   completions strictly in request order via `try_take_answer`, and flushes reply
 //!   bytes until the socket would block. Between cycles it parks in a
 //!   single `poll`, woken early by the acceptor or wind-down.
 //!

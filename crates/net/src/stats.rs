@@ -35,7 +35,7 @@
 //! travel as IEEE 754 hex bit patterns.
 
 use sofia_fleet::durability::{decode_stream_id, encode_stream_id};
-use sofia_fleet::protocol::wire::{LineCursor, WireError};
+use sofia_fleet::protocol::wire::{self, LineCursor, WireError};
 use sofia_sketch::{MetricSummary, METRIC_WIRE_LINES};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,10 +205,11 @@ pub fn parse_net_stats(cur: &mut LineCursor<'_>) -> Result<NetStats, WireError> 
     let head = cur.next("slow header")?;
     let n: usize = head
         .strip_prefix("slow ")
-        .and_then(|count| count.parse().ok())
+        .and_then(|count| wire::parse_int(count, "slow count").ok())
         .filter(|&n| n <= MAX_SLOW_RECORDS)
         .ok_or_else(|| WireError::new(format!("bad slow header `{head}`")))?;
-    let mut slow = Vec::with_capacity(n);
+    // Sized by the lines read, not by the count a peer announced.
+    let mut slow = Vec::new();
     for _ in 0..n {
         let rec = cur.next("slow request record")?;
         let toks: Vec<&str> = rec
@@ -219,10 +220,7 @@ pub fn parse_net_stats(cur: &mut LineCursor<'_>) -> Result<NetStats, WireError> 
         if toks.len() != 3 && toks.len() != 4 {
             return Err(WireError::new(format!("bad slow record `{rec}`")));
         }
-        let int = |tok: &str| -> Result<u64, WireError> {
-            tok.parse()
-                .map_err(|_| WireError::new(format!("bad slow field `{tok}`")))
-        };
+        let int = |tok: &str| -> Result<u64, WireError> { wire::parse_int(tok, "slow field") };
         slow.push(SlowRequest {
             verb: toks[0].to_string(),
             conn: int(toks[1])?,
@@ -260,7 +258,7 @@ fn counter(cur: &mut LineCursor<'_>, key: &str) -> Result<u64, WireError> {
     let line = cur.next(key)?;
     line.strip_prefix(key)
         .and_then(|rest| rest.strip_prefix(' '))
-        .and_then(|value| value.parse().ok())
+        .and_then(|value| wire::parse_int(value, key).ok())
         .ok_or_else(|| WireError::new(format!("expected `{key} <count>`, got `{line}`")))
 }
 
@@ -487,6 +485,27 @@ mod tests {
         for text in &inputs {
             let mut cur = LineCursor::new(text);
             assert!(parse_net_stats(&mut cur).is_err(), "accepted `{text}`");
+        }
+    }
+
+    /// Counters, the `slow` count and the slow-record fields spell each
+    /// integer one way, as `protocol::wire::parse_int` reads it: no
+    /// sign, no leading zero.
+    #[test]
+    fn integers_take_one_spelling() {
+        let mut full = String::new();
+        push_net_stats(&mut full, &sample());
+        let parse = |text: &str| parse_net_stats(&mut LineCursor::new(text)).map(drop);
+        parse(&full).expect("the canonical block parses");
+        for (canonical, respelled) in [
+            ("frames 912\n", "frames 0912\n"),
+            ("frames 912\n", "frames +912\n"),
+            ("slow 2\n", "slow 02\n"),
+            ("req query 3 1500", "req query +3 1500"),
+        ] {
+            assert!(full.contains(canonical), "{canonical:?}");
+            let text = full.replacen(canonical, respelled, 1);
+            assert!(parse(&text).is_err(), "accepted {respelled:?}");
         }
     }
 

@@ -131,6 +131,21 @@ pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
     w.flush()
 }
 
+/// Parses a frame header line without its newline: `#<len>`, the body
+/// length in the wire's one integer spelling ([`wire::parse_int`]), at
+/// most `max`.
+pub(crate) fn parse_frame_header(header: &[u8], max: usize) -> Result<usize, FrameError> {
+    let text = std::str::from_utf8(header).map_err(|_| FrameError::NotUtf8)?;
+    let len: usize = text
+        .strip_prefix('#')
+        .and_then(|d| wire::parse_int(d, "frame length").ok())
+        .ok_or_else(|| FrameError::BadHeader(text.to_string()))?;
+    if len > max {
+        return Err(FrameError::Oversized { len, max });
+    }
+    Ok(len)
+}
+
 /// Reads one frame. `Ok(None)` on a clean EOF **at a frame boundary**
 /// (the peer hung up between frames); EOF anywhere else is
 /// [`FrameError::Truncated`]. Bodies longer than `max` are rejected
@@ -165,14 +180,7 @@ pub fn read_frame(r: &mut impl BufRead, max: usize) -> Result<Option<String>, Fr
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let text = std::str::from_utf8(&header).map_err(|_| FrameError::NotUtf8)?;
-    let len: usize = text
-        .strip_prefix('#')
-        .and_then(|d| d.parse().ok())
-        .ok_or_else(|| FrameError::BadHeader(text.to_string()))?;
-    if len > max {
-        return Err(FrameError::Oversized { len, max });
-    }
+    let len = parse_frame_header(&header, max)?;
     // Read straight into the body's allocation: no zero-fill first.
     let mut body = Vec::with_capacity(len);
     Read::take(r, len as u64)
@@ -718,19 +726,16 @@ pub fn split_reply(body: &str) -> Result<(ReplyHead, &str), WireError> {
         Some(i) => (&body[..i], &body[i + 1..]),
         None => (body, ""),
     };
+    let bad_id = || WireError::new(format!("bad reply id in `{head}`"));
     if let Some(rest_head) = head.strip_prefix("ok ") {
-        let id = rest_head
-            .parse()
-            .map_err(|_| WireError::new(format!("bad reply id in `{head}`")))?;
+        let id = wire::parse_int(rest_head, "reply id").map_err(|_| bad_id())?;
         return Ok((ReplyHead::Ok(id), rest));
     }
     if let Some(rest_head) = head.strip_prefix("err ") {
         let (id_tok, err_line) = rest_head
             .split_once(' ')
             .ok_or_else(|| WireError::new(format!("bad err reply `{head}`")))?;
-        let id = id_tok
-            .parse()
-            .map_err(|_| WireError::new(format!("bad reply id in `{head}`")))?;
+        let id = wire::parse_int(id_tok, "reply id").map_err(|_| bad_id())?;
         return Ok((ReplyHead::Err(id, FleetError::from_wire(err_line)?), rest));
     }
     Err(WireError::new(format!("bad reply head `{head}`")))
@@ -804,11 +809,6 @@ impl ShardMap {
     /// to be identical; a higher epoch always supersedes a lower one.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Sets the epoch outright (used when adopting a peer's newer map).
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
     }
 
     /// Advances the epoch by one and returns the new value — called
@@ -899,19 +899,23 @@ impl ShardMap {
         }
         let n = toks
             .next()
-            .and_then(|d| d.parse().ok())
+            .and_then(|d| wire::parse_int(d, "slot count").ok())
             .filter(|&n: &usize| n > 0 && n <= 1 << 20)
             .ok_or_else(bad)?;
         let epoch = match toks.next() {
             None => 0,
             // Epochs are versions, not sizes: the full u64 range.
-            Some("epoch") => toks.next().and_then(|d| d.parse().ok()).ok_or_else(bad)?,
+            Some("epoch") => toks
+                .next()
+                .and_then(|d| wire::parse_int(d, "epoch").ok())
+                .ok_or_else(bad)?,
             Some(_) => return Err(bad()),
         };
         if toks.next().is_some() {
             return Err(bad());
         }
-        let mut endpoints = Vec::with_capacity(n);
+        // Sized by the lines read, not by the count a peer announced.
+        let mut endpoints = Vec::new();
         for i in 0..n {
             let line = cur.next("shardmap endpoint")?;
             let rest = line
@@ -972,10 +976,11 @@ pub fn parse_fleet_stats(cur: &mut LineCursor<'_>) -> Result<FleetStats, WireErr
     let head = cur.next("stats header")?;
     let n: usize = head
         .strip_prefix("shards ")
-        .and_then(|d| d.parse().ok())
+        .and_then(|d| wire::parse_int(d, "shard count").ok())
         .filter(|&n| n <= 1 << 20)
         .ok_or_else(|| WireError::new(format!("bad stats header `{head}`")))?;
-    let mut shards = Vec::with_capacity(n);
+    // Sized by the lines read, not by the count a peer announced.
+    let mut shards = Vec::new();
     for _ in 0..n {
         let line = cur.next("shard stats")?;
         let nums: Vec<&str> = line
@@ -989,11 +994,7 @@ pub fn parse_fleet_stats(cur: &mut LineCursor<'_>) -> Result<FleetStats, WireErr
                 nums.len()
             )));
         }
-        let int = |i: usize| -> Result<u64, WireError> {
-            nums[i]
-                .parse()
-                .map_err(|_| WireError::new(format!("bad shard field `{}`", nums[i])))
-        };
+        let int = |i: usize| -> Result<u64, WireError> { wire::parse_int(nums[i], "shard field") };
         let qline = cur.next("shard query counters")?;
         let qnums: Vec<&str> = qline
             .strip_prefix("queries ")
@@ -1006,11 +1007,8 @@ pub fn parse_fleet_stats(cur: &mut LineCursor<'_>) -> Result<FleetStats, WireErr
                 qnums.len()
             )));
         }
-        let qint = |i: usize| -> Result<u64, WireError> {
-            qnums[i]
-                .parse()
-                .map_err(|_| WireError::new(format!("bad query counter `{}`", qnums[i])))
-        };
+        let qint =
+            |i: usize| -> Result<u64, WireError> { wire::parse_int(qnums[i], "query counter") };
         let (ingest_latency, forecast_error) = wire::parse_sketch_block(cur)?;
         shards.push(ShardStats {
             shard: int(0)? as usize,
@@ -1108,10 +1106,24 @@ mod tests {
         assert!(matches!(read_frame(&mut r, 100), Err(FrameError::NotUtf8)));
     }
 
+    /// `map` at `epoch`, set through the wire form's epoch clause.
+    fn at_epoch(map: &ShardMap, epoch: u64) -> ShardMap {
+        let mut text = String::new();
+        map.push_wire(&mut text);
+        let (head, rest) = text.split_once('\n').expect("a header line");
+        let text = format!("{head} epoch {epoch}\n{rest}");
+        let mut cur = LineCursor::new(&text);
+        let map = ShardMap::parse(&mut cur).expect("an epoch clause parses");
+        cur.finish().expect("no trailing lines");
+        map
+    }
+
     #[test]
     fn requests_round_trip() {
-        let mut remap_map = ShardMap::round_robin(&["h0:1".into(), "h 1:2".into()], 2);
-        remap_map.set_epoch(9);
+        let mut remap_map = at_epoch(
+            &ShardMap::round_robin(&["h0:1".into(), "h 1:2".into()], 2),
+            9,
+        );
         remap_map.set_slot_owner(0, "h 1:2");
         let requests = vec![
             Request::Hello {
@@ -1488,8 +1500,7 @@ mod tests {
 
     #[test]
     fn shard_map_epoch_clause_round_trips_and_slot_flips_reassign() {
-        let mut map = ShardMap::round_robin(&["a:1".into(), "b:2".into()], 1);
-        map.set_epoch(7);
+        let mut map = at_epoch(&ShardMap::round_robin(&["a:1".into(), "b:2".into()], 1), 7);
         map.set_slot_owner(0, "b:2");
         let mut out = String::new();
         map.push_wire(&mut out);
@@ -1523,8 +1534,7 @@ mod tests {
                 let endpoints: Vec<String> = (0..slots)
                     .map(|i| format!("host {}:7{:02}", (seed + i as u64) % 4, i))
                     .collect();
-                let mut map = ShardMap::round_robin(&endpoints, 1);
-                map.set_epoch(epoch);
+                let map = at_epoch(&ShardMap::round_robin(&endpoints, 1), epoch);
 
                 let mut wire = String::new();
                 map.push_wire(&mut wire);
@@ -1661,5 +1671,69 @@ mod tests {
         for case in cases {
             assert!(parse(&case).is_err(), "should reject:\n{case}");
         }
+    }
+
+    /// Replies, shard maps, fleet stats and frame headers spell each
+    /// integer one way, as `protocol::wire::parse_int` reads it: no
+    /// sign, no leading zero. Each row is a canonical input that parses
+    /// and respellings of it that do not.
+    #[test]
+    fn integers_take_one_spelling() {
+        fn check<E: std::fmt::Debug>(
+            parse: impl Fn(&str) -> Result<(), E>,
+            rows: &[(&str, &[&str])],
+        ) {
+            for &(canonical, respelled) in rows {
+                parse(canonical).unwrap_or_else(|e| panic!("{canonical:?}: {e:?}"));
+                for bad in respelled {
+                    assert!(parse(bad).is_err(), "accepted {bad:?}");
+                }
+            }
+        }
+        check(
+            |body| split_reply(body).map(drop),
+            &[
+                ("ok 7", &["ok +7", "ok 07"]),
+                ("err 1 shutting-down", &["err 01 shutting-down"]),
+            ],
+        );
+        check(
+            |text| {
+                let mut cur = LineCursor::new(text);
+                ShardMap::parse(&mut cur)?;
+                cur.finish()
+            },
+            &[
+                (
+                    "shardmap 1\nendpoint 0 h\n",
+                    &["shardmap 01\nendpoint 0 h\n"],
+                ),
+                (
+                    "shardmap 1 epoch 2\nendpoint 0 h\n",
+                    &["shardmap 1 epoch +2\nendpoint 0 h\n"],
+                ),
+            ],
+        );
+        check(
+            |text| {
+                let mut cur = LineCursor::new(text);
+                parse_fleet_stats(&mut cur)?;
+                cur.finish()
+            },
+            &[
+                ("shards 0\n", &["shards 00\n"]),
+                (
+                    "shards 1\nshard 0 3 1 100 2 40 9 1 2 1 11 1\nqueries 5 6 7 8 9\nsketches 0\n",
+                    &[
+                        "shards 1\nshard 0 +3 1 100 2 40 9 1 2 1 11 1\nqueries 5 6 7 8 9\nsketches 0\n",
+                        "shards 1\nshard 0 3 1 100 2 40 9 1 2 1 11 1\nqueries 05 6 7 8 9\nsketches 0\n",
+                    ],
+                ),
+            ],
+        );
+        check(
+            |frame| read_frame(&mut io::BufReader::new(frame.as_bytes()), 100).map(drop),
+            &[("#5\nhello", &["#+5\nhello", "#05\nhello"])],
+        );
     }
 }

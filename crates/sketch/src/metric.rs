@@ -42,11 +42,6 @@ impl MetricSummary {
         self.moments.merge(&other.moments);
     }
 
-    /// The quantile half.
-    pub fn digest(&self) -> &TDigest {
-        &self.digest
-    }
-
     /// The exact-moments half.
     pub fn moments(&self) -> &StatsSummary {
         &self.moments
@@ -180,7 +175,7 @@ mod tests {
         let m = metric_of([1.0]);
         let mut text = String::new();
         // Digest block first is malformed for this parser.
-        m.digest().push_wire(&mut text);
+        m.digest.push_wire(&mut text);
         m.moments().push_wire(&mut text);
         let lines: Vec<&str> = text.lines().collect();
         assert!(MetricSummary::from_lines(lines[..6].try_into().unwrap()).is_err());

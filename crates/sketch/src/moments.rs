@@ -110,24 +110,6 @@ impl StatsSummary {
         (self.n > 0).then(|| self.sum / self.n as f64)
     }
 
-    /// Population variance (`E[x²] − E[x]²`, clamped at 0 against
-    /// cancellation), `None` while empty.
-    pub fn variance(&self) -> Option<f64> {
-        self.mean().map(|m| {
-            let v = self.sum_sq / self.n as f64 - m * m;
-            if v > 0.0 {
-                v
-            } else {
-                0.0
-            }
-        })
-    }
-
-    /// Population standard deviation, `None` while empty.
-    pub fn stddev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
     /// Appends the two-line wire form (see [`StatsSummary::from_lines`]).
     pub fn push_wire(&self, out: &mut String) {
         out.push_str("moments ");
@@ -179,7 +161,6 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.mean(), None);
-        assert_eq!(s.variance(), None);
     }
 
     #[test]
@@ -189,8 +170,6 @@ mod tests {
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert_eq!(s.mean(), Some(5.0));
-        assert_eq!(s.variance(), Some(4.0));
-        assert_eq!(s.stddev(), Some(2.0));
     }
 
     #[test]

@@ -96,23 +96,6 @@ impl TDigest {
         }
     }
 
-    /// Number of observations absorbed (weight sum; saturates above
-    /// 2⁶⁴, far past the exact-integer range anyway).
-    pub fn count(&self) -> u64 {
-        let w: f64 = self.centroids.iter().map(|c| c.weight).sum();
-        (w + self.buffer.len() as f64) as u64
-    }
-
-    /// Smallest observation, `None` while empty.
-    pub fn min(&self) -> Option<f64> {
-        (!self.is_empty()).then_some(self.min)
-    }
-
-    /// Largest observation, `None` while empty.
-    pub fn max(&self) -> Option<f64> {
-        (!self.is_empty()).then_some(self.max)
-    }
-
     /// Whether the digest holds no observations.
     pub fn is_empty(&self) -> bool {
         self.centroids.is_empty() && self.buffer.is_empty()
@@ -354,6 +337,12 @@ mod tests {
     /// Rank interval of `value` in the sorted samples: `[strictly
     /// below, at or below]` — an interval because duplicated sample
     /// values occupy a whole range of ranks.
+    /// Observations absorbed: the centroid weights plus the buffer.
+    fn count(d: &TDigest) -> u64 {
+        let w: f64 = d.centroids.iter().map(|c| c.weight).sum();
+        (w + d.buffer.len() as f64) as u64
+    }
+
     fn rank_interval(sorted: &[f64], value: f64) -> (f64, f64) {
         let lo = sorted.partition_point(|&s| s < value);
         let hi = sorted.partition_point(|&s| s <= value);
@@ -384,8 +373,7 @@ mod tests {
     fn empty_digest_answers_none() {
         let d = TDigest::new();
         assert_eq!(d.quantile(0.5), None);
-        assert_eq!(d.min(), None);
-        assert_eq!(d.count(), 0);
+        assert_eq!(count(&d), 0);
         assert!(d.is_empty());
     }
 
@@ -395,7 +383,7 @@ mod tests {
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(d.quantile(q), Some(7.5));
         }
-        assert_eq!(d.count(), 1);
+        assert_eq!(count(&d), 1);
     }
 
     #[test]
@@ -423,7 +411,7 @@ mod tests {
             .collect();
         let d = digest_of(samples.iter().copied());
         assert_rank_accurate(&d, &samples, "uniform-20k");
-        assert_eq!(d.count(), 20_000);
+        assert_eq!(count(&d), 20_000);
     }
 
     #[test]
@@ -431,8 +419,8 @@ mod tests {
         let mut d = digest_of([1.0, 2.0]);
         d.observe(f64::NAN);
         d.observe(f64::INFINITY);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.max(), Some(2.0));
+        assert_eq!(count(&d), 2);
+        assert_eq!(d.max, 2.0);
     }
 
     #[test]
@@ -455,7 +443,7 @@ mod tests {
         let all: Vec<f64> = left.iter().chain(&right).copied().collect();
         assert_rank_accurate(&merged, &all, "merged");
         assert_rank_accurate(&digest_of(all.iter().copied()), &all, "concat");
-        assert_eq!(merged.count(), 10_000);
+        assert_eq!(count(&merged), 10_000);
     }
 
     #[test]
@@ -491,8 +479,8 @@ mod tests {
         let mut again = String::new();
         back.push_wire(&mut again);
         assert_eq!(again, text, "emit -> parse -> emit is the identity");
-        assert_eq!(back.min(), d.min());
-        assert_eq!(back.max(), d.max());
+        assert_eq!(back.min, d.min);
+        assert_eq!(back.max, d.max);
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn accumulate_mode(
 
 /// Fitness `1 − ‖Ω ⊛ (Y* − X̂)‖_F / ‖Ω ⊛ Y*‖_F` evaluated lazily at
 /// observed entries only (Algorithm 2, line 14).
-pub fn masked_fitness(data: &ObservedTensor, values: &DenseTensor, factors: &[Matrix]) -> f64 {
+fn masked_fitness(data: &ObservedTensor, values: &DenseTensor, factors: &[Matrix]) -> f64 {
     let shape = data.shape();
     let refs: Vec<&Matrix> = factors.iter().collect();
     let mut idx = vec![0usize; shape.order()];

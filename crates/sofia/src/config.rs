@@ -83,33 +83,12 @@ impl SofiaConfig {
         self
     }
 
-    /// Builder-style override of the gradient step size `µ`.
-    pub fn with_step_size(mut self, mu: f64) -> Self {
-        assert!(mu > 0.0, "step size must be positive");
-        self.mu = mu;
-        self
-    }
-
-    /// Builder-style override of the error-scale smoothing `φ`.
-    pub fn with_phi(mut self, phi: f64) -> Self {
-        assert!((0.0..=1.0).contains(&phi), "phi out of [0,1]");
-        self.phi = phi;
-        self
-    }
-
     /// Builder-style override of the ALS tolerance and iteration caps.
     pub fn with_als_limits(mut self, tol: f64, max_als: usize, max_outer: usize) -> Self {
         assert!(tol > 0.0);
         self.tol = tol;
         self.max_als_iters = max_als;
         self.max_outer_iters = max_outer;
-        self
-    }
-
-    /// Builder-style override of the start-up season count.
-    pub fn with_init_seasons(mut self, seasons: usize) -> Self {
-        assert!(seasons >= 2, "need at least 2 seasons to fit Holt-Winters");
-        self.init_seasons = seasons;
         self
     }
 }
@@ -137,19 +116,13 @@ mod tests {
     fn builders_override() {
         let c = SofiaConfig::new(4, 24)
             .with_lambdas(0.5, 0.6, 20.0)
-            .with_step_size(0.05)
-            .with_phi(0.1)
-            .with_als_limits(1e-6, 100, 10)
-            .with_init_seasons(4);
+            .with_als_limits(1e-6, 100, 10);
         assert_eq!(c.lambda1, 0.5);
         assert_eq!(c.lambda2, 0.6);
         assert_eq!(c.lambda3, 20.0);
-        assert_eq!(c.mu, 0.05);
-        assert_eq!(c.phi, 0.1);
         assert_eq!(c.tol, 1e-6);
         assert_eq!(c.max_als_iters, 100);
         assert_eq!(c.max_outer_iters, 10);
-        assert_eq!(c.startup_len(), 96);
     }
 
     #[test]
@@ -162,11 +135,5 @@ mod tests {
     #[should_panic(expected = "period must be positive")]
     fn zero_period_rejected() {
         SofiaConfig::new(3, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "2 seasons")]
-    fn one_season_rejected() {
-        SofiaConfig::new(3, 5).with_init_seasons(1);
     }
 }

@@ -103,16 +103,6 @@ impl HwBank {
         );
         *model = HoltWinters::new(params, new_state);
     }
-
-    /// Current levels `l_t` of all components.
-    pub fn levels(&self) -> Vec<f64> {
-        self.models.iter().map(|h| h.state().level).collect()
-    }
-
-    /// Current trends `b_t` of all components.
-    pub fn trends(&self) -> Vec<f64> {
-        self.models.iter().map(|h| h.state().trend).collect()
-    }
 }
 
 #[cfg(test)]
@@ -168,8 +158,8 @@ mod tests {
         assert_eq!(errs.len(), 2);
         assert!((errs[0] - 1.0).abs() < 1e-12);
         assert!((errs[1] - 1.0).abs() < 1e-12);
-        assert!(bank.levels()[0] > 1.0);
-        assert!(bank.levels()[1] > -1.0);
+        assert!(bank.models()[0].state().level > 1.0);
+        assert!(bank.models()[1].state().level > -1.0);
     }
 
     #[test]

@@ -86,12 +86,8 @@ impl Sofia {
         Self::from_init_result(config, init_result)
     }
 
-    /// Builds the streaming model from a completed Algorithm 1 result
-    /// (exposed so experiments can inspect/alter the initialization phase).
-    pub fn from_init_result(
-        config: &SofiaConfig,
-        init_result: InitResult,
-    ) -> Result<Self, SofiaError> {
+    /// Builds the streaming model from a completed Algorithm 1 result.
+    fn from_init_result(config: &SofiaConfig, init_result: InitResult) -> Result<Self, SofiaError> {
         let mut factors = init_result.factors;
         let temporal = factors.pop().expect("at least two factors");
         let ti = temporal.rows();
@@ -256,7 +252,10 @@ mod tests {
 
     #[test]
     fn init_rejects_inconsistent_shapes() {
-        let config = test_config(2).with_init_seasons(2);
+        let config = SofiaConfig {
+            init_seasons: 2,
+            ..test_config(2)
+        };
         let gen = StreamGen::new(2);
         let mut slices: Vec<ObservedTensor> = (0..4)
             .map(|t| ObservedTensor::fully_observed(gen.clean(t)))
@@ -339,7 +338,10 @@ mod tests {
     #[test]
     fn trait_object_usable() {
         let m = 4;
-        let config = test_config(m).with_init_seasons(2);
+        let config = SofiaConfig {
+            init_seasons: 2,
+            ..test_config(m)
+        };
         let gen = StreamGen::new(m);
         let startup: Vec<ObservedTensor> = (0..2 * m)
             .map(|t| ObservedTensor::fully_observed(gen.clean(t)))
@@ -355,7 +357,10 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let m = 4;
-        let config = test_config(m).with_init_seasons(2);
+        let config = SofiaConfig {
+            init_seasons: 2,
+            ..test_config(m)
+        };
         let gen = StreamGen::new(m);
         let startup: Vec<ObservedTensor> = (0..2 * m)
             .map(|t| ObservedTensor::fully_observed(gen.clean(t)))

@@ -102,11 +102,6 @@ impl DenseTensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Entry at a multi-index.
     #[inline]
     pub fn get(&self, index: &[usize]) -> f64 {
@@ -147,71 +142,14 @@ impl DenseTensor {
         }
     }
 
-    /// Element-wise (Hadamard) product `self ⊛ other`.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn hadamard(&self, other: &Self) -> Self {
-        self.assert_same_shape(other);
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a * b)
-            .collect();
-        Self {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
     /// Frobenius norm `‖X‖_F`.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|&v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Sum of all entries.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Maximum entry value (NaN entries are ignored; returns -inf when all
-    /// entries are NaN).
-    pub fn max(&self) -> f64 {
-        self.data
-            .iter()
-            .copied()
-            .filter(|v| !v.is_nan())
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Minimum entry value (NaN entries are ignored).
-    pub fn min(&self) -> f64 {
-        self.data
-            .iter()
-            .copied()
-            .filter(|v| !v.is_nan())
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Maximum absolute entry value.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|v| v.abs()).fold(0.0f64, f64::max)
-    }
-
-    /// `self += alpha * other` (axpy), in place.
-    pub fn axpy(&mut self, alpha: f64, other: &Self) {
-        self.assert_same_shape(other);
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Scales every entry by `alpha` in place.
-    pub fn scale(&mut self, alpha: f64) {
-        for v in &mut self.data {
-            *v *= alpha;
-        }
     }
 
     /// Stacks `(N-1)`-way slices into an N-way tensor whose **last** mode
@@ -352,9 +290,9 @@ mod tests {
     #[test]
     fn zeros_and_full() {
         let z = DenseTensor::zeros(Shape::new(&[2, 2]));
-        assert_eq!(z.sum(), 0.0);
+        assert_eq!(z.data(), &[0.0; 4]);
         let f = DenseTensor::full(Shape::new(&[2, 2]), 3.0);
-        assert_eq!(f.sum(), 12.0);
+        assert_eq!(f.data(), &[3.0; 4]);
     }
 
     #[test]
@@ -387,13 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_elementwise() {
-        let a = t123();
-        let h = a.hadamard(&a);
-        assert_eq!(h.data(), &[1.0, 4.0, 9.0, 16.0, 25.0, 36.0]);
-    }
-
-    #[test]
     fn frobenius_norm_known_value() {
         let a = t123();
         let expected = (1.0f64 + 4.0 + 9.0 + 16.0 + 25.0 + 36.0).sqrt();
@@ -401,21 +332,9 @@ mod tests {
     }
 
     #[test]
-    fn max_min_and_max_abs() {
+    fn max_abs_ignores_sign() {
         let t = DenseTensor::from_vec(Shape::new(&[4]), vec![-7.0, 2.0, 5.0, -1.0]);
-        assert_eq!(t.max(), 5.0);
-        assert_eq!(t.min(), -7.0);
         assert_eq!(t.max_abs(), 7.0);
-    }
-
-    #[test]
-    fn axpy_and_scale() {
-        let mut a = t123();
-        let b = t123();
-        a.axpy(2.0, &b);
-        assert_eq!(a.get(&[0, 0]), 3.0);
-        a.scale(0.5);
-        assert_eq!(a.get(&[0, 0]), 1.5);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Kruskal operator, Khatri-Rao and Hadamard products (paper §III-A/B).
+//! Kruskal operator and Khatri-Rao products (paper §III-A/B).
 //!
 //! Conventions follow Kolda & Bader ("Tensor Decompositions and
 //! Applications", SIAM Review 2009), which the paper adopts: the mode-n
@@ -45,35 +45,6 @@ pub fn khatri_rao_seq(mats: &[&Matrix]) -> Matrix {
     let mut acc = mats[0].clone();
     for m in &mats[1..] {
         acc = khatri_rao(&acc, m);
-    }
-    acc
-}
-
-/// Hadamard (element-wise) product of two equally sized matrices.
-pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "Hadamard shape mismatch");
-    assert_eq!(a.cols(), b.cols(), "Hadamard shape mismatch");
-    let data = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| x * y)
-        .collect();
-    Matrix::from_vec(a.rows(), a.cols(), data)
-}
-
-/// Hadamard product of the Gram matrices of every factor except mode `skip`:
-/// `⊛_{l≠skip} (U⁽ˡ⁾ᵀ U⁽ˡ⁾)`. This is the normal matrix of the classic
-/// fully-observed ALS update and is used by baseline factorizers.
-pub fn gram_hadamard_excluding(factors: &[&Matrix], skip: usize) -> Matrix {
-    assert!(!factors.is_empty());
-    let r = factors[0].cols();
-    let mut acc = Matrix::from_vec(r, r, vec![1.0; r * r]);
-    for (n, f) in factors.iter().enumerate() {
-        if n == skip {
-            continue;
-        }
-        acc = hadamard(&acc, &f.gram());
     }
     acc
 }
@@ -188,19 +159,6 @@ pub fn kruskal_slice(factors: &[&Matrix], w: &[f64]) -> DenseTensor {
         }
     }
     DenseTensor::from_vec(shape, data)
-}
-
-/// Squared Frobenius norm of a Kruskal tensor computed in factored form:
-/// `‖⟦U⁽¹⁾,…,U⁽ᴺ⁾⟧‖²_F = 1ᵀ (⊛ₙ U⁽ⁿ⁾ᵀU⁽ⁿ⁾) 1` — cheap even for huge
-/// virtual tensors.
-pub fn kruskal_norm_sq(factors: &[&Matrix]) -> f64 {
-    assert!(!factors.is_empty());
-    let r = factors[0].cols();
-    let mut acc = Matrix::from_vec(r, r, vec![1.0; r * r]);
-    for f in factors {
-        acc = hadamard(&acc, &f.gram());
-    }
-    acc.data().iter().sum()
 }
 
 #[cfg(test)]
@@ -374,29 +332,6 @@ mod tests {
         let u = Matrix::zeros(3, 2);
         let v = Matrix::zeros(4, 2);
         kruskal_slice(&[&u, &v], &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn gram_hadamard_excluding_matches_manual() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let u = Matrix::random_uniform(3, 2, -1.0, 1.0, &mut rng);
-        let v = Matrix::random_uniform(4, 2, -1.0, 1.0, &mut rng);
-        let w = Matrix::random_uniform(5, 2, -1.0, 1.0, &mut rng);
-        let g = gram_hadamard_excluding(&[&u, &v, &w], 1);
-        let manual = hadamard(&u.gram(), &w.gram());
-        assert!(g.diff_norm(&manual) < 1e-12);
-    }
-
-    #[test]
-    fn kruskal_norm_sq_matches_dense() {
-        let mut rng = SmallRng::seed_from_u64(77);
-        let u = Matrix::random_uniform(3, 3, -1.0, 1.0, &mut rng);
-        let v = Matrix::random_uniform(4, 3, -1.0, 1.0, &mut rng);
-        let w = Matrix::random_uniform(2, 3, -1.0, 1.0, &mut rng);
-        let dense = kruskal(&[&u, &v, &w]);
-        let nf = dense.frobenius_norm();
-        let factored = kruskal_norm_sq(&[&u, &v, &w]);
-        assert!((factored - nf * nf).abs() < 1e-9);
     }
 
     #[test]

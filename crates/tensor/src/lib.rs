@@ -9,8 +9,8 @@
 //! * [`DenseTensor`] — a dense row-major N-way tensor of `f64`;
 //! * [`Mask`] — binary observation indicators (the tensor `Ω` of Eq. (3));
 //! * [`Matrix`] — a small dense row-major matrix used for factor matrices;
-//! * [`kruskal`] — the Kruskal operator `⟦U⁽¹⁾,…,U⁽ᴺ⁾⟧`, Khatri-Rao and
-//!   Hadamard products (Eq. (1)-(2));
+//! * [`kruskal`] — the Kruskal operator `⟦U⁽¹⁾,…,U⁽ᴺ⁾⟧` and Khatri-Rao
+//!   products (Eq. (1)-(2));
 //! * [`unfold`] — mode-n matricization and its inverse;
 //! * [`linalg`] — Cholesky / LU solves and related small-matrix kernels
 //!   needed by the row-wise ALS updates (Theorems 1 and 2).

@@ -174,78 +174,6 @@ pub fn solve_spd_ridge(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>, Li
     Err(LinalgError::NotPositiveDefinite { pivot: 0 })
 }
 
-/// Inverts a square matrix by Gauss-Jordan elimination with partial
-/// pivoting. Intended for small matrices (R × R).
-pub fn invert(a: &Matrix) -> Result<Matrix, LinalgError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::DimensionMismatch);
-    }
-    // Augmented [A | I], eliminated in place.
-    let mut aug = vec![0.0; n * 2 * n];
-    for i in 0..n {
-        for j in 0..n {
-            aug[i * 2 * n + j] = a.get(i, j);
-        }
-        aug[i * 2 * n + n + i] = 1.0;
-    }
-    for k in 0..n {
-        let mut p = k;
-        let mut max = aug[k * 2 * n + k].abs();
-        for i in (k + 1)..n {
-            let v = aug[i * 2 * n + k].abs();
-            if v > max {
-                max = v;
-                p = i;
-            }
-        }
-        if max < 1e-300 {
-            return Err(LinalgError::Singular { pivot: k });
-        }
-        if p != k {
-            for j in 0..2 * n {
-                aug.swap(k * 2 * n + j, p * 2 * n + j);
-            }
-        }
-        let pivot = aug[k * 2 * n + k];
-        for j in 0..2 * n {
-            aug[k * 2 * n + j] /= pivot;
-        }
-        for i in 0..n {
-            if i == k {
-                continue;
-            }
-            let factor = aug[i * 2 * n + k];
-            if factor == 0.0 {
-                continue;
-            }
-            for j in 0..2 * n {
-                aug[i * 2 * n + j] -= factor * aug[k * 2 * n + j];
-            }
-        }
-    }
-    let mut out = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            out.set(i, j, aug[i * 2 * n + n + j]);
-        }
-    }
-    Ok(out)
-}
-
-/// Dot product of two equal-length slices.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
-/// Euclidean norm of a slice.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,10 +181,11 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-        let ax = a.matvec(x);
-        ax.iter()
-            .zip(b)
-            .map(|(&p, &q)| (p - q) * (p - q))
+        (0..a.rows())
+            .map(|i| {
+                let ax: f64 = a.row(i).iter().zip(x).map(|(&p, &q)| p * q).sum();
+                (ax - b[i]) * (ax - b[i])
+            })
             .sum::<f64>()
             .sqrt()
     }
@@ -340,33 +269,6 @@ mod tests {
         // Solution of the regularized system is close to the min-norm one.
         assert!((x[0] - 1.0).abs() < 1e-4);
         assert!((x[1] - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn invert_roundtrip() {
-        let mut rng = SmallRng::seed_from_u64(17);
-        for _ in 0..10 {
-            let n = rng.gen_range(1..8);
-            let a = Matrix::from_fn(n, n, |i, j| {
-                rng.gen_range(-1.0..1.0) + if i == j { 4.0 } else { 0.0 }
-            });
-            let inv = invert(&a).unwrap();
-            let prod = a.matmul(&inv);
-            let eye = Matrix::identity(n);
-            assert!(prod.diff_norm(&eye) < 1e-9);
-        }
-    }
-
-    #[test]
-    fn invert_detects_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        assert!(invert(&a).is_err());
-    }
-
-    #[test]
-    fn dot_and_norm2() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -69,12 +69,6 @@ impl Mask {
         &self.shape
     }
 
-    /// Whether the entry at `index` is observed.
-    #[inline]
-    pub fn is_observed(&self, index: &[usize]) -> bool {
-        self.observed[self.shape.offset(index)]
-    }
-
     /// Whether the entry at flat `offset` is observed.
     #[inline]
     pub fn is_observed_flat(&self, offset: usize) -> bool {
@@ -96,17 +90,6 @@ impl Mask {
     /// Fraction of observed entries.
     pub fn observed_fraction(&self) -> f64 {
         self.count_observed() as f64 / self.shape.len() as f64
-    }
-
-    /// The indicator tensor `Ω` as a dense 0/1 tensor (Eq. (3)).
-    pub fn to_dense(&self) -> DenseTensor {
-        DenseTensor::from_vec(
-            self.shape.clone(),
-            self.observed
-                .iter()
-                .map(|&o| if o { 1.0 } else { 0.0 })
-                .collect(),
-        )
     }
 
     /// `Ω ⊛ X`: zeroes out the unobserved entries of `x`.
@@ -133,20 +116,6 @@ impl Mask {
             .sqrt()
     }
 
-    /// `‖Ω ⊛ (A - B)‖_F` without allocating the difference.
-    pub fn masked_diff_norm(&self, a: &DenseTensor, b: &DenseTensor) -> f64 {
-        assert_eq!(a.shape(), &self.shape, "mask/tensor shape mismatch");
-        assert_eq!(b.shape(), &self.shape, "mask/tensor shape mismatch");
-        self.observed_offsets
-            .iter()
-            .map(|&off| {
-                let d = a.get_flat(off) - b.get_flat(off);
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Stacks `(N-1)`-way masks along a new trailing (temporal) mode, the
     /// mask analogue of [`DenseTensor::stack`].
     pub fn stack(masks: &[&Mask]) -> Mask {
@@ -163,19 +132,6 @@ impl Mask {
                 observed[off * t_count + t] = m.observed[off];
             }
         }
-        Mask::from_vec(out_shape, observed)
-    }
-
-    /// Extracts the mask slice at position `t` of the last mode.
-    pub fn slice_last_mode(&self, t: usize) -> Mask {
-        let n = self.shape.order();
-        assert!(n >= 2, "need at least 2 modes to slice");
-        let t_count = self.shape.dim(n - 1);
-        assert!(t < t_count, "slice index out of bounds");
-        let out_shape = self.shape.without_mode(n - 1);
-        let observed: Vec<bool> = (0..out_shape.len())
-            .map(|off| self.observed[off * t_count + t])
-            .collect();
         Mask::from_vec(out_shape, observed)
     }
 }
@@ -231,9 +187,9 @@ mod tests {
         let s = Shape::new(&[2, 2]);
         let m = Mask::from_vec(s, vec![true, false, false, true]);
         assert_eq!(m.observed_offsets(), &[0, 3]);
-        assert!(m.is_observed(&[0, 0]));
-        assert!(!m.is_observed(&[0, 1]));
-        assert!(m.is_observed(&[1, 1]));
+        assert!(m.is_observed_flat(0));
+        assert!(!m.is_observed_flat(1));
+        assert!(m.is_observed_flat(3));
     }
 
     #[test]
@@ -266,32 +222,17 @@ mod tests {
     }
 
     #[test]
-    fn masked_diff_norm_matches_manual() {
-        let s = Shape::new(&[2, 2]);
-        let m = Mask::from_vec(s.clone(), vec![true, true, false, true]);
-        let a = DenseTensor::from_vec(s.clone(), vec![1.0, 2.0, 3.0, 4.0]);
-        let b = DenseTensor::from_vec(s, vec![0.0, 0.0, 100.0, 1.0]);
-        let expected = (1.0f64 + 4.0 + 9.0).sqrt();
-        assert!((m.masked_diff_norm(&a, &b) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn to_dense_is_indicator() {
-        let s = Shape::new(&[2, 2]);
-        let m = Mask::from_vec(s, vec![true, false, false, true]);
-        assert_eq!(m.to_dense().data(), &[1.0, 0.0, 0.0, 1.0]);
-    }
-
-    #[test]
     fn stack_and_slice_roundtrip() {
         let s = Shape::new(&[2, 2]);
         let m0 = Mask::from_vec(s.clone(), vec![true, false, true, false]);
-        let m1 = Mask::from_vec(s, vec![false, true, true, true]);
+        let m1 = Mask::from_vec(s.clone(), vec![false, true, true, true]);
         let stacked = Mask::stack(&[&m0, &m1]);
         assert_eq!(stacked.shape().dims(), &[2, 2, 2]);
         assert_eq!(stacked.count_observed(), 5);
-        assert_eq!(stacked.slice_last_mode(0), m0);
-        assert_eq!(stacked.slice_last_mode(1), m1);
+        for (t, m) in [m0, m1].iter().enumerate() {
+            let flags = (0..4).map(|off| stacked.is_observed_flat(off * 2 + t));
+            assert_eq!(&Mask::from_vec(s.clone(), flags.collect()), m);
+        }
     }
 
     /// The word-at-a-time scan finds exactly the offsets a plain scan

@@ -14,8 +14,8 @@ use std::fmt;
 ///
 /// let mut u = Matrix::from_rows(&[&[3.0, 0.0], &[4.0, 1.0]]);
 /// assert_eq!(u.row(1), &[4.0, 1.0]);
-/// let norms = u.normalize_cols();
-/// assert_eq!(norms[0], 5.0);
+/// assert_eq!(u.col_norm(0), 5.0);
+/// u.scale_col(0, 0.2);
 /// assert!((u.col_norm(0) - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Clone, PartialEq)]
@@ -178,8 +178,10 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * rhs`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+    /// Matrix product `self * rhs`: the reference that the Gram and
+    /// unfolding tests check against.
+    #[cfg(test)]
+    pub(crate) fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul inner dimension mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
@@ -196,14 +198,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Matrix-vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(&a, &b)| a * b).sum::<f64>())
-            .collect()
     }
 
     /// Gram matrix `selfᵀ · self` (`R × R`), a building block of ALS normal
@@ -250,53 +244,11 @@ impl Matrix {
             .sqrt()
     }
 
-    /// `self += alpha * other`, in place.
-    pub fn axpy(&mut self, alpha: f64, other: &Matrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Scales all entries by `alpha`.
     pub fn scale(&mut self, alpha: f64) {
         for v in &mut self.data {
             *v *= alpha;
         }
-    }
-
-    /// Normalizes every column to unit Euclidean norm and returns the
-    /// original norms. Columns with zero norm are left untouched and report
-    /// a norm of 0. This is the `‖ũ⁽ⁿ⁾ᵣ‖₂ = 1` constraint of Eq. (10).
-    pub fn normalize_cols(&mut self) -> Vec<f64> {
-        let mut norms = Vec::with_capacity(self.cols);
-        for j in 0..self.cols {
-            let norm = self.col_norm(j);
-            if norm > 0.0 {
-                self.scale_col(j, 1.0 / norm);
-            }
-            norms.push(norm);
-        }
-        norms
-    }
-
-    /// Vertically appends a row, growing the matrix (used for temporal
-    /// factor matrices that grow with the stream).
-    pub fn push_row(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.cols, "appended row length mismatch");
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
-
-    /// Returns a matrix consisting of rows `[start, end)`.
-    pub fn row_block(&self, start: usize, end: usize) -> Matrix {
-        assert!(start < end && end <= self.rows, "row block out of range");
-        Matrix::from_vec(
-            end - start,
-            self.cols,
-            self.data[start * self.cols..end * self.cols].to_vec(),
-        )
     }
 }
 
@@ -317,13 +269,6 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn identity_matvec_is_noop() {
-        let i3 = Matrix::identity(3);
-        let v = vec![1.0, -2.0, 3.0];
-        assert_eq!(i3.matvec(&v), v);
-    }
 
     #[test]
     fn matmul_known_product() {
@@ -358,42 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn normalize_cols_returns_norms_and_unit_columns() {
-        let mut a = Matrix::from_rows(&[&[3.0, 0.0], &[4.0, 0.0]]);
-        let norms = a.normalize_cols();
-        assert!((norms[0] - 5.0).abs() < 1e-12);
-        assert_eq!(norms[1], 0.0);
-        assert!((a.col_norm(0) - 1.0).abs() < 1e-12);
-        // Zero column untouched.
-        assert_eq!(a.col(1), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn push_row_grows() {
-        let mut a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        a.push_row(&[3.0, 4.0]);
-        assert_eq!(a.rows(), 2);
-        assert_eq!(a.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn row_block_extracts() {
-        let a = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0], &[4.0]]);
-        let b = a.row_block(1, 3);
-        assert_eq!(b.rows(), 2);
-        assert_eq!(b.row(0), &[2.0]);
-        assert_eq!(b.row(1), &[3.0]);
-    }
-
-    #[test]
-    fn axpy_and_scale() {
+    fn scale_multiplies_every_entry() {
         let mut a = Matrix::identity(2);
-        let b = Matrix::identity(2);
-        a.axpy(3.0, &b);
-        assert_eq!(a.get(0, 0), 4.0);
-        a.scale(0.5);
-        assert_eq!(a.get(0, 0), 2.0);
-        assert_eq!(a.get(0, 1), 0.0);
+        a.scale(2.0);
+        assert_eq!(a.data(), &[2.0, 0.0, 0.0, 2.0]);
     }
 
     #[test]

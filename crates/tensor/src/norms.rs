@@ -28,13 +28,6 @@ pub fn nnz(x: &DenseTensor) -> usize {
     x.data().iter().filter(|&&v| v != 0.0).count()
 }
 
-/// Element-wise soft-thresholding (Eq. (12)):
-/// `sign(x) · max(|x| - λ, 0)` applied to every entry.
-pub fn soft_threshold(x: &DenseTensor, lambda: f64) -> DenseTensor {
-    assert!(lambda >= 0.0, "threshold must be non-negative");
-    x.map(|v| soft_threshold_scalar(v, lambda))
-}
-
 /// Scalar soft-thresholding `sign(x)·max(|x|-λ, 0)`.
 #[inline]
 pub fn soft_threshold_scalar(x: f64, lambda: f64) -> f64 {
@@ -81,9 +74,8 @@ mod tests {
 
     #[test]
     fn soft_threshold_shrinks_and_zeroes() {
-        let x = DenseTensor::from_vec(Shape::new(&[5]), vec![-3.0, -0.5, 0.0, 0.5, 3.0]);
-        let y = soft_threshold(&x, 1.0);
-        assert_eq!(y.data(), &[-2.0, 0.0, 0.0, 0.0, 2.0]);
+        let y = [-3.0, -0.5, 0.0, 0.5, 3.0].map(|x| soft_threshold_scalar(x, 1.0));
+        assert_eq!(y, [-2.0, 0.0, 0.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -96,12 +88,5 @@ mod tests {
                 assert_eq!(s.signum(), x.signum());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn soft_threshold_negative_lambda_panics() {
-        let x = DenseTensor::zeros(Shape::new(&[2]));
-        soft_threshold(&x, -1.0);
     }
 }

@@ -74,14 +74,6 @@ impl ObservedTensor {
             mask: Mask::stack(&masks),
         }
     }
-
-    /// Extracts the observed slice at position `t` of the trailing mode.
-    pub fn slice_last_mode(&self, t: usize) -> ObservedTensor {
-        ObservedTensor {
-            values: self.values.slice_last_mode(t),
-            mask: self.mask.slice_last_mode(t),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,8 +114,9 @@ mod tests {
         let stacked = ObservedTensor::stack(&[&a, &b]);
         assert_eq!(stacked.shape().dims(), &[2, 2, 2]);
         assert_eq!(stacked.count_observed(), 5);
-        assert_eq!(stacked.slice_last_mode(0), a);
-        assert_eq!(stacked.slice_last_mode(1), b);
+        assert_eq!(stacked.mask().observed_offsets(), &[0, 2, 3, 5, 7]);
+        assert_eq!(stacked.values().slice_last_mode(0), *a.values());
+        assert_eq!(stacked.values().slice_last_mode(1), *b.values());
     }
 
     #[test]

@@ -20,11 +20,6 @@ pub fn gaussian_tensor(shape: Shape, sigma: f64, rng: &mut impl Rng) -> DenseTen
     DenseTensor::from_fn(shape, |_| sigma * sample_standard_normal(rng))
 }
 
-/// Tensor with i.i.d. uniform entries in `[lo, hi)`.
-pub fn uniform_tensor(shape: Shape, lo: f64, hi: f64, rng: &mut impl Rng) -> DenseTensor {
-    DenseTensor::from_fn(shape, |_| rng.gen_range(lo..hi))
-}
-
 /// Factor matrix with i.i.d. `N(0, 1)` entries — the "randomly initialize
 /// {U⁽ⁿ⁾}" step of Algorithm 1 (line 4).
 pub fn gaussian_factor(rows: usize, rank: usize, rng: &mut impl Rng) -> Matrix {
@@ -62,13 +57,6 @@ mod tests {
         let n = t.len() as f64;
         let var = t.data().iter().map(|v| v * v).sum::<f64>() / n;
         assert!((var - 9.0).abs() < 0.5, "var {var}");
-    }
-
-    #[test]
-    fn uniform_tensor_in_range() {
-        let mut rng = SmallRng::seed_from_u64(102);
-        let t = uniform_tensor(Shape::new(&[50, 50]), 2.0, 5.0, &mut rng);
-        assert!(t.data().iter().all(|&v| (2.0..5.0).contains(&v)));
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl Shape {
         self.dims[n]
     }
 
-    /// Row-major strides.
-    #[inline]
-    pub fn strides(&self) -> &[usize] {
-        &self.strides
-    }
-
     /// Total number of entries `Π_n I_n`.
     #[inline]
     pub fn len(&self) -> usize {
@@ -93,9 +87,10 @@ impl Shape {
         off
     }
 
-    /// Inverse of [`Shape::offset`]: the multi-index of a flat offset.
-    #[inline]
-    pub fn unravel(&self, mut offset: usize) -> Vec<usize> {
+    /// Inverse of [`Shape::offset`]: the multi-index of a flat offset, the
+    /// reference that [`Shape::unravel_into`] is tested against.
+    #[cfg(test)]
+    fn unravel(&self, mut offset: usize) -> Vec<usize> {
         debug_assert!(offset < self.len(), "offset out of bounds");
         let mut idx = vec![0usize; self.dims.len()];
         for n in 0..self.dims.len() {
@@ -103,13 +98,6 @@ impl Shape {
             offset %= self.strides[n];
         }
         idx
-    }
-
-    /// Coordinate of `offset` along mode `n` without materializing the full
-    /// multi-index. Equivalent to `self.unravel(offset)[n]`.
-    #[inline]
-    pub fn coord(&self, offset: usize, n: usize) -> usize {
-        (offset / self.strides[n]) % self.dims[n]
     }
 
     /// Writes the multi-index of `offset` into `out` (must have length
@@ -207,7 +195,8 @@ mod tests {
     #[test]
     fn strides_are_row_major() {
         let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.strides(), &[12, 4, 1]);
+        let unit_steps = [[1, 0, 0], [0, 1, 0], [0, 0, 1]].map(|idx| s.offset(&idx));
+        assert_eq!(unit_steps, [12, 4, 1]);
         assert_eq!(s.len(), 24);
         assert_eq!(s.order(), 3);
     }
@@ -218,17 +207,6 @@ mod tests {
         for off in 0..s.len() {
             let idx = s.unravel(off);
             assert_eq!(s.offset(&idx), off);
-        }
-    }
-
-    #[test]
-    fn coord_matches_unravel() {
-        let s = Shape::new(&[4, 2, 6]);
-        for off in 0..s.len() {
-            let idx = s.unravel(off);
-            for n in 0..3 {
-                assert_eq!(s.coord(off, n), idx[n]);
-            }
         }
     }
 
@@ -255,7 +233,7 @@ mod tests {
     #[test]
     fn single_mode_shape() {
         let s = Shape::new(&[7]);
-        assert_eq!(s.strides(), &[1]);
+        assert_eq!(s.offset(&[4]), 4);
         assert_eq!(s.unravel(4), vec![4]);
     }
 

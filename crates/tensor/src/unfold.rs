@@ -26,18 +26,6 @@ fn unfold_strides(shape: &Shape, n: usize) -> Vec<usize> {
     strides
 }
 
-/// Column index of a multi-index in the mode-n unfolding.
-#[inline]
-pub fn unfold_col(shape: &Shape, n: usize, index: &[usize]) -> usize {
-    let strides = unfold_strides(shape, n);
-    index
-        .iter()
-        .enumerate()
-        .filter(|&(k, _)| k != n)
-        .map(|(k, &i)| i * strides[k])
-        .sum()
-}
-
 /// Mode-n unfolding `X_(n)` of a dense tensor.
 pub fn unfold(x: &DenseTensor, n: usize) -> Matrix {
     let shape = x.shape();
@@ -161,19 +149,6 @@ mod tests {
         assert_eq!(m0.get(1, 1), x.get(&[1, 1, 0]));
         assert_eq!(m0.get(1, 2), x.get(&[1, 0, 1]));
         assert_eq!(m0.get(0, 3), x.get(&[0, 1, 1]));
-    }
-
-    #[test]
-    fn unfold_col_matches_unfold() {
-        let x = random_tensor(&[3, 2, 4], 9);
-        let shape = x.shape().clone();
-        for n in 0..3 {
-            let m = unfold(&x, n);
-            for idx in shape.indices() {
-                let col = unfold_col(&shape, n, &idx);
-                assert_eq!(m.get(idx[n], col), x.get(&idx));
-            }
-        }
     }
 
     #[test]

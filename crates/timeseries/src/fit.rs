@@ -27,7 +27,7 @@ pub struct FittedHoltWinters {
 ///
 /// Deterministic: the initial simplex is built from `x0` by coordinate
 /// steps of `step`.
-pub fn nelder_mead_box(
+fn nelder_mead_box(
     f: &mut dyn FnMut(&[f64]) -> f64,
     x0: &[f64],
     lo: &[f64],

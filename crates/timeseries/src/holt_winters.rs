@@ -168,37 +168,10 @@ impl HoltWinters {
         error
     }
 
-    /// Advances the model over a *missing* observation: the smoothing
-    /// recursions are fed the model's own one-step-ahead forecast, which
-    /// leaves level/trend/seasonal estimates unchanged up to the phase
-    /// advance — the standard gap-handling convention for exponential
-    /// smoothing. (This is what lets SOFIA-style pipelines keep a HW model
-    /// aligned across blackout periods; plain HW "cannot be used if time
-    /// series have missing values" per the paper's §II.)
-    pub fn update_missing(&mut self) {
-        let forecast = self.forecast_one();
-        self.update(forecast);
-    }
-
     /// Runs the recursions over a whole series, returning the one-step-ahead
     /// errors `e_t` for each observation.
     pub fn run(&mut self, series: &[f64]) -> Vec<f64> {
         series.iter().map(|&y| self.update(y)).collect()
-    }
-
-    /// Runs the recursions over a series with gaps (`None` = missing),
-    /// returning the errors of the observed steps (`None` for gaps).
-    pub fn run_with_gaps(&mut self, series: &[Option<f64>]) -> Vec<Option<f64>> {
-        series
-            .iter()
-            .map(|y| match y {
-                Some(v) => Some(self.update(*v)),
-                None => {
-                    self.update_missing();
-                    None
-                }
-            })
-            .collect()
     }
 
     /// Sum of squared one-step-ahead errors over a series, without
@@ -361,50 +334,5 @@ mod tests {
     fn forecast_zero_horizon_panics() {
         let hw = HoltWinters::new(HwParams::default(), flat_state(2));
         hw.forecast(0);
-    }
-
-    #[test]
-    fn update_missing_preserves_level_and_trend() {
-        let params = HwParams::new(0.4, 0.3, 0.2);
-        let state = HwState::new(7.0, 0.5, vec![1.0, -1.0, 0.0], 0);
-        let mut hw = HoltWinters::new(params, state);
-        let before_level = hw.state().level;
-        let before_trend = hw.state().trend;
-        hw.update_missing();
-        // Feeding the forecast leaves e_t = 0, so level moves exactly one
-        // trend step and the trend is unchanged.
-        assert!((hw.state().level - (before_level + before_trend)).abs() < 1e-12);
-        assert!((hw.state().trend - before_trend).abs() < 1e-12);
-        assert_eq!(hw.state().phase, 1);
-    }
-
-    #[test]
-    fn run_with_gaps_survives_blackouts() {
-        // Seasonal series with a full-season blackout: the model should
-        // still forecast the pattern afterwards.
-        let pattern = [4.0, -2.0, -2.0, 0.0];
-        let params = HwParams::new(0.3, 0.05, 0.1);
-        let state = HwState::new(0.0, 0.0, pattern.to_vec(), 0);
-        let mut hw = HoltWinters::new(params, state);
-        let series: Vec<Option<f64>> = (0..24)
-            .map(|t| {
-                if (8..12).contains(&t) {
-                    None
-                } else {
-                    Some(pattern[t % 4])
-                }
-            })
-            .collect();
-        let errs = hw.run_with_gaps(&series);
-        assert_eq!(errs.iter().filter(|e| e.is_none()).count(), 4);
-        // Post-blackout forecasts still match the pattern.
-        for h in 1..=4 {
-            let truth = pattern[(24 + h - 1) % 4];
-            assert!(
-                (hw.forecast(h) - truth).abs() < 0.2,
-                "h={h}: {} vs {truth}",
-                hw.forecast(h)
-            );
-        }
     }
 }

@@ -5,9 +5,8 @@
 //!
 //! * [`holt_winters`] — the additive Holt-Winters model: level/trend/season
 //!   smoothing recursions (Eq. (5)) and h-step-ahead forecasts (Eq. (6));
-//! * [`robust`] — robust statistics: the Huber Ψ-function, the biweight
-//!   ρ-function (Eq. (9)), and Gelper et al.'s robust Holt-Winters with
-//!   observation pre-cleaning (Eq. (7)) and error-scale tracking (Eq. (8));
+//! * [`robust`] — robust statistics: the Huber Ψ-function and the biweight
+//!   ρ-function (Eq. (9)) that SOFIA's per-entry update applies;
 //! * [`init`] — conventional initialization of level/trend/seasonal
 //!   components from the first seasons of a series;
 //! * [`fit`] — SSE objective and a bounded Nelder-Mead optimizer used to
@@ -36,4 +35,4 @@ pub mod robust;
 
 pub use fit::{fit_holt_winters, FittedHoltWinters};
 pub use holt_winters::{HoltWinters, HwParams, HwState};
-pub use robust::{biweight_rho, huber_psi, RobustHoltWinters, RobustScale};
+pub use robust::{biweight_rho, huber_psi};

@@ -1,10 +1,8 @@
 //! Robust statistics for outlier-resistant forecasting (paper §III-D).
 //!
-//! Implements the Huber Ψ-function, the biweight ρ-function (Eq. (9)), the
-//! time-varying error-scale recursion (Eq. (8)), and Gelper et al.'s robust
-//! Holt-Winters with observation pre-cleaning (Eq. (7)).
-
-use crate::holt_winters::{HoltWinters, HwParams, HwState};
+//! Implements the Huber Ψ-function and the biweight ρ-function (Eq. (9)),
+//! which SOFIA's update applies to every observed entry: Ψ cleans it
+//! (Eq. (21)) and ρ drives its error-scale recursion (Eq. (22)).
 
 /// Default clipping constant `k = 2` used in both Huber Ψ and biweight ρ
 /// (paper §III-D).
@@ -45,133 +43,9 @@ pub fn biweight_rho(x: f64, k: f64, ck: f64) -> f64 {
     }
 }
 
-/// A time-varying one-step-ahead forecast-error scale `σ̂_t` updated by the
-/// biweight recursion (Eq. (8)):
-///
-/// ```text
-/// σ̂²_t = φ · ρ((y_t − ŷ_{t|t−1}) / σ̂_{t−1}) · σ̂²_{t−1} + (1 − φ) σ̂²_{t−1}
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustScale {
-    /// Current scale estimate `σ̂_t` (standard-deviation-like, positive).
-    pub sigma: f64,
-    /// Smoothing parameter `φ ∈ [0, 1]`.
-    pub phi: f64,
-    /// Clipping constant `k`.
-    pub k: f64,
-    /// Biweight normalization `c_k`.
-    pub ck: f64,
-}
-
-impl RobustScale {
-    /// Creates a scale tracker with the paper's default `k`/`c_k`.
-    pub fn new(initial_sigma: f64, phi: f64) -> Self {
-        assert!(initial_sigma > 0.0, "initial scale must be positive");
-        assert!((0.0..=1.0).contains(&phi), "phi out of [0,1]");
-        Self {
-            sigma: initial_sigma,
-            phi,
-            k: DEFAULT_K,
-            ck: DEFAULT_CK,
-        }
-    }
-
-    /// Applies Eq. (8) given the raw one-step-ahead forecast error
-    /// `e_t = y_t − ŷ_{t|t−1}` and returns the new `σ̂_t`.
-    pub fn update(&mut self, error: f64) -> f64 {
-        let standardized = error / self.sigma;
-        let rho = biweight_rho(standardized, self.k, self.ck);
-        let var =
-            self.phi * rho * self.sigma * self.sigma + (1.0 - self.phi) * self.sigma * self.sigma;
-        self.sigma = var.sqrt().max(f64::MIN_POSITIVE);
-        self.sigma
-    }
-}
-
-/// Gelper et al.'s robust Holt-Winters: before each smoothing update the
-/// observation is replaced by its "cleaned" version (Eq. (7)):
-///
-/// ```text
-/// y*_t = Ψ((y_t − ŷ_{t|t−1}) / σ̂_t) · σ̂_t + ŷ_{t|t−1}
-/// ```
-///
-/// Note the ordering choice: following the *paper's* variant (§V-C.1), the
-/// outlier is rejected **first** (using `σ̂_{t−1}`) and the error scale is
-/// updated afterwards, so a huge outlier cannot contaminate the scale it is
-/// judged against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustHoltWinters {
-    model: HoltWinters,
-    scale: RobustScale,
-}
-
-/// Result of one robust update step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustStep {
-    /// The cleaned observation `y*_t` that was fed to the smoother.
-    pub cleaned: f64,
-    /// The implied outlier component `o_t = y_t − y*_t` (zero for inliers).
-    pub outlier: f64,
-    /// The raw one-step-ahead forecast error `y_t − ŷ_{t|t−1}`.
-    pub raw_error: f64,
-    /// The updated scale `σ̂_t`.
-    pub sigma: f64,
-}
-
-impl RobustHoltWinters {
-    /// Builds a robust HW model.
-    pub fn new(params: HwParams, state: HwState, initial_sigma: f64, phi: f64) -> Self {
-        Self {
-            model: HoltWinters::new(params, state),
-            scale: RobustScale::new(initial_sigma, phi),
-        }
-    }
-
-    /// The inner (non-robust) model.
-    pub fn model(&self) -> &HoltWinters {
-        &self.model
-    }
-
-    /// The current error-scale tracker.
-    pub fn scale(&self) -> &RobustScale {
-        &self.scale
-    }
-
-    /// One-step-ahead forecast.
-    pub fn forecast_one(&self) -> f64 {
-        self.model.forecast_one()
-    }
-
-    /// h-step-ahead forecast.
-    pub fn forecast(&self, h: usize) -> f64 {
-        self.model.forecast(h)
-    }
-
-    /// Observes `y_t`: cleans it (Eq. (7)) against `σ̂_{t−1}`, updates the
-    /// error scale (Eq. (8)), and feeds the cleaned value to the HW
-    /// recursions.
-    pub fn update(&mut self, y: f64) -> RobustStep {
-        let forecast = self.model.forecast_one();
-        let raw_error = y - forecast;
-        let standardized = raw_error / self.scale.sigma;
-        let cleaned = huber_psi(standardized, self.scale.k) * self.scale.sigma + forecast;
-        // Paper ordering: reject first, then update the scale with the raw
-        // error (the biweight caps its influence).
-        let sigma = self.scale.update(raw_error);
-        self.model.update(cleaned);
-        RobustStep {
-            cleaned,
-            outlier: y - cleaned,
-            raw_error,
-            sigma,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init::initial_state;
 
     #[test]
     fn huber_identity_inside_clip_outside() {
@@ -209,87 +83,5 @@ mod tests {
             assert!(v >= prev - 1e-12, "not monotone at {x}");
             prev = v;
         }
-    }
-
-    #[test]
-    fn scale_update_shrinks_for_tiny_errors_grows_for_large() {
-        // ρ(0)=0 < 1 shrinks variance; ρ(k)=c_k=2.52 > 1 grows it.
-        let mut s = RobustScale::new(1.0, 0.5);
-        let after_small = s.update(0.0);
-        assert!(after_small < 1.0);
-        let mut s2 = RobustScale::new(1.0, 0.5);
-        let after_big = s2.update(10.0);
-        assert!(after_big > 1.0);
-        // Growth is bounded by the biweight saturation.
-        let max_var: f64 = 0.5 * 2.52 + 0.5;
-        assert!(after_big <= max_var.sqrt() + 1e-12);
-    }
-
-    #[test]
-    fn scale_stays_positive() {
-        let mut s = RobustScale::new(1e-3, 1.0);
-        for _ in 0..100 {
-            s.update(0.0);
-        }
-        assert!(s.sigma > 0.0);
-    }
-
-    #[test]
-    fn robust_hw_rejects_single_spike() {
-        // Clean seasonal series with one massive outlier: robust HW keeps
-        // forecasting well, plain HW is knocked off course.
-        let pattern = [2.0, -1.0, -1.0, 0.0];
-        let series: Vec<f64> = (0..40).map(|t| 10.0 + pattern[t % 4]).collect();
-        let mut corrupted = series.clone();
-        corrupted[20] = 500.0;
-
-        let st = initial_state(&series[..12], 4).unwrap();
-        let params = HwParams::new(0.3, 0.1, 0.1);
-
-        let mut robust = RobustHoltWinters::new(params, st.clone(), 0.5, 0.1);
-        let mut plain = HoltWinters::new(params, st);
-
-        let mut robust_post_err = 0.0;
-        let mut plain_post_err = 0.0;
-        for (t, (&y_corrupt, &y_clean)) in corrupted.iter().zip(&series).enumerate() {
-            let rf = robust.forecast_one();
-            let pf = plain.forecast_one();
-            if t > 20 {
-                robust_post_err += (rf - y_clean).abs();
-                plain_post_err += (pf - y_clean).abs();
-            }
-            robust.update(y_corrupt);
-            plain.update(y_corrupt);
-        }
-        assert!(
-            robust_post_err < plain_post_err / 3.0,
-            "robust {robust_post_err} vs plain {plain_post_err}"
-        );
-    }
-
-    #[test]
-    fn cleaned_value_bounded_by_k_sigmas() {
-        let st = HwState::new(0.0, 0.0, vec![0.0; 4], 0);
-        let mut r = RobustHoltWinters::new(HwParams::default(), st, 1.0, 0.1);
-        let step = r.update(1000.0);
-        // Cleaned value within k·σ of the forecast (forecast was 0, σ=1, k=2).
-        assert!((step.cleaned - 2.0).abs() < 1e-12);
-        assert!((step.outlier - 998.0).abs() < 1e-12);
-        assert!((step.raw_error - 1000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inlier_passes_through_uncleaned() {
-        let st = HwState::new(0.0, 0.0, vec![0.0; 4], 0);
-        let mut r = RobustHoltWinters::new(HwParams::default(), st, 1.0, 0.1);
-        let step = r.update(0.5); // 0.5σ — inside the Huber band
-        assert!((step.cleaned - 0.5).abs() < 1e-12);
-        assert_eq!(step.outlier, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_initial_scale_rejected() {
-        RobustScale::new(0.0, 0.1);
     }
 }
