@@ -1,7 +1,7 @@
 //! The `cluster` subcommand: launch N `serve` **processes** from one
 //! spec, then prove multi-process sharding end to end — a stream
 //! registered on its owning node is unreachable on any other node, a
-//! slot migration ships its checkpoint envelope over the wire and flips
+//! slot migration ships its checkpoint over the wire and flips
 //! the slot's owner, and the whole cluster shuts down cleanly.
 //!
 //! ```text
@@ -262,7 +262,7 @@ pub fn cluster(opts: &ClusterOpts) -> CmdResult {
     let before = forecast_bits(&mut router, stream_id)?;
 
     // --- Migrate the stream's route slot (the demo stream is its only
-    // stream so far): envelope over the wire, slot owner flipped and
+    // stream so far): checkpoint over the wire, slot owner flipped and
     // published, old copy unloaded (and its checkpoint file deleted on
     // the old owner).
     let slot = router.map().shard_of(stream_id);

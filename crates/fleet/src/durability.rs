@@ -1,14 +1,13 @@
-//! Durable per-stream checkpoints: the v2 envelope on disk, atomic
-//! rotation, restore, and crash recovery.
+//! Durable per-stream checkpoints: SOFIA's checkpoint text on disk,
+//! atomic rotation, restore, and crash recovery.
 //!
-//! Each SOFIA stream owns one file `<dir>/<encoded-id>.ckpt` holding a
-//! tagged **v2 checkpoint envelope** (`sofia-checkpoint v2` /
-//! `model sofia` / `steps <n>` / the v1 text of
-//! [`sofia_core::checkpoint::save`] — see [`sofia_core::snapshot`]).
-//! Restore refuses an envelope of any other kind as
-//! [`FleetError::Corrupt`]. Bare **v1** files (pre-envelope SOFIA
-//! checkpoints) still load bit-exactly: the envelope parser recognizes
-//! the v1 header and reports them as `kind = "sofia"`.
+//! Each SOFIA stream owns one file `<dir>/<encoded-id>.ckpt` holding the
+//! text of [`sofia_core::checkpoint::save`], the one format of a SOFIA
+//! model: `sofia-cli run` writes it, a `register` frame carries it, and
+//! its own `steps <n>` trailer seeds the stream's applied-steps counter.
+//! Every restore is [`checkpoint::load`] then [`ModelHandle::sofia`];
+//! a text `load` refuses (another format, such as the retired v2
+//! envelope, or a malformed file) is [`FleetError::Corrupt`].
 //!
 //! Writes go through a temp file in the same directory followed by an
 //! atomic `rename`, so a crash mid-write never damages the previous good
@@ -21,7 +20,6 @@
 use crate::error::FleetError;
 use crate::model::ModelHandle;
 use sofia_core::checkpoint;
-use sofia_core::snapshot::{self, SOFIA_KIND};
 use std::path::{Path, PathBuf};
 
 /// When and where the engine checkpoints.
@@ -150,30 +148,23 @@ pub fn remove_checkpoint(dir: &Path, stream_id: &str) -> Result<(), FleetError> 
     }
 }
 
-/// Restores a SOFIA handle from raw checkpoint text (v2 envelope or bare
-/// v1 SOFIA); an envelope of any other kind is refused.
-fn restore_from_text(text: &str) -> Result<ModelHandle, String> {
-    let env = snapshot::parse(text).map_err(|e| e.to_string())?;
-    if env.kind != SOFIA_KIND {
-        return Err(format!("unknown model kind `{}`", env.kind));
-    }
-    let model = checkpoint::load(&env.payload).map_err(|e| e.to_string())?;
-    Ok(ModelHandle::sofia(model).with_steps(env.steps))
-}
-
-/// Restores a model handle from checkpoint-envelope text, reporting
-/// failures as [`FleetError::Corrupt`] against `stream_id`.
+/// Restores a SOFIA handle from checkpoint text, reporting a text
+/// [`checkpoint::load`] refuses as [`FleetError::Corrupt`] against
+/// `stream_id`.
 ///
-/// This is the deserialization half of the envelope's second life as a
-/// **wire form**: a `sofia-net` client registers a stream over TCP by
-/// sending exactly the text [`ModelHandle::checkpoint_text`] produces,
-/// and the server turns it back into a servable handle here — the same
-/// bit-exact path crash recovery uses.
+/// The checkpoint text is also a model's **wire form**: a `sofia-net`
+/// client registers a stream over TCP by sending exactly the text
+/// [`ModelHandle::checkpoint_text`] produces, and the server turns it
+/// back into a servable handle here — the same bit-exact path crash
+/// recovery uses.
 pub fn restore_handle(stream_id: &str, text: &str) -> Result<ModelHandle, FleetError> {
-    restore_from_text(text).map_err(|reason| FleetError::Corrupt {
-        stream: stream_id.to_string(),
-        reason,
-    })
+    match checkpoint::load(text) {
+        Ok(model) => Ok(ModelHandle::sofia(model)),
+        Err(e) => Err(FleetError::Corrupt {
+            stream: stream_id.to_string(),
+            reason: e.reason,
+        }),
+    }
 }
 
 /// Loads one stream's checkpoint from `dir`, if present. Used by shard
@@ -184,12 +175,7 @@ pub fn load_stream(dir: &Path, stream_id: &str) -> Result<Option<ModelHandle>, F
         return Ok(None);
     }
     let text = std::fs::read_to_string(&path)?;
-    restore_from_text(&text)
-        .map(Some)
-        .map_err(|reason| FleetError::Corrupt {
-            stream: stream_id.to_string(),
-            reason,
-        })
+    restore_handle(stream_id, &text).map(Some)
 }
 
 /// One recovered stream: id plus its restored model handle.
@@ -231,11 +217,7 @@ pub fn recover_all(dir: &Path) -> Result<Vec<RecoveredStream>, FleetError> {
             stream: stem.to_string(),
             reason: format!("undecodable file name `{name}`"),
         })?;
-        let text = std::fs::read_to_string(&path)?;
-        let handle = restore_from_text(&text).map_err(|reason| FleetError::Corrupt {
-            stream: id.clone(),
-            reason,
-        })?;
+        let handle = restore_handle(&id, &std::fs::read_to_string(&path)?)?;
         recovered.push(RecoveredStream { id, handle });
     }
     recovered.sort_by(|a, b| a.id.cmp(&b.id));
@@ -259,21 +241,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
-
-    /// An envelope of the `smf` kind, as earlier builds wrote and
-    /// restored it (one SMF model on 2×2 slices, rank 1, period 2).
-    const SMF_ENVELOPE: &str = "sofia-checkpoint v2\nmodel smf\nsteps 1\nsmf v1\n\
-        hyper 3fb999999999999a 3fc999999999999a\nfactors 2\nfactor 2 1\n\
-        data 3fe36311e3c00300 3fe9760e05584607\nfactor 2 1\n\
-        data 3fe511497c7a06a3 3fe8164e5d85cb41\ndrift be27d10600000000\nseasonal 2\n\
-        z 401320666df238fe\nz 400667a6ea8ef31a\n";
-
-    /// An envelope of the `online-sgd` kind, as earlier builds wrote and
-    /// restored it (one OnlineSGD model on 2×2 slices, rank 1).
-    const ONLINE_SGD_ENVELOPE: &str = "sofia-checkpoint v2\nmodel online-sgd\nsteps 1\n\
-        online-sgd v1\nhyper 3fb999999999999a\nsteps 1\nfactors 2\nfactor 2 1\n\
-        data 3ff017b8d5907c96 3ff7f02f71c36e9a\nfactor 2 1\n\
-        data 3ff017b8d5907c96 3ff3ed05bbae3de6\n";
 
     #[test]
     fn id_encoding_roundtrips() {
@@ -451,7 +418,7 @@ mod tests {
         let mut handle = ModelHandle::sofia(small_sofia(7));
         handle.step(&sofia_slice(7, STARTUP));
         write_checkpoint(&dir, "s1", &handle.checkpoint_text().unwrap()).unwrap();
-        std::fs::write(temp_path(&dir, "s1"), "sofia-checkpoint v2\nmodel sof").unwrap();
+        std::fs::write(temp_path(&dir, "s1"), "sofia-checkpoint v1\nconfig 2 4").unwrap();
 
         let recovered = recover_all(&dir).unwrap();
         assert_eq!(recovered.len(), 1, "exactly the good checkpoint loads");
@@ -495,50 +462,68 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// SOFIA is the one kind that restores: an envelope of a kind no
-    /// build ever wrote, and the `smf` and `online-sgd` envelopes that
-    /// earlier builds wrote, are each refused as corrupt, naming the
-    /// stream and the kind.
+    /// One format restores: the text of `checkpoint::save`. The retired
+    /// v2 envelope around that same text, and the text with an integer
+    /// respelled or a line after its trailer, are each refused as
+    /// corrupt, naming the stream — through `restore_handle`,
+    /// `recover_all` and `Fleet::recover` alike.
     #[test]
     fn restore_dispatches_by_kind_and_rejects_unknown() {
         let dir = tmpdir("dispatch");
-        write_checkpoint(
-            &dir,
-            "sofia",
-            &ModelHandle::sofia(small_sofia(1))
-                .checkpoint_text()
-                .unwrap(),
-        )
-        .unwrap();
-        for (id, kind, text) in [
+        let text = ModelHandle::sofia(small_sofia(1))
+            .checkpoint_text()
+            .unwrap();
+        write_checkpoint(&dir, "sofia", &text).unwrap();
+        let steps = restore_handle("sofia", &text).unwrap().model_steps();
+        let trailer = format!("\nsteps {steps}\n");
+        assert!(text.ends_with(&trailer), "{text}");
+        let policy = || crate::FleetConfig {
+            checkpoint: Some(CheckpointPolicy::new(&dir, 1_000_000)),
+            ..crate::FleetConfig::with_shards(1)
+        };
+        for (id, bad, why) in [
             (
-                "alien",
-                "from-the-future",
-                "sofia-checkpoint v2\nmodel from-the-future\nsteps 3\npayload\n",
+                "retired",
+                format!("sofia-checkpoint v2\nmodel sofia\nsteps {steps}\n{text}"),
+                "bad checkpoint header `sofia-checkpoint v2`",
             ),
-            ("smf", "smf", SMF_ENVELOPE),
-            ("sgd", "online-sgd", ONLINE_SGD_ENVELOPE),
+            (
+                "signed",
+                text.replace(&trailer, &format!("\nsteps +{steps}\n")),
+                "bad steps",
+            ),
+            (
+                "padded",
+                text.replace("\nfactors 2\n", "\nfactors 02\n"),
+                "bad factors `02`",
+            ),
+            (
+                "trailing",
+                format!("{text}steps {steps}\n"),
+                "trailing line",
+            ),
         ] {
-            std::fs::write(checkpoint_path(&dir, id), text).unwrap();
-            match recover_all(&dir) {
+            match restore_handle(id, &bad) {
                 Err(FleetError::Corrupt { stream, reason }) => {
                     assert_eq!(stream, id);
-                    assert!(
-                        reason.contains(&format!("unknown model kind `{kind}`")),
-                        "{reason}"
-                    );
+                    assert!(reason.contains(why), "{id}: {reason}");
                 }
                 other => panic!("expected Corrupt for {id}, got {other:?}"),
             }
+            std::fs::write(checkpoint_path(&dir, id), &bad).unwrap();
+            assert!(
+                matches!(recover_all(&dir), Err(FleetError::Corrupt { stream, .. }) if stream == id)
+            );
             assert!(matches!(
-                restore_handle(id, text),
-                Err(FleetError::Corrupt { .. })
+                crate::Fleet::recover(policy()),
+                Err(FleetError::Corrupt { stream, .. }) if stream == id
             ));
             std::fs::remove_file(checkpoint_path(&dir, id)).unwrap();
         }
         let recovered = recover_all(&dir).unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].handle.name(), "SOFIA");
+        assert_eq!(recovered[0].handle.checkpoint_text(), Some(text));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

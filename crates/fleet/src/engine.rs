@@ -69,8 +69,8 @@ impl FleetConfig {
 ///   groups requests by shard into one queue round-trip per involved
 ///   shard;
 /// * **durability** checkpoints every SOFIA stream periodically and on
-///   shutdown, as tagged v2 checkpoint envelopes; [`Fleet::recover`]
-///   restores every stream from such a directory;
+///   shutdown, in the text of [`sofia_core::checkpoint::save`];
+///   [`Fleet::recover`] restores every stream from such a directory;
 /// * **lifecycle** ([`FleetConfig::evict_idle_after`]) checkpoints and
 ///   unloads idle streams, restoring them lazily on the next ingest or
 ///   query.
@@ -115,8 +115,8 @@ impl Fleet {
     }
 
     /// Starts an engine and restores every stream checkpointed in the
-    /// config's checkpoint directory (bare pre-envelope v1 SOFIA files
-    /// load too; an envelope of any other model kind is
+    /// config's checkpoint directory (a file
+    /// [`sofia_core::checkpoint::load`] refuses is
     /// [`FleetError::Corrupt`]). Returns the engine and the number of
     /// streams recovered.
     ///
@@ -147,7 +147,7 @@ impl Fleet {
     /// points ([`Fleet::try_ingest_id`], the query methods) look the key
     /// up per call.
     pub fn register(&self, id: &str, model: ModelHandle) -> Result<StreamKey, FleetError> {
-        let key = self.registry.insert(id)?;
+        let key = self.registry.insert(id, model.slice_shape().cloned())?;
         let (reply, ready) = mpsc::channel();
         self.shards[key.shard()].send(Command::Register {
             stream: key.interned(),
@@ -188,17 +188,30 @@ impl Fleet {
     /// the key carries the route and the bounded queue is the only
     /// synchronization point.
     pub fn try_ingest(&self, key: &StreamKey, slice: ObservedTensor) -> Result<(), IngestError> {
-        Fleet::check_slice(&slice)?;
+        Fleet::check_slice(key, &slice)?;
         self.shards[key.shard()].try_ingest(key.interned(), slice)
     }
 
-    /// The ingest boundary check: NaN or ±∞ at an observed entry is
-    /// [`IngestError::NonFinite`], because one such value leaves a SOFIA
-    /// stream's factors non-finite for good (and the next periodic
-    /// checkpoint would overwrite the good file). Values at unobserved
-    /// entries are never read, so any bit pattern passes there. Public
-    /// so a front end can check a whole batch before applying any of it.
-    pub fn check_slice(slice: &ObservedTensor) -> Result<(), IngestError> {
+    /// The ingest boundary check. A slice shaped unlike the one the
+    /// stream's model reported at registration is
+    /// [`IngestError::ShapeMismatch`], because SOFIA's update would
+    /// panic on it and quarantine the stream after the slice was
+    /// accepted (a transient model reports no shape and is not checked).
+    /// NaN or ±∞ at an observed entry is [`IngestError::NonFinite`],
+    /// because one such value leaves a SOFIA stream's factors non-finite
+    /// for good (and the next periodic checkpoint would overwrite the
+    /// good file). Values at unobserved entries are never read, so any
+    /// bit pattern passes there. Public so a front end can check a whole
+    /// batch before applying any of it.
+    pub fn check_slice(key: &StreamKey, slice: &ObservedTensor) -> Result<(), IngestError> {
+        if let Some(expected) = key.slice_shape() {
+            if slice.shape() != expected {
+                return Err(IngestError::ShapeMismatch {
+                    expected: expected.clone(),
+                    found: slice.shape().clone(),
+                });
+            }
+        }
         let values = slice.values();
         match slice
             .mask()
@@ -370,15 +383,15 @@ impl Fleet {
         Ok(())
     }
 
-    /// Serializes a stream's current model as checkpoint-envelope text —
+    /// Serializes a stream's current model as checkpoint text —
     /// the same bit-exact form the durability layer writes to disk and a
     /// `sofia-net` `register` frame accepts.
     ///
     /// The command rides the owning shard's FIFO command queue, so the
-    /// returned envelope includes every slice accepted by
+    /// returned text includes every slice accepted by
     /// [`Fleet::try_ingest`] before this call. Together with
     /// [`Fleet::deregister`] this is the engine half of **stream
-    /// migration**: export here, register the envelope on another
+    /// migration**: export here, register the text on another
     /// process (over the wire or in-process), then deregister the
     /// original. Transient models (anything but SOFIA) have no
     /// exportable form and fail with [`FleetError::InvalidQuery`];
@@ -844,6 +857,38 @@ mod tests {
         }
     }
 
+    /// A slice shaped unlike the stream's SOFIA model is refused before
+    /// it is enqueued, so the stream is not quarantined and keeps
+    /// stepping; a transient model reports no shape and takes any.
+    #[test]
+    fn wrong_shaped_slice_is_refused_before_enqueue() {
+        use crate::model::tests::{small_sofia, sofia_slice, STARTUP};
+
+        let fleet = small_fleet(1);
+        let key = fleet
+            .register("sofia", ModelHandle::sofia(small_sofia(3)))
+            .unwrap();
+        let steps = stream_stats(&fleet, "sofia").unwrap().steps;
+        match fleet.try_ingest(&key, slice(1.0)) {
+            Err(e @ IngestError::ShapeMismatch { .. }) => {
+                assert_eq!(
+                    e.to_string(),
+                    "slice shape 2×2 differs from the stream's 3×3"
+                )
+            }
+            other => panic!("expected ShapeMismatch, got {other:?}"),
+        }
+        fleet.try_ingest(&key, sofia_slice(3, STARTUP)).unwrap();
+        fleet.flush().unwrap();
+        assert_eq!(stream_stats(&fleet, "sofia").unwrap().steps, steps + 1);
+
+        let counter = fleet.register("counter", ModelHandle::serve(Counter::new()));
+        let one = ObservedTensor::fully_observed(DenseTensor::full(Shape::new(&[1]), 0.0));
+        fleet.try_ingest(&counter.unwrap(), one).unwrap();
+        fleet.flush().unwrap();
+        assert_eq!(stream_stats(&fleet, "counter").unwrap().steps, 1);
+    }
+
     #[test]
     fn backpressure_returns_the_slice() {
         let fleet = Fleet::new(FleetConfig {
@@ -1068,13 +1113,13 @@ mod tests {
         assert!(checkpoint_path(&dir, "mig").exists());
 
         // Export rides the command queue, so it reflects all 3 steps.
-        let envelope = source.export_stream("mig").unwrap();
+        let text = source.export_stream("mig").unwrap();
 
-        // The envelope registers on a second engine through the same
+        // The text registers on a second engine through the same
         // restore path crash recovery (and the wire) uses…
         let target = small_fleet(1);
         target
-            .register("mig", restore_handle("mig", &envelope).unwrap())
+            .register("mig", restore_handle("mig", &text).unwrap())
             .unwrap();
         assert_eq!(stream_stats(&target, "mig").unwrap().steps, 3);
 
@@ -1126,7 +1171,7 @@ mod tests {
             Err(FleetError::UnknownStream(_))
         ));
         // A transient model has no checkpoint, hence no
-        // exportable envelope — typed rejection, not a panic.
+        // exportable checkpoint — typed rejection, not a panic.
         fleet
             .register("t", ModelHandle::serve(Counter::new()))
             .unwrap();

@@ -105,6 +105,14 @@ pub enum IngestError {
         /// Flat offset of the first such entry.
         offset: usize,
     },
+    /// The slice's shape is not the one the stream's model steps on (see
+    /// [`crate::Fleet::check_slice`]); nothing was enqueued.
+    ShapeMismatch {
+        /// The shape the stream's model steps on.
+        expected: sofia_tensor::Shape,
+        /// The slice's shape.
+        found: sofia_tensor::Shape,
+    },
 }
 
 impl fmt::Display for IngestError {
@@ -115,6 +123,12 @@ impl fmt::Display for IngestError {
             IngestError::ShuttingDown => write!(f, "fleet engine is shutting down"),
             IngestError::NonFinite { offset } => {
                 write!(f, "non-finite value at observed offset {offset}")
+            }
+            IngestError::ShapeMismatch { expected, found } => {
+                write!(
+                    f,
+                    "slice shape {found} differs from the stream's {expected}"
+                )
             }
         }
     }

@@ -37,14 +37,14 @@
 //!   the shard as an [`Answer`] in Kruskal form (factors plus R
 //!   weights); the ticket, or the network client, rebuilds the dense
 //!   slice with the model's own kernel, bit for bit.
-//! * **Durability** ([`durability`]) — periodic per-stream checkpoints as
-//!   tagged **v2 checkpoint envelopes** (`sofia-checkpoint v2` +
-//!   `model sofia`; see [`sofia_core::snapshot`]), written with atomic
+//! * **Durability** ([`durability`]) — periodic per-stream checkpoints in
+//!   the one format of a SOFIA model, the text of
+//!   [`sofia_core::checkpoint::save`] (the same text `sofia-cli run`
+//!   writes and a `register` frame carries), written with atomic
 //!   temp-file + rename rotation. SOFIA is the one durable model kind:
-//!   [`Fleet::recover`] restores each SOFIA stream, and an envelope of
-//!   any other kind is [`FleetError::Corrupt`]. Restored models produce
-//!   outputs identical to an uninterrupted run. Bare pre-envelope v1
-//!   SOFIA files keep loading bit-exactly.
+//!   [`Fleet::recover`] restores each SOFIA stream, and a text
+//!   [`sofia_core::checkpoint::load`] refuses is [`FleetError::Corrupt`].
+//!   Restored models produce outputs identical to an uninterrupted run.
 //! * **Stream lifecycle** ([`FleetConfig::evict_idle_after`]) — idle
 //!   SOFIA streams (LRU by last-ingest step) are checkpointed
 //!   and unloaded from their shard, then lazily restored on the next

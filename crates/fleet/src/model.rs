@@ -2,15 +2,15 @@
 //! layer checkpoints, or a transient [`StreamingFactorizer`], which it
 //! only steps and queries.
 //!
-//! SOFIA is the one durable model kind. A SOFIA handle serializes its
-//! model with [`checkpoint::save`] inside the v2 envelope
-//! ([`sofia_core::snapshot`]) and is restored by
-//! [`crate::durability::restore_handle`]; a transient handle (a test
-//! double, say) has no checkpoint and is never evicted.
+//! SOFIA is the one durable model kind. A SOFIA handle's checkpoint is
+//! exactly the text of [`checkpoint::save`], and
+//! [`crate::durability::restore_handle`] restores it; a transient
+//! handle (a test double, say) has no checkpoint and is never evicted.
 //!
 //! The handle also owns the **applied-steps counter**: every step the
-//! shard applies increments it, it is seeded from the envelope on
-//! restore, and it is what checkpoint cadence, eviction bookkeeping, and
+//! shard applies increments it, a SOFIA handle seeds it from the model's
+//! own step count (the checkpoint's `steps <n>` trailer, on restore),
+//! and it is what checkpoint cadence, eviction bookkeeping, and
 //! `StreamStats::steps` report.
 //!
 //! A shard steps a SOFIA model with the update alone
@@ -23,10 +23,9 @@
 
 use crate::protocol::{Answer, KruskalSlice, QueryResponse, SparseOutliers};
 use sofia_core::checkpoint;
-use sofia_core::snapshot::{self, SOFIA_KIND};
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
 use sofia_core::Sofia;
-use sofia_tensor::{Mask, ObservedTensor};
+use sofia_tensor::{Mask, ObservedTensor, Shape};
 
 /// What a handle serves.
 enum Served {
@@ -83,21 +82,14 @@ impl ModelHandle {
     /// Serves a SOFIA model: it is checkpointed by the durability
     /// policy, restored by [`crate::Fleet::recover`], and eligible for
     /// idle eviction. The steps counter is seeded from the model's own
-    /// state, so a model restored via `sofia-cli resume` keeps its
-    /// history.
+    /// state, so a model restored from a checkpoint — the fleet's or
+    /// `sofia-cli run`'s — keeps its history.
     pub fn sofia(model: Sofia) -> Self {
         let steps = model.dynamic().steps() as u64;
         ModelHandle {
             served: Served::Sofia(Box::new(model)),
             steps,
         }
-    }
-
-    /// Overrides the applied-steps counter (restore paths seed it from
-    /// the checkpoint envelope).
-    pub(crate) fn with_steps(mut self, steps: u64) -> Self {
-        self.steps = steps;
-        self
     }
 
     fn factorizer(&self) -> &dyn StreamingFactorizer {
@@ -181,22 +173,27 @@ impl ModelHandle {
         matches!(self.served, Served::Sofia(_))
     }
 
-    /// Serializes a SOFIA model as a tagged v2 checkpoint envelope, or
+    /// The slice shape a SOFIA model steps on; `None` for a transient
+    /// model, whose slices the fleet does not check.
+    pub(crate) fn slice_shape(&self) -> Option<&Shape> {
+        match &self.served {
+            Served::Sofia(model) => Some(model.dynamic().slice_shape()),
+            Served::Transient(_) => None,
+        }
+    }
+
+    /// A SOFIA model's checkpoint, the text of [`checkpoint::save`], or
     /// `None` for a transient model.
     pub fn checkpoint_text(&self) -> Option<String> {
         match &self.served {
-            Served::Sofia(model) => Some(snapshot::wrap(
-                SOFIA_KIND,
-                self.steps,
-                &checkpoint::save(model),
-            )),
+            Served::Sofia(model) => Some(checkpoint::save(model)),
             Served::Transient(_) => None,
         }
     }
 
     /// Streaming steps applied so far: the handle counts the steps the
-    /// shard completed on top of whatever the checkpoint envelope (or
-    /// SOFIA's own state) seeded.
+    /// shard completed on top of whatever SOFIA's own state (for a
+    /// restored model, its checkpoint's trailer) seeded.
     pub fn model_steps(&self) -> u64 {
         self.steps
     }
@@ -205,7 +202,7 @@ impl ModelHandle {
 impl std::fmt::Debug for ModelHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = if self.is_durable() {
-            SOFIA_KIND
+            "sofia"
         } else {
             "transient"
         };
@@ -292,15 +289,27 @@ pub(crate) mod tests {
         assert_eq!(h.model_steps(), 2);
     }
 
+    /// The counter and the checkpoint's `steps <n>` trailer are one
+    /// number: each shard step moves both, and a restore seeds the
+    /// counter from the trailer.
     #[test]
     fn restored_steps_seed_the_counter() {
-        let h = ModelHandle::sofia(small_sofia(1)).with_steps(41);
+        let mut h = ModelHandle::sofia(small_sofia(1));
         assert!(h.is_durable());
-        assert_eq!(h.model_steps(), 41);
-        let mut h = h;
-        h.step(&sofia_slice(1, STARTUP));
-        assert_eq!(h.model_steps(), 42);
+        assert_eq!(h.slice_shape().map(Shape::dims), Some(&[3, 3][..]));
+        let start = h.model_steps();
+        for t in STARTUP..STARTUP + 3 {
+            h.step(&sofia_slice(1, t));
+        }
+        assert_eq!(h.model_steps(), start + 3);
         let text = h.checkpoint_text().expect("SOFIA is durable");
-        assert!(text.starts_with("sofia-checkpoint v2\nmodel sofia\nsteps 42\n"));
+        assert!(text.starts_with("sofia-checkpoint v1\n"));
+        assert!(
+            text.ends_with(&format!("\nsteps {}\n", start + 3)),
+            "{text}"
+        );
+        let restored = ModelHandle::sofia(checkpoint::load(&text).expect("loads"));
+        assert_eq!(restored.model_steps(), start + 3);
+        assert_eq!(restored.checkpoint_text().as_deref(), Some(text.as_str()));
     }
 }

@@ -583,6 +583,7 @@ pub mod wire {
     use crate::error::FleetError;
     use crate::stats::{MetricKind, StreamStats};
     use sofia_core::snapshot::wire as hexwire;
+    pub use sofia_core::snapshot::wire::{parse_int, LineCursor, WireError};
     use sofia_core::traits::StepOutput;
     use sofia_sketch::{metric::METRIC_WIRE_LINES, MetricSummary};
     use sofia_tensor::{DenseTensor, Mask, Matrix, ObservedTensor, Shape};
@@ -655,91 +656,6 @@ pub mod wire {
         }
     }
 
-    /// A malformed wire payload: what the parser expected and what it
-    /// found. Deliberately a plain diagnostic — transport code maps it
-    /// onto its own error type.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct WireError {
-        /// Parser diagnostic.
-        pub reason: String,
-    }
-
-    impl WireError {
-        /// A wire error with the given diagnostic (public so transport
-        /// crates report their own parse failures through the same
-        /// type).
-        pub fn new(reason: impl Into<String>) -> Self {
-            WireError {
-                reason: reason.into(),
-            }
-        }
-    }
-
-    impl std::fmt::Display for WireError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "malformed wire payload: {}", self.reason)
-        }
-    }
-
-    impl std::error::Error for WireError {}
-
-    /// Line-at-a-time reader over a wire body; every consumer states what
-    /// it expects so truncation errors name the missing piece.
-    #[derive(Debug, Clone)]
-    pub struct LineCursor<'a> {
-        lines: std::str::Lines<'a>,
-    }
-
-    impl<'a> LineCursor<'a> {
-        /// A cursor over `text`'s lines.
-        pub fn new(text: &'a str) -> Self {
-            LineCursor {
-                lines: text.lines(),
-            }
-        }
-
-        /// The next line, or a truncation error naming `what`.
-        pub fn next(&mut self, what: &str) -> Result<&'a str, WireError> {
-            self.lines
-                .next()
-                .ok_or_else(|| WireError::new(format!("truncated: expected {what}")))
-        }
-
-        /// Rejects trailing content after a complete parse.
-        pub fn finish(mut self) -> Result<(), WireError> {
-            match self.lines.next() {
-                Some(extra) => Err(WireError::new(format!("trailing line `{extra}`"))),
-                None => Ok(()),
-            }
-        }
-    }
-
-    /// Splits a `key value…` line: the rest of the line after `key ` (or
-    /// empty when the line is exactly `key`).
-    fn field<'a>(cur: &mut LineCursor<'a>, key: &str) -> Result<&'a str, WireError> {
-        let line = cur.next(key)?;
-        if line == key {
-            return Ok("");
-        }
-        line.strip_prefix(key)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| WireError::new(format!("expected `{key}`, got `{line}`")))
-    }
-
-    /// Parses an integer of the wire — a count, offset, dimension,
-    /// counter or request field — in its one canonical spelling: decimal
-    /// digits, no sign, no leading zero. `what` names it in the error.
-    pub fn parse_int<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, WireError> {
-        let bad = || WireError::new(format!("bad {what} `{tok}`"));
-        let canonical = !tok.is_empty()
-            && tok.bytes().all(|b| b.is_ascii_digit())
-            && (tok == "0" || !tok.starts_with('0'));
-        if !canonical {
-            return Err(bad());
-        }
-        tok.parse().map_err(|_| bad())
-    }
-
     /// Appends a `shape` line with the given mode lengths.
     fn push_dims(out: &mut String, dims: impl IntoIterator<Item = usize>) {
         out.push_str("shape");
@@ -758,7 +674,7 @@ pub mod wire {
     /// so a hostile shape can neither panic `Shape::new` nor provoke a
     /// giant allocation.
     fn parse_shape(cur: &mut LineCursor<'_>) -> Result<Shape, WireError> {
-        let rest = field(cur, "shape")?;
+        let rest = cur.field("shape")?;
         let dims: Vec<usize> = rest
             .split_whitespace()
             .map(|tok| parse_int(tok, "shape dimension"))
@@ -781,10 +697,6 @@ pub mod wire {
                 })?;
         }
         Ok(Shape::new(&dims))
-    }
-
-    fn parse_hex_f64s(line: &str, label: &str) -> Result<Vec<f64>, WireError> {
-        hexwire::parse_f64s(line, label).map_err(|e| WireError::new(e.to_string()))
     }
 
     /// Appends a tensor block in the dense form: `shape …` + `data
@@ -824,7 +736,7 @@ pub mod wire {
         if let Some(rank) = line.strip_prefix("kruskal ") {
             return Ok(parse_kruskal(cur, shape, rank)?.to_dense());
         }
-        let data = parse_hex_f64s(line, "data")?;
+        let data = hexwire::parse_f64s(line, "data")?;
         if data.len() != shape.len() {
             return Err(WireError::new(format!(
                 "tensor data carries {} values for a {}-element shape",
@@ -855,7 +767,7 @@ pub mod wire {
         }
         let mut factors = Vec::with_capacity(shape.order());
         for &rows in shape.dims() {
-            let values = parse_hex_f64s(cur.next("kruskal factor")?, "factor")?;
+            let values = hexwire::parse_f64s(cur.next("kruskal factor")?, "factor")?;
             if values.len() != rows * r {
                 return Err(WireError::new(format!(
                     "factor carries {} values for a {rows}×{r} matrix",
@@ -864,7 +776,7 @@ pub mod wire {
             }
             factors.push(Matrix::from_vec(rows, r, values));
         }
-        let weights = parse_hex_f64s(cur.next("kruskal weights")?, "weights")?;
+        let weights = hexwire::parse_f64s(cur.next("kruskal weights")?, "weights")?;
         if weights.len() != r {
             return Err(WireError::new(format!(
                 "weights carries {} values for rank {r}",
@@ -946,7 +858,7 @@ pub mod wire {
     ) -> Result<ObservedTensor, WireError> {
         let shape = parse_shape(cur)?;
         budget.take(shape.len())?;
-        let data = parse_hex_f64s(cur.next("slice data")?, "data")?;
+        let data = hexwire::parse_f64s(cur.next("slice data")?, "data")?;
         let mask = parse_bits(cur.next("slice bits")?, &shape)?;
         if data.len() != mask.count_observed() {
             return Err(WireError::new(format!(
@@ -982,7 +894,7 @@ pub mod wire {
         shape: &Shape,
         budget: &mut DecodeBudget,
     ) -> Result<Option<DenseTensor>, WireError> {
-        let count = field(cur, "outliers")?;
+        let count = cur.field("outliers")?;
         if count == "none" {
             return Ok(None);
         }
@@ -1001,7 +913,7 @@ pub mod wire {
                 offsets.len()
             )));
         }
-        let values = parse_hex_f64s(cur.next("outlier values")?, "values")?;
+        let values = hexwire::parse_f64s(cur.next("outlier values")?, "values")?;
         if values.len() != k {
             return Err(WireError::new(format!(
                 "outliers {k} carries {} values",
@@ -1092,7 +1004,7 @@ pub mod wire {
     ) -> Result<(MetricSummary, MetricSummary), WireError> {
         let mut ingest_latency = MetricSummary::new();
         let mut forecast_error = MetricSummary::new();
-        let n: usize = parse_int(field(cur, "sketches")?, "sketch count")?;
+        let n: usize = parse_int(cur.field("sketches")?, "sketch count")?;
         if n > MetricKind::ALL.len() {
             return Err(WireError::new(format!(
                 "stats block claims {n} sketches (max {})",
@@ -1101,7 +1013,7 @@ pub mod wire {
         }
         let mut seen = [false; MetricKind::ALL.len()];
         for _ in 0..n {
-            let name = field(cur, "sketch")?;
+            let name = cur.field("sketch")?;
             let metric = MetricKind::from_name(name)
                 .ok_or_else(|| WireError::new(format!("unknown sketch `{name}`")))?;
             let slot = MetricKind::ALL
@@ -1116,8 +1028,7 @@ pub mod wire {
             for line in &mut lines {
                 *line = cur.next("metric sketch line")?;
             }
-            let summary =
-                MetricSummary::from_lines(lines).map_err(|e| WireError::new(e.to_string()))?;
+            let summary = MetricSummary::from_lines(lines)?;
             match metric {
                 MetricKind::IngestLatency => ingest_latency = summary,
                 MetricKind::ForecastError => forecast_error = summary,
@@ -1144,14 +1055,14 @@ pub mod wire {
     /// Parses the per-stream stats block that a `stream-stats` response
     /// carries ([`QueryResponse::to_wire`]).
     pub fn parse_stream_stats(cur: &mut LineCursor<'_>) -> Result<StreamStats, WireError> {
-        let stream = decode_stream_id(field(cur, "stream")?)
+        let stream = decode_stream_id(cur.field("stream")?)
             .ok_or_else(|| WireError::new("undecodable stream id"))?;
-        let model = field(cur, "model")?.to_string();
-        let shard = parse_int(field(cur, "shard")?, "shard")?;
-        let steps = parse_int(field(cur, "steps")?, "steps")?;
-        let queue_depth = parse_int(field(cur, "queue-depth")?, "queue depth")?;
+        let model = cur.field("model")?.to_string();
+        let shard = parse_int(cur.field("shard")?, "shard")?;
+        let steps = parse_int(cur.field("steps")?, "steps")?;
+        let queue_depth = parse_int(cur.field("queue-depth")?, "queue depth")?;
         let steps_since_checkpoint =
-            parse_int(field(cur, "since-checkpoint")?, "checkpoint counter")?;
+            parse_int(cur.field("since-checkpoint")?, "checkpoint counter")?;
         let (ingest_latency, forecast_error) = parse_sketch_block(cur)?;
         Ok(StreamStats {
             stream,
@@ -1268,7 +1179,7 @@ pub mod wire {
                 None
             })),
             "quantile" => Ok(QueryResponse::Quantile(if some {
-                let hex = field(cur, "value")?;
+                let hex = cur.field("value")?;
                 Some(
                     hexwire::parse_f64(hex)
                         .ok_or_else(|| WireError::new(format!("bad quantile value `{hex}`")))?,
@@ -1895,6 +1806,10 @@ mod tests {
         // Each case respells one integer of a valid reply.
         let forecast =
             QueryResponse::Forecast(Some(DenseTensor::full(Shape::new(&[1]), 1.0))).to_wire();
+        let mut latency = MetricSummary::new();
+        for v in [1.0, 2.0, 4.0] {
+            latency.observe(v);
+        }
         let stats = QueryResponse::StreamStats(StreamStats {
             stream: "s".to_string(),
             model: "SOFIA".to_string(),
@@ -1902,7 +1817,7 @@ mod tests {
             steps: 3,
             queue_depth: 0,
             steps_since_checkpoint: 2,
-            ingest_latency: MetricSummary::new(),
+            ingest_latency: latency,
             forecast_error: MetricSummary::new(),
         })
         .to_wire();
@@ -1914,6 +1829,10 @@ mod tests {
             (&stats, "queue-depth 0\n", "queue-depth 00\n"),
             (&stats, "since-checkpoint 2\n", "since-checkpoint +2\n"),
             (&stats, "sketches 2\n", "sketches 02\n"),
+            (&stats, "moments 3\n", "moments +3\n"),
+            (&stats, "moments 3\n", "moments 03\n"),
+            (&stats, "tdigest 3\n", "tdigest +3\n"),
+            (&stats, "tdigest 3\n", "tdigest 03\n"),
         ];
         for (valid, from, to) in respelled {
             assert!(

@@ -6,10 +6,12 @@
 //! that ingest never touches: callers that want a lock-free hot path keep
 //! the [`StreamKey`] handed back by registration and ingest through it.
 
+use sofia_tensor::Shape;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// A registered stream's routing key: the interned id plus its shard.
+/// A registered stream's routing key: the interned id, its shard and
+/// the slice shape its model steps on.
 ///
 /// Cloning is a reference-count bump; ingesting through a key involves no
 /// registry lookup and no lock.
@@ -17,6 +19,7 @@ use std::sync::{Arc, Mutex};
 pub struct StreamKey {
     id: Arc<str>,
     shard: usize,
+    shape: Option<Arc<Shape>>,
 }
 
 impl StreamKey {
@@ -28,6 +31,13 @@ impl StreamKey {
     /// The owning shard.
     pub fn shard(&self) -> usize {
         self.shard
+    }
+
+    /// The slice shape the stream's model steps on, as it reported it at
+    /// registration (`None` for a model that reports none, whose slices
+    /// are not checked).
+    pub(crate) fn slice_shape(&self) -> Option<&Shape> {
+        self.shape.as_deref()
     }
 
     pub(crate) fn interned(&self) -> Arc<str> {
@@ -59,7 +69,7 @@ pub fn shard_of(id: &str, shards: usize) -> usize {
 #[derive(Debug)]
 pub struct Registry {
     shards: usize,
-    table: Mutex<HashMap<Arc<str>, usize>>,
+    table: Mutex<HashMap<Arc<str>, StreamKey>>,
 }
 
 impl Registry {
@@ -72,29 +82,26 @@ impl Registry {
         }
     }
 
-    /// Interns `id`, assigns its shard, and records it. Errors if already
-    /// present.
-    pub fn insert(&self, id: &str) -> Result<StreamKey, crate::FleetError> {
-        let interned: Arc<str> = Arc::from(id);
-        let shard = shard_of(id, self.shards);
+    /// Interns `id`, assigns its shard, and records it with the slice
+    /// shape its model steps on. Errors if already present.
+    pub fn insert(&self, id: &str, shape: Option<Shape>) -> Result<StreamKey, crate::FleetError> {
+        let key = StreamKey {
+            id: Arc::from(id),
+            shard: shard_of(id, self.shards),
+            shape: shape.map(Arc::new),
+        };
         let mut table = self.table.lock().expect("registry poisoned");
-        if table.contains_key(&interned) {
+        if table.contains_key(id) {
             return Err(crate::FleetError::DuplicateStream(id.to_string()));
         }
-        table.insert(Arc::clone(&interned), shard);
-        Ok(StreamKey {
-            id: interned,
-            shard,
-        })
+        table.insert(key.interned(), key.clone());
+        Ok(key)
     }
 
     /// Looks up a registered stream by id.
     pub fn get(&self, id: &str) -> Option<StreamKey> {
         let table = self.table.lock().expect("registry poisoned");
-        table.get_key_value(id).map(|(interned, &shard)| StreamKey {
-            id: Arc::clone(interned),
-            shard,
-        })
+        table.get(id).cloned()
     }
 
     /// Removes a stream id, freeing it for re-registration (used when a
@@ -154,11 +161,12 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let r = Registry::new(3);
-        let key = r.insert("s1").unwrap();
+        let key = r.insert("s1", Some(Shape::new(&[3, 2]))).unwrap();
         assert_eq!(key.id(), "s1");
         assert_eq!(key.shard(), shard_of("s1", 3));
         let again = r.get("s1").unwrap();
         assert_eq!(again.shard(), key.shard());
+        assert_eq!(again.slice_shape(), Some(&Shape::new(&[3, 2])));
         assert!(r.get("nope").is_none());
         assert_eq!(r.len(), 1);
     }
@@ -166,9 +174,9 @@ mod tests {
     #[test]
     fn duplicate_rejected() {
         let r = Registry::new(2);
-        r.insert("s1").unwrap();
+        r.insert("s1", None).unwrap();
         assert!(matches!(
-            r.insert("s1"),
+            r.insert("s1", None),
             Err(crate::FleetError::DuplicateStream(_))
         ));
     }
@@ -177,7 +185,7 @@ mod tests {
     fn ids_sorted() {
         let r = Registry::new(2);
         for id in ["b", "a", "c"] {
-            r.insert(id).unwrap();
+            r.insert(id, None).unwrap();
         }
         assert_eq!(r.ids(), vec!["a", "b", "c"]);
     }

@@ -82,7 +82,7 @@ pub(crate) enum Command {
     /// (the queue is FIFO), so a reply means the shard has applied all
     /// previously ingested slices.
     Flush { reply: Sender<()> },
-    /// Serialize a stream's current model as checkpoint-envelope text.
+    /// Serialize a stream's current model as checkpoint text.
     /// Rides the FIFO command queue, so the snapshot includes every
     /// slice enqueued before it — the read half of a migration
     /// (`register` over the wire is the write half).
@@ -100,7 +100,7 @@ pub(crate) enum Command {
     },
     /// Checkpoint one stream now (no-op `Ok(false)` without a policy or
     /// for a transient model). The durability handshake of a migration:
-    /// the target persists the received envelope before the source's
+    /// the target persists the received checkpoint before the source's
     /// copy is deleted.
     CheckpointStream {
         stream: Arc<str>,
@@ -569,10 +569,10 @@ impl ShardWorker {
         }
     }
 
-    /// Serializes a stream's model as its checkpoint-envelope text —
+    /// Serializes a stream's model as its checkpoint text —
     /// the same bit-exact form the durability layer writes to disk and
     /// `sofia-net` registration ships over the socket. An evicted
-    /// stream's envelope is read straight from its checkpoint file
+    /// stream's text is read straight from its checkpoint file
     /// (current by definition: eviction checkpoints before unloading)
     /// without restoring the model.
     fn export_stream(&mut self, stream: &Arc<str>) -> Result<String, FleetError> {
@@ -583,7 +583,7 @@ impl ShardWorker {
                 .ok_or_else(|| FleetError::InvalidQuery {
                     reason: format!(
                         "stream `{stream}` serves a transient model (only SOFIA \
-                         is checkpointed), so it has no exportable envelope"
+                         is checkpointed), so it has no exportable checkpoint"
                     ),
                 });
         }
@@ -603,7 +603,7 @@ impl ShardWorker {
     /// evicted), the registry id freed for re-registration, and the
     /// checkpoint file deleted so this process can never resurrect the
     /// stream on recovery — its state now lives wherever the exported
-    /// envelope was registered. The file goes first: if its deletion
+    /// checkpoint was registered. The file goes first: if its deletion
     /// fails, no in-memory state has changed yet, so the stream keeps
     /// serving and the caller can simply retry.
     fn deregister_stream(&mut self, stream: &Arc<str>) -> Result<(), FleetError> {

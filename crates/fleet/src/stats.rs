@@ -124,7 +124,7 @@ pub struct StreamStats {
     /// Shard that owns the stream.
     pub shard: usize,
     /// Streaming steps applied since registration (or recovery/restore;
-    /// the handle's counter is seeded from the checkpoint envelope).
+    /// the handle's counter is seeded from the checkpoint).
     pub steps: u64,
     /// Slices currently queued on the owning shard (shard-wide: the queue
     /// is per shard, not per stream).

@@ -2,12 +2,13 @@
 //! mid-stream and restored from their periodic checkpoints (or evicted
 //! and lazily restored); every restored stream's subsequent
 //! `StepOutput`s must be **bit-exact** against an uninterrupted run (the
-//! checkpoint envelope guarantees byte-identical state, and shard
-//! workers apply each stream's slices in order). Covered here:
+//! checkpoint text guarantees byte-identical state, and shard workers
+//! apply each stream's slices in order). Covered here:
 //!
-//! * crash recovery through the tagged v2 envelope, and a graceful
+//! * crash recovery through the checkpoint text, and a graceful
 //!   shutdown that loses nothing;
-//! * bare pre-envelope **v1** SOFIA files still loading;
+//! * the one format end to end: the text `sofia-cli run` writes
+//!   recovers, and the fleet rewrites it byte for byte;
 //! * idle-stream **eviction** and lazy restore with correct queries.
 
 // The comparison loops index control/streamed tables by (stream, step)
@@ -265,8 +266,11 @@ fn graceful_shutdown_loses_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Checkpoints written before the envelope existed (bare v1 SOFIA text)
-/// must keep loading bit-exactly, and a later save upgrades them to v2.
+/// One format end to end: the `checkpoint::save` text that `sofia-cli
+/// run` writes recovers in a fleet, its `steps` trailer becomes the
+/// stream's step counter, the stream continues bit-exactly, and the
+/// fleet's shutdown rewrites the file in that same format — byte for
+/// byte what `checkpoint::save` writes for the uninterrupted model.
 #[test]
 fn bare_v1_sofia_checkpoint_still_loads() {
     let dir = tempdir("v1-compat");
@@ -276,10 +280,10 @@ fn bare_v1_sofia_checkpoint_still_loads() {
     for s in streamed.iter().take(3) {
         StreamingFactorizer::step(&mut control, s);
     }
-    // Write exactly what the pre-envelope engine wrote: bare v1 text.
-    let v1_text = sofia_core::checkpoint::save(&control);
-    assert!(v1_text.starts_with("sofia-checkpoint v1\n"));
-    sofia_fleet::durability::write_checkpoint(&dir, "legacy/stream", &v1_text).unwrap();
+    // Write exactly what `sofia-cli run --checkpoint` writes.
+    let text = sofia_core::checkpoint::save(&control);
+    assert!(text.starts_with("sofia-checkpoint v1\n") && text.ends_with("\nsteps 3\n"));
+    sofia_fleet::durability::write_checkpoint(&dir, "legacy/stream", &text).unwrap();
 
     let fleet_config = || FleetConfig {
         shards: 1,
@@ -291,9 +295,9 @@ fn bare_v1_sofia_checkpoint_still_loads() {
     assert_eq!(n, 1);
     let stats = stream_stats(&recovered, "legacy/stream");
     assert_eq!(stats.model, "SOFIA");
-    assert_eq!(stats.steps, 3, "v1 steps trailer seeds the counter");
+    assert_eq!(stats.steps, 3, "the steps trailer seeds the counter");
 
-    // Continue past the v1 state: bit-exact against the control model.
+    // Continue past the saved state: bit-exact against the control model.
     let key = recovered.key("legacy/stream").expect("registered");
     for s in streamed.iter().skip(3) {
         recovered.try_ingest(&key, s.clone()).expect("ingest");
@@ -303,13 +307,14 @@ fn bare_v1_sofia_checkpoint_still_loads() {
         assert_eq!(out.completed.data(), expect.completed.data());
     }
 
-    // Graceful shutdown rewrites the stream as a v2 envelope…
+    // Graceful shutdown rewrites the stream in the same format…
     assert_eq!(recovered.shutdown().expect("shutdown"), 1);
     let path = sofia_fleet::durability::checkpoint_path(&dir, "legacy/stream");
-    let upgraded = std::fs::read_to_string(path).unwrap();
-    assert!(upgraded.starts_with("sofia-checkpoint v2\nmodel sofia\n"));
-    // …which recovers just as well.
-    let (again, n) = Fleet::recover(fleet_config()).expect("recover v2");
+    let rewritten = std::fs::read_to_string(path).unwrap();
+    assert_eq!(rewritten, sofia_core::checkpoint::save(&control));
+    // …which `checkpoint::load` reads and the fleet recovers again.
+    assert!(sofia_core::checkpoint::load(&rewritten).is_ok());
+    let (again, n) = Fleet::recover(fleet_config()).expect("recover again");
     assert_eq!(n, 1);
     assert_eq!(stream_stats(&again, "legacy/stream").steps, TOTAL as u64);
     let _ = std::fs::remove_dir_all(&dir);

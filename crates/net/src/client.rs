@@ -404,33 +404,33 @@ impl Client {
         }
     }
 
-    /// Registers a stream by shipping the model's checkpoint envelope;
+    /// Registers a stream by shipping the model's checkpoint;
     /// the server restores it through the same bit-exact path crash
     /// recovery uses. Only a SOFIA model has a wire form.
     /// Returns whether the server **persisted** the stream on arrival
     /// (`false` when it runs no checkpoint policy) — the signal a
     /// migration coordinator needs before deleting the source's copy.
     pub fn register(&mut self, stream: &str, model: &ModelHandle) -> Result<bool, ClientError> {
-        let envelope = model.checkpoint_text().ok_or_else(|| {
+        let checkpoint = model.checkpoint_text().ok_or_else(|| {
             ClientError::Protocol(format!(
                 "model `{}` is transient (only SOFIA is checkpointed), so it has \
                  no wire form; register it in-process",
                 model.name()
             ))
         })?;
-        self.register_envelope(stream, &envelope)
+        self.register_checkpoint(stream, &checkpoint)
     }
 
-    /// [`Client::register`] from raw checkpoint-envelope text.
-    pub fn register_envelope(&mut self, stream: &str, envelope: &str) -> Result<bool, ClientError> {
+    /// [`Client::register`] from raw checkpoint text.
+    pub fn register_checkpoint(&mut self, stream: &str, text: &str) -> Result<bool, ClientError> {
         let stream = stream.to_string();
-        let envelope = envelope.to_string();
+        let checkpoint = text.to_string();
         let epoch = self.fence_epoch();
         let id = self.send(|id| Request::Register {
             id,
             epoch,
             stream,
-            envelope,
+            checkpoint,
         })?;
         match self.expect_reply(id)? {
             Ok(reply) => {
@@ -451,10 +451,10 @@ impl Client {
         }
     }
 
-    /// Reads a stream's current model as checkpoint-envelope text — the
-    /// exact payload [`Client::register_envelope`] accepts on another
+    /// Reads a stream's current model as checkpoint text — the
+    /// exact payload [`Client::register_checkpoint`] accepts on another
     /// server, so `snapshot` here + `register` there (+
-    /// [`Client::deregister`] here) migrates the stream. The envelope
+    /// [`Client::deregister`] here) migrates the stream. The checkpoint
     /// reflects every slice the server accepted before this call
     /// answered; callers that ingested concurrently should
     /// [`Client::flush`] first.

@@ -20,8 +20,8 @@
 //!
 //! 1. `flush` the source (read-your-writes: the snapshots must include
 //!    every slice acknowledged so far);
-//! 2. `snapshot` each stream — its checkpoint envelope, bit-exact;
-//! 3. `register` each envelope on the target — the same restore path
+//! 2. `snapshot` each stream — its checkpoint, bit-exact;
+//! 3. `register` each checkpoint on the target — the same restore path
 //!    crash recovery uses, so the model resumes bit-exactly, and the
 //!    target *persists* the arrival before acknowledging (when it runs
 //!    a checkpoint policy), so step 5 never deletes a stream's only
@@ -93,9 +93,9 @@ pub enum MigrationStep<'a> {
     /// The source flushed: every acknowledged slice is now visible to
     /// the snapshots about to be taken.
     Flushed,
-    /// One stream's checkpoint envelope was read from the source.
+    /// One stream's checkpoint was read from the source.
     Snapshotted(&'a str),
-    /// One stream's envelope was registered (and persisted) on the
+    /// One stream's checkpoint was registered (and persisted) on the
     /// target; the source still owns routing.
     Registered(&'a str),
     /// The map flipped: the slot's owner is the target, the epoch
@@ -378,7 +378,7 @@ impl ClusterClient {
     }
 
     /// Registers a stream on its owning endpoint by shipping the
-    /// model's checkpoint envelope (see [`Client::register`]); returns
+    /// model's checkpoint (see [`Client::register`]); returns
     /// whether the owner persisted it on arrival.
     pub fn register(&mut self, stream: &str, model: &ModelHandle) -> Result<bool, ClientError> {
         self.fenced(stream, |client, s| client.register(s, model))
@@ -574,7 +574,7 @@ impl ClusterClient {
             let result = self
                 .fenced_at(&from, |source| source.snapshot(stream))
                 .inspect(|_| observe(MigrationStep::Snapshotted(stream)))
-                .and_then(|envelope| self.register_on(to, stream, &envelope));
+                .and_then(|text| self.register_on(to, stream, &text));
             let failure = match result {
                 Ok(true) => {
                     observe(MigrationStep::Registered(stream));
@@ -620,14 +620,14 @@ impl ClusterClient {
         Ok(streams.len())
     }
 
-    /// Registers a migrating stream's envelope on the target; returns
+    /// Registers a migrating stream's checkpoint on the target; returns
     /// whether the target persisted it. A copy the target already holds
     /// is stale by construction while the router's map still routes
     /// the stream elsewhere — e.g. one a crashed node resurrected from
     /// its checkpoints after its slot flipped away — so it is
-    /// deregistered and the envelope registered once more.
-    fn register_on(&mut self, to: &str, stream: &str, envelope: &str) -> Result<bool, ClientError> {
-        let register = |target: &mut Client| target.register_envelope(stream, envelope);
+    /// deregistered and the checkpoint registered once more.
+    fn register_on(&mut self, to: &str, stream: &str, text: &str) -> Result<bool, ClientError> {
+        let register = |target: &mut Client| target.register_checkpoint(stream, text);
         match self.fenced_at(to, register) {
             Err(ClientError::Fleet(FleetError::DuplicateStream(_)))
                 if self.map.endpoint_of(stream) != to =>
@@ -650,7 +650,7 @@ impl ClusterClient {
     ///
     /// Slot load is estimated as the total steps of the slot's streams
     /// (read via per-stream [`Query::StreamStats`]); steps travel with
-    /// a migrated stream (checkpoint envelopes carry the counter), so
+    /// a migrated stream (checkpoints carry the counter), so
     /// the estimate stays meaningful across moves.
     pub fn rebalance(&mut self) -> Result<RebalanceReport, ClientError> {
         let skew_of = |load: &[(String, f64)]| -> f64 {

@@ -55,7 +55,7 @@ const READ_BUDGET: usize = 64 * 1024;
 const MAX_PENDING_REPLIES: usize = 1024;
 
 /// Shrink-back threshold for per-connection buffers: one burst (a big
-/// snapshot envelope, a flood of pipelined frames) must not pin its
+/// snapshot reply, a flood of pipelined frames) must not pin its
 /// peak allocation for the connection's lifetime.
 const BUF_SHRINK_BYTES: usize = 1 << 20;
 

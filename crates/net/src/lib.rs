@@ -10,7 +10,7 @@
 //!
 //! * [`wire`] — the frame grammar (`#<len>\n<body>` length-framed UTF-8
 //!   text) and the request/reply bodies: `hello`, `query`, `batch`,
-//!   `register` (a checkpoint envelope *is* a model's wire form),
+//!   `register` (a checkpoint *is* a model's wire form),
 //!   `ingest` (batched slices with sequence numbers and a typed
 //!   backpressure hand-back), `flush`, `stats`, `metrics`, `shutdown`.
 //!   Floats travel as IEEE 754 hex bit patterns, so everything that
@@ -50,7 +50,7 @@
 //!   [`ClusterClient`] routes `query`/`ingest`/`register` to the owning
 //!   server, merges `stats`, broadcasts `flush`, and **migrates** whole
 //!   route slots between processes ([`ClusterClient::migrate_slot`]:
-//!   flush → `snapshot` each stream's checkpoint envelope → `register`
+//!   flush → `snapshot` each stream's checkpoint → `register`
 //!   it on the target → flip the slot's owner → `deregister` the old
 //!   copies) — a minimal single-writer coordinator, deliberately
 //!   without consensus. The map carries an **epoch**, bumped and

@@ -624,9 +624,10 @@ fn stale_epoch_body(id: u64, map: &ShardMap) -> String {
     body
 }
 
-/// The wire form of an ingest slice refused by [`Fleet::check_slice`]:
-/// an `invalid-query` naming the slice's sequence number.
-fn non_finite(seq: u64, e: &IngestError) -> FleetError {
+/// The wire form of an ingest slice refused by [`Fleet::check_slice`]
+/// (a wrong shape, a non-finite value): an `invalid-query` naming the
+/// slice's sequence number.
+fn refused_slice(seq: u64, e: &IngestError) -> FleetError {
     FleetError::InvalidQuery {
         reason: format!("ingest slice {seq}: {e}"),
     }
@@ -727,12 +728,12 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             id,
             epoch,
             stream,
-            envelope,
+            checkpoint,
         } => {
             if let Some(reject) = fence(shared, id, epoch, None) {
                 return (Completion::Ready(reject), Some(stream), true);
             }
-            let registered = restore_handle(&stream, &envelope)
+            let registered = restore_handle(&stream, &checkpoint)
                 .and_then(|handle| fleet.register(&stream, handle));
             let body = match registered {
                 // Persist the arrival before acknowledging, and tell
@@ -766,11 +767,15 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             if let Some(reject) = fence(shared, id, epoch, Some(&stream)) {
                 return (Completion::Ready(reject), Some(stream), true);
             }
+            let Some(key) = fleet.key(&stream) else {
+                let body = err_body(id, &FleetError::UnknownStream(stream.clone()));
+                return (Completion::Ready(body), Some(stream), true);
+            };
             // Every slice passes the ingest check before any applies,
             // so a frame with one bad slice never half-applies.
             for (seq, slice) in &slices {
-                if let Err(e) = Fleet::check_slice(slice) {
-                    let body = err_body(id, &non_finite(*seq, &e));
+                if let Err(e) = Fleet::check_slice(&key, slice) {
+                    let body = err_body(id, &refused_slice(*seq, &e));
                     return (Completion::Ready(body), Some(stream), true);
                 }
             }
@@ -798,8 +803,8 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
                         failure = Some(FleetError::ShuttingDown);
                         break;
                     }
-                    Err(e @ IngestError::NonFinite { .. }) => {
-                        failure = Some(non_finite(seq, &e));
+                    Err(e) => {
+                        failure = Some(refused_slice(seq, &e));
                         break;
                     }
                 }
@@ -825,11 +830,11 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> (Completion, Option<Str
             if let Some(reject) = fence(shared, id, epoch, None) {
                 return (Completion::Ready(reject), Some(stream), true);
             }
-            // The reply payload IS the checkpoint envelope — exactly
+            // The reply payload IS the checkpoint — exactly
             // what a `register` frame on another server accepts, so
             // snapshot → register → deregister moves a stream.
             let body = match fleet.export_stream(&stream) {
-                Ok(envelope) => ok_body(id, |out| out.push_str(&envelope)),
+                Ok(checkpoint) => ok_body(id, |out| out.push_str(&checkpoint)),
                 Err(e) => err_body(id, &e),
             };
             (Completion::Ready(body), Some(stream), true)

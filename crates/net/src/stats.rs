@@ -199,8 +199,7 @@ pub fn parse_net_stats(cur: &mut LineCursor<'_>) -> Result<NetStats, WireError> 
     for slot in lines.iter_mut() {
         *slot = cur.next("settle-latency metric line")?;
     }
-    let settle_latency =
-        MetricSummary::from_lines(lines).map_err(|e| WireError::new(e.to_string()))?;
+    let settle_latency = MetricSummary::from_lines(lines)?;
 
     let head = cur.next("slow header")?;
     let n: usize = head
@@ -502,6 +501,10 @@ mod tests {
             ("frames 912\n", "frames +912\n"),
             ("slow 2\n", "slow 02\n"),
             ("req query 3 1500", "req query +3 1500"),
+            ("moments 5\n", "moments +5\n"),
+            ("moments 5\n", "moments 05\n"),
+            ("tdigest 5\n", "tdigest +5\n"),
+            ("tdigest 5\n", "tdigest 05\n"),
         ] {
             assert!(full.contains(canonical), "{canonical:?}");
             let text = full.replacen(canonical, respelled, 1);

@@ -22,10 +22,10 @@
 //! hello <client>                       handshake (first frame)
 //! query <req-id> <stream> <query…>     one typed query (Query::to_wire)
 //! batch <req-id> <n>                   n lines `<stream> <query…>`
-//! register <req-id> <stream>           rest of body = checkpoint envelope
+//! register <req-id> <stream>           rest of body = checkpoint
 //! ingest <req-id> <stream> <n>         n blocks `seq <s>` + shape/data/bits
 //!                                      (`data` = the |Ω| observed values)
-//! snapshot <req-id> <stream>           read the model as an envelope (migration)
+//! snapshot <req-id> <stream>           read the model as its checkpoint (migration)
 //! deregister <req-id> <stream>         unload + delete the stream here
 //! remap <req-id>                       rest of body = shard-map block to install
 //! streams <req-id>                     list held stream ids (slot enumeration)
@@ -236,8 +236,8 @@ pub enum Request {
         /// `(stream, query)` items, in reply order.
         items: Vec<(String, Query)>,
     },
-    /// Install a model for a new stream; the payload is a checkpoint
-    /// envelope (`ModelHandle::checkpoint_text`), restored server-side
+    /// Install a model for a new stream; the payload is a SOFIA
+    /// checkpoint (`ModelHandle::checkpoint_text`), restored server-side
     /// through the same bit-exact path crash recovery uses.
     Register {
         /// Pipelining id.
@@ -247,8 +247,8 @@ pub enum Request {
         epoch: Option<u64>,
         /// Stream id to register.
         stream: String,
-        /// The checkpoint envelope, byte-for-byte.
-        envelope: String,
+        /// The checkpoint, byte-for-byte.
+        checkpoint: String,
     },
     /// Batched data-plane ingest for one stream: slices with client
     /// sequence numbers, applied in order until the shard pushes back.
@@ -263,7 +263,7 @@ pub enum Request {
         /// `(seq, slice)` in ingest order.
         slices: Vec<(u64, ObservedTensor)>,
     },
-    /// Read a stream's current model as its checkpoint envelope — the
+    /// Read a stream's current model as its checkpoint — the
     /// exact payload [`Request::Register`] accepts, so `snapshot` here
     /// and `register` there is a migration; the read half of
     /// [`sofia_fleet::Fleet::export_stream`].
@@ -401,7 +401,7 @@ impl Request {
                 id,
                 epoch,
                 stream,
-                envelope,
+                checkpoint,
             } => {
                 let _ = writeln!(
                     out,
@@ -409,7 +409,7 @@ impl Request {
                     epoch_token(*epoch),
                     encode_stream_id(stream)
                 );
-                out.push_str(envelope);
+                out.push_str(checkpoint);
             }
             Request::Ingest {
                 id,
@@ -553,13 +553,13 @@ impl Request {
                     .next()
                     .and_then(decode_stream_id)
                     .ok_or_else(|| WireError::new("register needs a stream id"))?;
-                // The envelope is the rest of the body, byte-for-byte
+                // The checkpoint is the rest of the body, byte-for-byte
                 // (its payload must stay bit-exact).
                 return Ok(Request::Register {
                     id,
                     epoch,
                     stream,
-                    envelope: rest.to_string(),
+                    checkpoint: rest.to_string(),
                 });
             }
             "ingest" => {
@@ -1159,13 +1159,13 @@ mod tests {
                 id: 9,
                 epoch: None,
                 stream: "new stream".into(),
-                envelope: "sofia-checkpoint v2\nmodel demo\nsteps 3\npayload line\n".into(),
+                checkpoint: "sofia-checkpoint v1\nconfig 2 4\npayload line\n".into(),
             },
             Request::Register {
                 id: 9,
                 epoch: Some(2),
                 stream: "new stream".into(),
-                envelope: "sofia-checkpoint v2\nmodel demo\nsteps 3\npayload line\n".into(),
+                checkpoint: "sofia-checkpoint v1\nconfig 2 4\npayload line\n".into(),
             },
             Request::Ingest {
                 id: 10,
@@ -1730,6 +1730,24 @@ mod tests {
                     ],
                 ),
             ],
+        );
+        // A shard record's sketch counts, as the sketch reads them.
+        let mut stats = String::new();
+        push_fleet_stats(&mut stats, &sample_shard_stats());
+        let [signed, padded, signed_k, padded_k] = [
+            ("\nmoments ", "\nmoments +"),
+            ("\nmoments ", "\nmoments 0"),
+            ("\ntdigest ", "\ntdigest +"),
+            ("\ntdigest ", "\ntdigest 0"),
+        ]
+        .map(|(from, to)| stats.replacen(from, to, 1));
+        check(
+            |text| {
+                let mut cur = LineCursor::new(text);
+                parse_fleet_stats(&mut cur)?;
+                cur.finish()
+            },
+            &[(&stats, &[&signed, &padded, &signed_k, &padded_k])],
         );
         check(
             |frame| read_frame(&mut io::BufReader::new(frame.as_bytes()), 100).map(drop),

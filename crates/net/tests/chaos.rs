@@ -303,7 +303,7 @@ fn source_killed_at(kill: KillPoint) {
     // --- Post-flip, the recovered source holds fenced copies of slot
     // 0's streams. Let the live streams move on, then move the slot
     // back onto that node: its stale copies are replaced by the live
-    // envelopes, not mistaken for an obstacle.
+    // checkpoints, not mistaken for an obstacle.
     if let KillPoint::Flip = kill {
         for (i, id) in ids.iter().enumerate() {
             cluster

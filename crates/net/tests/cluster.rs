@@ -7,7 +7,7 @@
 //! * a stream registered on node A is **unreachable** on node B (a
 //!   direct client gets a typed `UnknownStream`, the router finds it);
 //! * [`ClusterClient::migrate_slot`] moves the stream's route slot to
-//!   node B by shipping its checkpoint envelope through the wire
+//!   node B by shipping its checkpoint through the wire
 //!   `snapshot` → `register` path, after which node A no longer holds
 //!   the stream and node B serves it at its full pre-migration step
 //!   count;
@@ -253,7 +253,7 @@ fn migrate_then_crash_then_recover_is_bit_exact_vs_single_process_fleet() {
     );
     assert_eq!(cluster.endpoint_of(&mig), ep_b, "slot owner flipped");
     assert_eq!(cluster.map().epoch(), 1, "one epoch bump per flip");
-    // No durability window: the target persisted the arrived envelope
+    // No durability window: the target persisted the arrived checkpoint
     // before the coordinator deleted the source's file, so a crash of
     // EITHER node right now cannot lose the stream.
     assert!(

@@ -2,7 +2,7 @@
 //! `Client`, and the engine's strongest guarantees re-proven **across
 //! the wire**:
 //!
-//! * SOFIA streams registered over the socket (checkpoint envelopes as
+//! * SOFIA streams registered over the socket (checkpoints as
 //!   the model wire form), ingested over the socket, then
 //!   crashed (`Server::abort`) and restarted from the same checkpoint
 //!   directory — with forecasts **bit-exact** against an in-process
@@ -13,7 +13,7 @@
 //! * partially observed, corrupted slices over the socket: every
 //!   `Latest` (completed and outliers), `Forecast` and `OutlierMask` the
 //!   client rebuilds from the factored replies has the in-process bits;
-//! * malformed frames, bodies and `register` envelopes: typed errors,
+//! * malformed frames, bodies and `register` payloads: typed errors,
 //!   not panics — including a vendored-proptest fuzz over random byte
 //!   lines.
 
@@ -27,7 +27,7 @@ use sofia_fleet::{
 };
 use sofia_net::wire::{ok_body, read_frame, write_frame, Request, ShardMap};
 use sofia_net::{Client, ClientError, Server, ServerConfig};
-use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
+use sofia_tensor::{DenseTensor, Mask, ObservedTensor, Shape};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -131,7 +131,7 @@ fn wire_crash_recovery_matches_in_process_fleet_bit_exactly() {
     control.flush().expect("control flush");
 
     // --- Wire fleet: an empty engine behind a TCP server; streams are
-    // registered by shipping checkpoint envelopes over the socket.
+    // registered by shipping checkpoints over the socket.
     let server = Server::bind(
         "127.0.0.1:0",
         Fleet::new(fleet_config(&dir)).expect("fleet"),
@@ -661,6 +661,32 @@ fn non_finite_ingest_frame_is_refused_whole() {
     server.shutdown().expect("shutdown");
 }
 
+/// A slice shaped unlike the stream's model is refused in the same
+/// precheck, before anything applies: the frame gets a typed
+/// `invalid-query` instead of `accepted`, and the stream is neither
+/// stepped nor quarantined.
+#[test]
+fn wrong_shaped_ingest_frame_is_refused_whole() {
+    let (startup, streamed) = slices(0);
+    let fleet = Fleet::new(FleetConfig::with_shards(1)).expect("fleet");
+    let server = Server::bind("127.0.0.1:0", fleet).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client
+        .register("s", &handle(0, &startup))
+        .expect("register");
+    let small = ObservedTensor::fully_observed(DenseTensor::full(Shape::new(&[2, 2]), 1.0));
+    match client.ingest("s", vec![streamed[0].clone(), small]) {
+        Err(ClientError::Fleet(FleetError::InvalidQuery { reason })) => {
+            assert!(reason.contains("slice shape 2×2 differs"), "{reason}");
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    client.flush().expect("flush");
+    let stats = client.query("s", Query::StreamStats).expect("stats");
+    assert_eq!(stats.expect_stream_stats().steps, 0, "nothing applied");
+    server.shutdown().expect("shutdown");
+}
+
 /// The float decoder reads only the form every writer emits: an
 /// `ingest` frame whose one defect is an uppercase hex digit in its
 /// `data` line gets a typed `invalid-query` reply, applies nothing, and
@@ -779,7 +805,7 @@ fn dense_ingest_frame_under_a_partial_mask_is_refused_and_the_connection_keeps_s
     server.shutdown().expect("shutdown");
 }
 
-/// A `register` envelope that parses line by line but describes an
+/// A `register` payload that parses line by line but describes an
 /// impossible model (one temporal history row for period 4) is refused
 /// with a typed `corrupt` reply by the event-loop thread that restores
 /// it. With a one-thread pool, that connection and a fresh one (dealt
@@ -797,11 +823,11 @@ fn malformed_register_envelope_is_refused_and_the_loop_keeps_serving() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");
     let (startup, streamed) = slices(0);
-    let envelope = handle(0, &startup)
+    let checkpoint = handle(0, &startup)
         .checkpoint_text()
         .expect("SOFIA is durable");
     // Keep one of the PERIOD temporal history rows.
-    let mut lines: Vec<&str> = envelope.lines().collect();
+    let mut lines: Vec<&str> = checkpoint.lines().collect();
     let at = lines
         .iter()
         .position(|l| l.starts_with("history "))
@@ -809,7 +835,7 @@ fn malformed_register_envelope_is_refused_and_the_loop_keeps_serving() {
     lines[at] = "history 1";
     lines.drain(at + 2..at + 1 + PERIOD);
     let bad = lines.join("\n") + "\n";
-    match client.register_envelope("bad", &bad) {
+    match client.register_checkpoint("bad", &bad) {
         Err(ClientError::Fleet(FleetError::Corrupt { stream, .. })) => assert_eq!(stream, "bad"),
         other => panic!("expected a typed corrupt reply, got {other:?}"),
     }
@@ -840,18 +866,11 @@ fn malformed_register_envelope_is_refused_and_the_loop_keeps_serving() {
     server.shutdown().expect("shutdown");
 }
 
-/// An envelope of the `smf` kind, as earlier builds wrote and restored
-/// it (one SMF model on 2×2 slices, rank 1, period 2).
-const SMF_ENVELOPE: &str = "sofia-checkpoint v2\nmodel smf\nsteps 1\nsmf v1\n\
-    hyper 3fb999999999999a 3fc999999999999a\nfactors 2\nfactor 2 1\n\
-    data 3fe36311e3c00300 3fe9760e05584607\nfactor 2 1\n\
-    data 3fe511497c7a06a3 3fe8164e5d85cb41\ndrift be27d10600000000\nseasonal 2\n\
-    z 401320666df238fe\nz 400667a6ea8ef31a\n";
-
-/// SOFIA is the one model kind a server restores: a real `register`
-/// frame carrying an `smf` envelope gets a typed `corrupt` reply and
-/// registers nothing, and the same connection then registers, feeds and
-/// queries a SOFIA stream.
+/// One text registers a SOFIA model, the text of `checkpoint::save`: a
+/// real `register` frame carrying the retired v2 envelope around it, or
+/// carrying it with an integer respelled or a line after its trailer,
+/// gets a typed `corrupt` reply and registers nothing, and the same
+/// connection then registers, feeds and queries the canonical text.
 #[test]
 fn register_of_a_deleted_model_kind_is_refused_as_corrupt() {
     use std::io::BufReader;
@@ -874,42 +893,68 @@ fn register_of_a_deleted_model_kind_is_refused_as_corrupt() {
     });
     assert!(hello.starts_with("ok 0\nshardmap"), "{hello}");
 
-    let reply = round_trip(Request::Register {
-        id: 1,
-        epoch: None,
-        stream: "legacy".into(),
-        envelope: SMF_ENVELOPE.into(),
-    });
-    assert_eq!(reply, "err 1 corrupt legacy unknown model kind `smf`\n");
-    let reply = round_trip(Request::Streams { id: 2 });
-    assert_eq!(reply, "ok 2\nstreams 0\n", "nothing was registered");
-
     let (startup, streamed) = slices(0);
-    let envelope = handle(0, &startup)
+    let text = handle(0, &startup)
         .checkpoint_text()
         .expect("SOFIA is durable");
+    assert!(text.ends_with("\nsteps 0\n"), "{text}");
+    for (id, bad, why) in [
+        (
+            1,
+            format!("sofia-checkpoint v2\nmodel sofia\nsteps 0\n{text}"),
+            "bad checkpoint header `sofia-checkpoint v2`",
+        ),
+        (
+            2,
+            text.replace("\nsteps 0\n", "\nsteps +0\n"),
+            "bad steps `+0`",
+        ),
+        (
+            3,
+            text.replacen("\nfactors ", "\nfactors 0", 1),
+            "bad factors `0",
+        ),
+        (
+            4,
+            text.replacen("\nhw_phase ", "\nhw_phase 0", 1),
+            "bad hw_phase `0",
+        ),
+        (5, format!("{text}steps 0\n"), "trailing line `steps 0`"),
+    ] {
+        let reply = round_trip(Request::Register {
+            id,
+            epoch: None,
+            stream: "legacy".into(),
+            checkpoint: bad,
+        });
+        let head = format!("err {id} corrupt legacy ");
+        assert!(reply.starts_with(&head) && reply.contains(why), "{reply}");
+    }
+    let reply = round_trip(Request::Streams { id: 6 });
+    assert_eq!(reply, "ok 6\nstreams 0\n", "nothing was registered");
+
     let reply = round_trip(Request::Register {
-        id: 3,
+        id: 7,
         epoch: None,
         stream: "sofia".into(),
-        envelope,
+        checkpoint: text,
     });
-    assert_eq!(reply, "ok 3\ndurable false\n");
+    assert_eq!(reply, "ok 7\ndurable false\n");
     let reply = round_trip(Request::Ingest {
-        id: 4,
+        id: 8,
         epoch: None,
         stream: "sofia".into(),
         slices: vec![(1, streamed[0].clone()), (2, streamed[1].clone())],
     });
-    assert!(reply.starts_with("ok 4\n"), "{reply}");
-    assert_eq!(round_trip(Request::Flush { id: 5 }), "ok 5\n");
+    assert!(reply.starts_with("ok 8\n"), "{reply}");
+    assert_eq!(round_trip(Request::Flush { id: 9 }), "ok 9\n");
     let reply = round_trip(Request::Query {
-        id: 6,
+        id: 10,
         epoch: None,
         stream: "sofia".into(),
         query: Query::StreamStats,
     });
-    let payload = reply.strip_prefix("ok 6\n").expect("ok reply");
+    let payload = reply.strip_prefix("ok 10\n").expect("ok reply");
     let stats = QueryResponse::from_wire(payload)
         .expect("stream stats")
         .expect_stream_stats();

@@ -47,8 +47,7 @@ pub use metric::{MetricSummary, METRIC_WIRE_LINES};
 pub use moments::StatsSummary;
 pub use tdigest::TDigest;
 
-use sofia_core::checkpoint::CheckpointError;
-use sofia_core::snapshot::wire;
+use sofia_core::snapshot::wire::{self, WireError};
 
 /// Largest centroid count a wire parser accepts before allocating
 /// (second line of defence behind the transport's frame-size bound).
@@ -78,27 +77,15 @@ pub(crate) fn parse_f64s_exact(
     line: &str,
     label: &str,
     expect: usize,
-) -> Result<Vec<f64>, CheckpointError> {
+) -> Result<Vec<f64>, WireError> {
     let values = wire::parse_f64s(line, label)?;
     if values.len() != expect {
-        return Err(CheckpointError::Malformed(format!(
+        return Err(WireError::new(format!(
             "`{label}` carries {} floats, expected {expect}",
             values.len()
         )));
     }
     Ok(values)
-}
-
-/// Parses a `label <n>` line holding exactly one decimal integer.
-pub(crate) fn parse_usize_field(line: &str, label: &str) -> Result<usize, CheckpointError> {
-    let values = wire::parse_usizes(line, label)?;
-    if values.len() != 1 {
-        return Err(CheckpointError::Malformed(format!(
-            "`{label}` carries {} integers, expected 1",
-            values.len()
-        )));
-    }
-    Ok(values[0])
 }
 
 #[cfg(test)]
@@ -116,8 +103,9 @@ mod tests {
     #[test]
     fn exact_line_parsers_reject_wrong_counts() {
         assert!(parse_f64s_exact("v 3ff0000000000000", "v", 2).is_err());
-        assert!(parse_usize_field("n 1 2", "n").is_err());
-        assert!(parse_usize_field("n", "n").is_err());
-        assert_eq!(parse_usize_field("n 7", "n").unwrap(), 7);
+        assert_eq!(
+            parse_f64s_exact("v 3ff0000000000000", "v", 1).unwrap(),
+            [1.0]
+        );
     }
 }

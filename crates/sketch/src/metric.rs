@@ -1,7 +1,7 @@
 //! The pair of summaries the fleet carries per observed metric.
 
 use crate::{StatsSummary, TDigest};
-use sofia_core::checkpoint::CheckpointError;
+use sofia_core::snapshot::wire::WireError;
 
 /// One observed metric's complete summary: a [`TDigest`] for quantiles
 /// and a [`StatsSummary`] for exact moment partials, fed by the same
@@ -103,7 +103,7 @@ impl MetricSummary {
 
     /// Parses the six-line wire form. Total: malformed counts, labels,
     /// or structurally invalid digests are typed errors, never panics.
-    pub fn from_lines(lines: [&str; METRIC_WIRE_LINES]) -> Result<Self, CheckpointError> {
+    pub fn from_lines(lines: [&str; METRIC_WIRE_LINES]) -> Result<Self, WireError> {
         Ok(MetricSummary {
             moments: StatsSummary::from_lines([lines[0], lines[1]])?,
             digest: TDigest::from_lines([lines[2], lines[3], lines[4], lines[5]])?,

@@ -1,8 +1,7 @@
 //! The exact half of the observability pair: mergeable moment partials.
 
-use crate::{parse_f64s_exact, parse_usize_field, total_max, total_min};
-use sofia_core::checkpoint::CheckpointError;
-use sofia_core::snapshot::wire;
+use crate::{parse_f64s_exact, total_max, total_min};
+use sofia_core::snapshot::wire::{self, WireError};
 
 /// Exact mergeable moment partials of a sample set: count, min, max,
 /// sum, and sum of squares.
@@ -125,12 +124,17 @@ impl StatsSummary {
     /// mstate <min> <max> <sum> <sum-sq>
     /// ```
     ///
-    /// with the four floats as 16-hex-digit IEEE 754 bit patterns.
-    /// Every bit pattern (NaN, ±∞, subnormals, the empty-summary
-    /// sentinels) round-trips verbatim; a wrong field count or a
-    /// non-hex token is a typed error, never a panic.
-    pub fn from_lines(lines: [&str; 2]) -> Result<Self, CheckpointError> {
-        let n = parse_usize_field(lines[0], "moments")? as u64;
+    /// with `n` in the dialect's one integer spelling
+    /// ([`wire::parse_int`]) and the four floats as 16-hex-digit IEEE
+    /// 754 bit patterns. Every bit pattern (NaN, ±∞, subnormals, the
+    /// empty-summary sentinels) round-trips verbatim; a wrong field
+    /// count, a respelled count or a non-hex token is a typed error,
+    /// never a panic.
+    pub fn from_lines(lines: [&str; 2]) -> Result<Self, WireError> {
+        let n = lines[0]
+            .strip_prefix("moments ")
+            .ok_or_else(|| WireError::new(format!("expected `moments <n>`, got `{}`", lines[0])))?;
+        let n = wire::parse_int(n, "moments count")?;
         let state = parse_f64s_exact(lines[1], "mstate", 4)?;
         Ok(StatsSummary {
             n,
@@ -233,6 +237,9 @@ mod tests {
             ("moments 1", "mstate 0 0 0 0 0"),
             ("moments 1", "mstate zz 0 0 0"),
             ("moments 1", "wrong 0 0 0 0"),
+            ("moments +3", "mstate 0 0 0 0"),
+            ("moments 03", "mstate 0 0 0 0"),
+            ("moments  3", "mstate 0 0 0 0"),
             ("", ""),
         ] {
             assert!(StatsSummary::from_lines([a, b]).is_err(), "{a:?}/{b:?}");

@@ -1,9 +1,8 @@
 //! The approximate half of the observability pair: a deterministic
 //! merging t-digest for tail quantiles.
 
-use crate::{parse_f64s_exact, parse_usize_field, total_max, total_min, MAX_WIRE_CENTROIDS};
-use sofia_core::checkpoint::CheckpointError;
-use sofia_core::snapshot::wire;
+use crate::{parse_f64s_exact, total_max, total_min, MAX_WIRE_CENTROIDS};
+use sofia_core::snapshot::wire::{self, WireError};
 
 /// Compression parameter δ of every digest in the stack.
 ///
@@ -245,10 +244,13 @@ impl TDigest {
     /// positive — violations are typed errors, never panics. The
     /// `trange` bits round-trip verbatim (the empty digest legitimately
     /// carries ±∞ sentinels there).
-    pub fn from_lines(lines: [&str; 4]) -> Result<Self, CheckpointError> {
-        let k = parse_usize_field(lines[0], "tdigest")?;
+    pub fn from_lines(lines: [&str; 4]) -> Result<Self, WireError> {
+        let k = lines[0]
+            .strip_prefix("tdigest ")
+            .ok_or_else(|| WireError::new(format!("expected `tdigest <k>`, got `{}`", lines[0])))?;
+        let k: usize = wire::parse_int(k, "centroid count")?;
         if k > MAX_WIRE_CENTROIDS {
-            return Err(CheckpointError::Malformed(format!(
+            return Err(WireError::new(format!(
                 "digest claims {k} centroids (max {MAX_WIRE_CENTROIDS})"
             )));
         }
@@ -257,20 +259,14 @@ impl TDigest {
         let range = parse_f64s_exact(lines[3], "trange", 2)?;
         for pair in means.windows(2) {
             if pair[1].total_cmp(&pair[0]) == std::cmp::Ordering::Less {
-                return Err(CheckpointError::Malformed(
-                    "digest means must be non-descending".into(),
-                ));
+                return Err(WireError::new("digest means must be non-descending"));
             }
         }
         if means.iter().any(|m| !m.is_finite()) {
-            return Err(CheckpointError::Malformed(
-                "digest means must be finite".into(),
-            ));
+            return Err(WireError::new("digest means must be finite"));
         }
         if weights.iter().any(|w| !w.is_finite() || *w <= 0.0) {
-            return Err(CheckpointError::Malformed(
-                "digest weights must be finite and positive".into(),
-            ));
+            return Err(WireError::new("digest weights must be finite and positive"));
         }
         Ok(TDigest {
             centroids: means
@@ -536,6 +532,19 @@ mod tests {
             ],
             // wrong labels / garbage
             ["digest 1".into(), ok[1].into(), ok[2].into(), ok[3].into()],
+            // one spelling per count
+            [
+                "tdigest +1".into(),
+                ok[1].into(),
+                ok[2].into(),
+                ok[3].into(),
+            ],
+            [
+                "tdigest 01".into(),
+                ok[1].into(),
+                ok[2].into(),
+                ok[3].into(),
+            ],
             ["tdigest x".into(), ok[1].into(), ok[2].into(), ok[3].into()],
             [
                 "tdigest 1".into(),

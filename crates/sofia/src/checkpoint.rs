@@ -16,37 +16,21 @@ use crate::config::SofiaConfig;
 use crate::dynamic::DynamicState;
 use crate::hw::HwBank;
 use crate::model::Sofia;
-use crate::snapshot::wire::{parse_f64s, parse_usizes, push_f64s};
+use crate::snapshot::wire::{parse_f64s, parse_int, push_f64s, LineCursor, WireError};
 use sofia_tensor::{DenseTensor, Matrix, Shape};
 use sofia_timeseries::holt_winters::{HoltWinters, HwParams, HwState};
 use std::fmt::Write as _;
 
-/// Errors raised while parsing a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// The header line is missing or names an unsupported version.
-    BadHeader,
-    /// A section or field is missing or malformed.
-    Malformed(String),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::BadHeader => write!(f, "bad or missing checkpoint header"),
-            CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
+/// The header line of the format.
+const HEADER: &str = "sofia-checkpoint v1";
 
 /// Serializes a streaming SOFIA model to the v1 text format.
 pub fn save(model: &Sofia) -> String {
     let config = model.config();
     let dynamic = model.dynamic();
     let mut out = String::new();
-    out.push_str("sofia-checkpoint v1\n");
+    out.push_str(HEADER);
+    out.push('\n');
 
     // --- config
     let _ = writeln!(
@@ -112,49 +96,61 @@ pub fn save(model: &Sofia) -> String {
     out
 }
 
+/// Reads the next line as `label n1 … nk`: exactly `count` integers,
+/// each after one space and in the dialect's one spelling.
+fn ints(cur: &mut LineCursor<'_>, label: &str, count: usize) -> Result<Vec<usize>, WireError> {
+    let values: Vec<usize> = cur
+        .field(label)?
+        .split(' ')
+        .map(|tok| parse_int(tok, label))
+        .collect::<Result<_, _>>()?;
+    if values.len() != count {
+        return Err(WireError::new(format!("`{label}` needs {count} integers")));
+    }
+    Ok(values)
+}
+
+/// Reads the next line as `label n`.
+fn int(cur: &mut LineCursor<'_>, label: &str) -> Result<usize, WireError> {
+    Ok(ints(cur, label, 1)?[0])
+}
+
 /// Restores a streaming SOFIA model from the v1 text format.
 ///
 /// The init-phase tensors (`X̂_init`, `O_init`) are not part of the
 /// checkpoint (they are inspection artifacts, not state).
 ///
-/// Total over its input: besides line syntax, every shape the model's
-/// constructors assert (rank and period ≥ 1, `rank`-column factors,
-/// `period` history rows of `rank` values, `rank` Holt-Winters models
-/// of `period` seasonals, a sigma shaped like the factor rows) is
-/// checked here, so a malformed file — or a malformed envelope off the
-/// wire — is a [`CheckpointError::Malformed`], never a panic.
-pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
-    let mut lines = text.lines();
-    let mut next = |what: &str| {
-        lines
-            .next()
-            .ok_or_else(|| CheckpointError::Malformed(format!("unexpected EOF at {what}")))
-    };
-
-    if next("header")?.trim() != "sofia-checkpoint v1" {
-        return Err(CheckpointError::BadHeader);
+/// Total and strict over its input: every line is read through one
+/// [`LineCursor`], every integer in its one spelling ([`parse_int`]),
+/// and a line after the `steps <n>` trailer is refused. Besides line
+/// syntax, every shape the model's constructors assert (rank and period
+/// ≥ 1, `rank`-column factors, `period` history rows of `rank` values,
+/// `rank` Holt-Winters models of `period` seasonals, a sigma shaped like
+/// the factor rows) is checked here, so a malformed file — or a
+/// malformed `register` payload off the wire — is a [`WireError`], never
+/// a panic.
+pub fn load(text: &str) -> Result<Sofia, WireError> {
+    let mut cur = LineCursor::new(text);
+    let header = cur.next("checkpoint header")?;
+    if header != HEADER {
+        return Err(WireError::new(format!("bad checkpoint header `{header}`")));
     }
 
     // --- config
-    let ints = parse_usizes(next("config")?, "config")?;
-    if ints.len() != 6 {
-        return Err(CheckpointError::Malformed("config ints".into()));
-    }
-    let floats = parse_f64s(next("config_f")?, "config_f")?;
+    let config_ints = ints(&mut cur, "config", 6)?;
+    let floats = parse_f64s(cur.next("config_f")?, "config_f")?;
     if floats.len() != 7 {
-        return Err(CheckpointError::Malformed("config floats".into()));
+        return Err(WireError::new("config floats"));
     }
-    let (rank, period) = (ints[0], ints[1]);
+    let (rank, period) = (config_ints[0], config_ints[1]);
     if rank == 0 || period == 0 {
-        return Err(CheckpointError::Malformed(
-            "rank and period must be positive".into(),
-        ));
+        return Err(WireError::new("rank and period must be positive"));
     }
     let mut config = SofiaConfig::new(rank, period);
-    config.init_seasons = ints[2];
-    config.max_als_iters = ints[3];
-    config.max_outer_iters = ints[4];
-    config.als_sweeps_per_outer = ints[5];
+    config.init_seasons = config_ints[2];
+    config.max_als_iters = config_ints[3];
+    config.max_outer_iters = config_ints[4];
+    config.als_sweeps_per_outer = config_ints[5];
     config.lambda1 = floats[0];
     config.lambda2 = floats[1];
     config.lambda3 = floats[2];
@@ -164,80 +160,57 @@ pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
     config.lambda3_decay = floats[6];
 
     // --- factors
-    let n_factors = parse_usizes(next("factors")?, "factors")?;
-    let n_factors = *n_factors
-        .first()
-        .ok_or_else(|| CheckpointError::Malformed("factor count".into()))?;
+    let n_factors = int(&mut cur, "factors")?;
     if n_factors == 0 {
-        return Err(CheckpointError::Malformed(
-            "need at least one factor".into(),
-        ));
+        return Err(WireError::new("need at least one factor"));
     }
     // Counts below come from the file: clamp pre-allocations so a
     // corrupt header errors on the missing lines instead of panicking in
     // `with_capacity` (restores may run on serving threads).
     let mut factors = Vec::with_capacity(n_factors.min(16));
     for _ in 0..n_factors {
-        let dims = parse_usizes(next("factor")?, "factor")?;
-        if dims.len() != 2 {
-            return Err(CheckpointError::Malformed("factor dims".into()));
-        }
+        let dims = ints(&mut cur, "factor", 2)?;
         if dims[0] == 0 || dims[1] != rank {
-            return Err(CheckpointError::Malformed("factor dims".into()));
+            return Err(WireError::new("factor dims"));
         }
-        let data = parse_f64s(next("factor data")?, "data")?;
+        let data = parse_f64s(cur.next("factor data")?, "data")?;
         if dims[0].checked_mul(dims[1]) != Some(data.len()) {
-            return Err(CheckpointError::Malformed("factor data length".into()));
+            return Err(WireError::new("factor data length"));
         }
         factors.push(Matrix::from_vec(dims[0], dims[1], data));
     }
 
     // --- history
-    let n_hist = parse_usizes(next("history")?, "history")?;
-    let n_hist = *n_hist
-        .first()
-        .ok_or_else(|| CheckpointError::Malformed("history count".into()))?;
-    if n_hist != period {
-        return Err(CheckpointError::Malformed(
-            "history must hold one row per period step".into(),
-        ));
+    if int(&mut cur, "history")? != period {
+        return Err(WireError::new("history must hold one row per period step"));
     }
-    let mut history = Vec::with_capacity(n_hist.min(4096));
-    for _ in 0..n_hist {
-        let row = parse_f64s(next("history row")?, "u")?;
+    let mut history = Vec::with_capacity(period.min(4096));
+    for _ in 0..period {
+        let row = parse_f64s(cur.next("history row")?, "u")?;
         if row.len() != rank {
-            return Err(CheckpointError::Malformed("history row length".into()));
+            return Err(WireError::new("history row length"));
         }
         history.push(row);
     }
 
     // --- HW bank
-    let n_hw = parse_usizes(next("hw")?, "hw")?;
-    let n_hw = *n_hw
-        .first()
-        .ok_or_else(|| CheckpointError::Malformed("hw count".into()))?;
-    if n_hw != rank {
-        return Err(CheckpointError::Malformed(
-            "need one hw model per component".into(),
-        ));
+    if int(&mut cur, "hw")? != rank {
+        return Err(WireError::new("need one hw model per component"));
     }
-    let mut models = Vec::with_capacity(n_hw.min(4096));
-    for _ in 0..n_hw {
-        let p = parse_f64s(next("hw params")?, "hw_params")?;
+    let mut models = Vec::with_capacity(rank.min(4096));
+    for _ in 0..rank {
+        let p = parse_f64s(cur.next("hw params")?, "hw_params")?;
         if p.len() != 3 {
-            return Err(CheckpointError::Malformed("hw params".into()));
+            return Err(WireError::new("hw params"));
         }
-        let phase = parse_usizes(next("hw phase")?, "hw_phase")?;
-        let lt = parse_f64s(next("hw level")?, "hw_level_trend")?;
+        let phase = int(&mut cur, "hw_phase")?;
+        let lt = parse_f64s(cur.next("hw level")?, "hw_level_trend")?;
         if lt.len() != 2 {
-            return Err(CheckpointError::Malformed("hw level/trend".into()));
+            return Err(WireError::new("hw level/trend"));
         }
-        let seasonal = parse_f64s(next("hw seasonal")?, "hw_seasonal")?;
-        let phase = *phase
-            .first()
-            .ok_or_else(|| CheckpointError::Malformed("hw phase".into()))?;
+        let seasonal = parse_f64s(cur.next("hw seasonal")?, "hw_seasonal")?;
         if seasonal.len() != period || phase >= period {
-            return Err(CheckpointError::Malformed("hw seasonal/phase".into()));
+            return Err(WireError::new("hw seasonal/phase"));
         }
         models.push(HoltWinters::new(
             HwParams::clamped(p[0], p[1], p[2]),
@@ -247,30 +220,26 @@ pub fn load(text: &str) -> Result<Sofia, CheckpointError> {
     let hw = HwBank::from_models(models);
 
     // --- sigma
-    let sigma_dims = parse_usizes(next("sigma shape")?, "sigma_shape")?;
+    let sigma_dims = ints(&mut cur, "sigma_shape", factors.len())?;
     if !sigma_dims
         .iter()
         .copied()
         .eq(factors.iter().map(Matrix::rows))
     {
-        return Err(CheckpointError::Malformed(
-            "sigma shape must match the factor rows".into(),
-        ));
+        return Err(WireError::new("sigma shape must match the factor rows"));
     }
-    let sigma_data = parse_f64s(next("sigma")?, "sigma")?;
+    let sigma_data = parse_f64s(cur.next("sigma")?, "sigma")?;
     let sigma_len = sigma_dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
     if sigma_len != Some(sigma_data.len()) {
-        return Err(CheckpointError::Malformed("sigma length".into()));
+        return Err(WireError::new("sigma length"));
     }
     let sigma = DenseTensor::from_vec(Shape::new(&sigma_dims), sigma_data);
 
-    let steps = parse_usizes(next("steps")?, "steps")?;
-    let steps = *steps
-        .first()
-        .ok_or_else(|| CheckpointError::Malformed("steps".into()))?;
+    let steps = int(&mut cur, "steps")?;
+    cur.finish()?;
 
     let dynamic = DynamicState::restore(config.clone(), factors, history, hw, sigma, steps);
-    Sofia::from_dynamic(&config, dynamic).map_err(|e| CheckpointError::Malformed(e.to_string()))
+    Sofia::from_dynamic(&config, dynamic).map_err(|e| WireError::new(e.to_string()))
 }
 
 #[cfg(test)]
@@ -332,8 +301,17 @@ mod tests {
 
     #[test]
     fn bad_header_rejected() {
-        assert!(matches!(load("garbage\n"), Err(CheckpointError::BadHeader)));
-        assert!(load("").is_err()); // no panic on empty input
+        let reason = |text: &str| load(text).map(drop).unwrap_err().reason;
+        assert_eq!(reason("garbage\n"), "bad checkpoint header `garbage`");
+        // No panic on empty input.
+        assert_eq!(reason(""), "truncated: expected checkpoint header");
+        // The retired v2 envelope is not read.
+        let (model, _) = trained_model();
+        let v2 = format!(
+            "sofia-checkpoint v2\nmodel sofia\nsteps 0\n{}",
+            save(&model)
+        );
+        assert_eq!(reason(&v2), "bad checkpoint header `sofia-checkpoint v2`");
     }
 
     #[test]
@@ -350,7 +328,7 @@ mod tests {
     fn corrupted_float_rejected() {
         let (model, _) = trained_model();
         let text = save(&model).replace("config_f ", "config_f zzzz ");
-        assert!(matches!(load(&text), Err(CheckpointError::Malformed(_))));
+        assert!(load(&text).is_err());
     }
 
     /// `text` with its lines edited by `f`.
@@ -384,9 +362,18 @@ mod tests {
         lines[i].truncate(cut);
     }
 
+    /// Respells the first integer of the first line starting with
+    /// `prefix` by putting `lead` before it (same value, other spelling).
+    fn respell(lines: &mut [String], prefix: &str, lead: &str) {
+        let i = line_at(lines, prefix);
+        lines[i] = lines[i].replacen(' ', &format!(" {lead}"), 1);
+    }
+
     /// Every shape the model's constructors assert is checked by `load`:
     /// each variant parses line by line, yet describes a state that
     /// `DynamicState::restore` or a constructor under it would panic on.
+    /// And the reader is strict: an integer in any spelling but its one
+    /// canonical form, or a line after the `steps` trailer, is refused.
     #[test]
     fn shape_violations_are_typed_errors() {
         // Rank 2, period 6, factors 4x2 and 3x2.
@@ -471,13 +458,26 @@ mod tests {
                     l[i + 1] = "sigma".into();
                 }),
             ),
+            ("signed steps", edited(&text, |l| respell(l, "steps ", "+"))),
+            (
+                "zero-padded factor count",
+                edited(&text, |l| respell(l, "factors ", "0")),
+            ),
+            (
+                "zero-padded hw phase",
+                edited(&text, |l| respell(l, "hw_phase ", "0")),
+            ),
+            (
+                "two spaces before a dimension",
+                edited(&text, |l| respell(l, "factor ", " ")),
+            ),
+            ("a line after the trailer", format!("{text}steps 6\n")),
+            ("a blank line after the trailer", format!("{text}\n")),
         ];
         assert!(load(&text).is_ok(), "the unedited checkpoint loads");
+        assert!(text.ends_with("\nsteps 6\n"), "{text}");
         for (what, bad) in variants {
-            assert!(
-                matches!(load(&bad), Err(CheckpointError::Malformed(_))),
-                "{what}: expected a typed error"
-            );
+            assert!(load(&bad).is_err(), "{what}: expected a typed error");
         }
     }
 

@@ -1,42 +1,112 @@
-//! The versioned **v2 checkpoint envelope** that carries a SOFIA model
-//! on disk and on the wire, plus the float codec every text payload
-//! shares.
+//! The text dialect that a SOFIA checkpoint, a fleet protocol reply, a
+//! sketch block and a `sofia-net` frame share: its [`wire`] codec.
 //!
-//! The v1 checkpoint format ([`crate::checkpoint`]) serializes a SOFIA
-//! model bit for bit. The serving layer wraps it in a tagged envelope
-//!
-//! ```text
-//! sofia-checkpoint v2
-//! model sofia
-//! steps <n>
-//! <the v1 text of checkpoint::save>
-//! ```
-//!
-//! which adds the serving layer's applied-steps counter. SOFIA is the one
-//! durable model kind: its tag is [`SOFIA_KIND`], and a restore refuses
-//! any other. [`parse`] also accepts bare **v1** files (header
-//! `sofia-checkpoint v1`) and reports them as `kind = "sofia"` with the
-//! whole text as payload, so checkpoints written before the envelope
-//! existed keep loading bit-exactly.
-//!
-//! Payloads are line-oriented text with floats encoded as IEEE 754 bit
-//! patterns (see [`wire`]), so a restore is **bit-exact**.
+//! A SOFIA model on disk, in a `register` frame and in a `snapshot`
+//! reply is one text, the one [`crate::checkpoint::save`] writes and
+//! [`crate::checkpoint::load`] reads; the serving layer adds nothing
+//! around it (its applied-steps counter is the text's own `steps <n>`
+//! trailer).
 
-use crate::checkpoint::CheckpointError;
-
-/// The workspace's one float codec: every `f64` written to a checkpoint,
-/// a fleet protocol reply, a sketch block or a `sofia-net` frame goes
-/// through these functions.
+/// The workspace's one codec for the line-oriented text dialect: every
+/// float, integer and line of a checkpoint, a fleet protocol reply, a
+/// sketch block or a `sofia-net` frame is read back through these
+/// functions.
 ///
 /// A float travels as its IEEE 754 bit pattern in exactly 16 lowercase
-/// hex digits, so round-trips are bit-exact; integers as plain decimal.
-/// A float line is `label`, then one 17-byte token per value: one
-/// space, then the 16 digits. Decoding is strict: anything else — a
-/// sign, an uppercase digit, a short or long token, a tab, a second
-/// space, trailing whitespace — is [`CheckpointError::Malformed`].
-/// Both directions go through 256-entry tables, without `fmt`.
+/// hex digits, so round-trips are bit-exact. A float line is `label`,
+/// then one 17-byte token per value: one space, then the 16 digits.
+/// Decoding is strict: anything else — a sign, an uppercase digit, a
+/// short or long token, a tab, a second space, trailing whitespace — is
+/// a [`WireError`](wire::WireError). Both directions go through
+/// 256-entry tables, without `fmt`. An integer travels as plain decimal
+/// in one spelling ([`parse_int`](wire::parse_int)), and a reader takes
+/// its lines through a [`LineCursor`](wire::LineCursor), which refuses
+/// a missing line and, at the end, a line too many.
 pub mod wire {
-    use super::CheckpointError;
+    /// A malformed payload: what the parser expected and what it found.
+    /// Deliberately a plain diagnostic — transport code maps it onto its
+    /// own error type.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireError {
+        /// Parser diagnostic.
+        pub reason: String,
+    }
+
+    impl WireError {
+        /// A wire error with the given diagnostic (public so transport
+        /// crates report their own parse failures through the same
+        /// type).
+        pub fn new(reason: impl Into<String>) -> Self {
+            WireError {
+                reason: reason.into(),
+            }
+        }
+    }
+
+    impl std::fmt::Display for WireError {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "malformed wire payload: {}", self.reason)
+        }
+    }
+
+    impl std::error::Error for WireError {}
+
+    /// Line-at-a-time reader over a text; every consumer states what it
+    /// expects so truncation errors name the missing piece.
+    #[derive(Debug, Clone)]
+    pub struct LineCursor<'a> {
+        lines: std::str::Lines<'a>,
+    }
+
+    impl<'a> LineCursor<'a> {
+        /// A cursor over `text`'s lines.
+        pub fn new(text: &'a str) -> Self {
+            LineCursor {
+                lines: text.lines(),
+            }
+        }
+
+        /// The next line, or a truncation error naming `what`.
+        pub fn next(&mut self, what: &str) -> Result<&'a str, WireError> {
+            self.lines
+                .next()
+                .ok_or_else(|| WireError::new(format!("truncated: expected {what}")))
+        }
+
+        /// The next line as `key value…`: the rest of the line after
+        /// `key ` (or empty when the line is exactly `key`).
+        pub fn field(&mut self, key: &str) -> Result<&'a str, WireError> {
+            let line = self.next(key)?;
+            if line == key {
+                return Ok("");
+            }
+            line.strip_prefix(key)
+                .and_then(|r| r.strip_prefix(' '))
+                .ok_or_else(|| WireError::new(format!("expected `{key}`, got `{line}`")))
+        }
+
+        /// Rejects trailing content after a complete parse.
+        pub fn finish(mut self) -> Result<(), WireError> {
+            match self.lines.next() {
+                Some(extra) => Err(WireError::new(format!("trailing line `{extra}`"))),
+                None => Ok(()),
+            }
+        }
+    }
+
+    /// Parses an integer of the dialect — a count, offset, dimension,
+    /// counter or request field — in its one canonical spelling: decimal
+    /// digits, no sign, no leading zero. `what` names it in the error.
+    pub fn parse_int<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, WireError> {
+        let bad = || WireError::new(format!("bad {what} `{tok}`"));
+        let canonical = !tok.is_empty()
+            && tok.bytes().all(|b| b.is_ascii_digit())
+            && (tok == "0" || !tok.starts_with('0'));
+        if !canonical {
+            return Err(bad());
+        }
+        tok.parse().map_err(|_| bad())
+    }
 
     /// Bytes of one float on a line: a space and 16 digits.
     const TOKEN: usize = 17;
@@ -122,11 +192,11 @@ pub mod wire {
     }
 
     /// Parses a `label v1 v2 …` line written by [`push_f64s`].
-    pub fn parse_f64s(line: &str, label: &str) -> Result<Vec<f64>, CheckpointError> {
+    pub fn parse_f64s(line: &str, label: &str) -> Result<Vec<f64>, WireError> {
         let rest = line
             .strip_prefix(label)
-            .ok_or_else(|| CheckpointError::Malformed(format!("expected `{label}`")))?;
-        let bad = || CheckpointError::Malformed(format!("bad float in `{label}`"));
+            .ok_or_else(|| WireError::new(format!("expected `{label}`")))?;
+        let bad = || WireError::new(format!("bad float in `{label}`"));
         let tokens = rest.as_bytes().chunks_exact(TOKEN);
         if !tokens.remainder().is_empty() {
             return Err(bad());
@@ -153,169 +223,11 @@ pub mod wire {
     pub fn parse_f64(token: &str) -> Option<f64> {
         from_digits(token.as_bytes().try_into().ok()?)
     }
-
-    /// Parses a `label n1 n2 …` line of decimal integers.
-    pub fn parse_usizes(line: &str, label: &str) -> Result<Vec<usize>, CheckpointError> {
-        let rest = line
-            .strip_prefix(label)
-            .ok_or_else(|| CheckpointError::Malformed(format!("expected `{label}`")))?;
-        rest.split_whitespace()
-            .map(|tok| {
-                tok.parse()
-                    .map_err(|_| CheckpointError::Malformed(format!("bad integer in `{label}`")))
-            })
-            .collect()
-    }
-}
-
-/// Header line of the v2 envelope.
-pub const V2_HEADER: &str = "sofia-checkpoint v2";
-/// Header line of the bare v1 SOFIA format (accepted by [`parse`]).
-pub const V1_HEADER: &str = "sofia-checkpoint v1";
-/// Kind tag of a SOFIA model, the one kind the serving layer restores.
-pub const SOFIA_KIND: &str = "sofia";
-
-/// A parsed checkpoint envelope: which model kind the payload belongs to,
-/// the applied-steps counter at snapshot time, and the payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope {
-    /// Model kind tag ([`SOFIA_KIND`] for every envelope this workspace
-    /// writes).
-    pub kind: String,
-    /// Streaming steps the model had applied when the snapshot was taken
-    /// (the serving layer's applied-steps counter).
-    pub steps: u64,
-    /// The model-specific payload, byte-for-byte as written.
-    pub payload: String,
-}
-
-/// Wraps a model payload in the v2 envelope.
-pub fn wrap(kind: &str, steps: u64, payload: &str) -> String {
-    assert!(
-        !kind.is_empty() && kind.chars().all(|c| c.is_ascii_graphic()),
-        "kind tag must be non-empty printable ASCII: {kind:?}"
-    );
-    let mut out = String::with_capacity(payload.len() + 64);
-    out.push_str(V2_HEADER);
-    out.push('\n');
-    out.push_str("model ");
-    out.push_str(kind);
-    out.push('\n');
-    out.push_str("steps ");
-    out.push_str(&steps.to_string());
-    out.push('\n');
-    out.push_str(payload);
-    out
-}
-
-/// Splits off the first line, returning `(line, rest)` with the newline
-/// consumed. Byte-offset based so the remainder is passed through
-/// untouched (payloads must stay byte-exact).
-fn split_line(text: &str) -> (&str, &str) {
-    match text.find('\n') {
-        Some(i) => (&text[..i], &text[i + 1..]),
-        None => (text, ""),
-    }
-}
-
-/// Parses a checkpoint file into an [`Envelope`].
-///
-/// Accepts both the tagged v2 format and bare v1 SOFIA files: a v1 file
-/// comes back as `kind = "sofia"` whose payload is the entire original
-/// text (v1 never had an envelope, so the payload *is* the file), with
-/// `steps` read from the v1 trailer line.
-pub fn parse(text: &str) -> Result<Envelope, CheckpointError> {
-    let (header, rest) = split_line(text);
-    match header.trim_end() {
-        V2_HEADER => {
-            let (model_line, rest) = split_line(rest);
-            let kind = model_line
-                .strip_prefix("model ")
-                .map(str::trim)
-                .filter(|k| !k.is_empty())
-                .ok_or_else(|| CheckpointError::Malformed("envelope `model` line".into()))?;
-            let (steps_line, payload) = split_line(rest);
-            let steps = steps_line
-                .strip_prefix("steps ")
-                .and_then(|s| s.trim().parse().ok())
-                .ok_or_else(|| CheckpointError::Malformed("envelope `steps` line".into()))?;
-            Ok(Envelope {
-                kind: kind.to_string(),
-                steps,
-                payload: payload.to_string(),
-            })
-        }
-        V1_HEADER => {
-            // Pre-envelope SOFIA file: the v1 format ends with a
-            // `steps <n>` trailer; surface it as the envelope counter.
-            let steps = text
-                .lines()
-                .rev()
-                .find_map(|l| l.strip_prefix("steps "))
-                .and_then(|s| s.trim().parse().ok())
-                .ok_or_else(|| CheckpointError::Malformed("v1 `steps` trailer".into()))?;
-            Ok(Envelope {
-                kind: SOFIA_KIND.to_string(),
-                steps,
-                payload: text.to_string(),
-            })
-        }
-        _ => Err(CheckpointError::BadHeader),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn envelope_roundtrips_payload_bytes() {
-        let payload = "alpha 1 2 3\nbeta\n\ntail without newline";
-        let text = wrap("demo-kind", 42, payload);
-        let env = parse(&text).expect("parse");
-        assert_eq!(env.kind, "demo-kind");
-        assert_eq!(env.steps, 42);
-        assert_eq!(env.payload, payload);
-    }
-
-    #[test]
-    fn empty_payload_allowed() {
-        let env = parse(&wrap("k", 0, "")).expect("parse");
-        assert_eq!(env.kind, "k");
-        assert_eq!(env.steps, 0);
-        assert_eq!(env.payload, "");
-    }
-
-    #[test]
-    fn v1_text_parses_as_sofia_envelope() {
-        // A minimal structurally-v1 text: only the header and trailer
-        // matter to the envelope layer.
-        let text = "sofia-checkpoint v1\nconfig 1 2 3 4 5 6\nsteps 17\n";
-        let env = parse(text).expect("parse");
-        assert_eq!(env.kind, SOFIA_KIND);
-        assert_eq!(env.steps, 17);
-        assert_eq!(env.payload, text, "v1 payload is the whole file");
-    }
-
-    #[test]
-    fn malformed_envelopes_rejected() {
-        assert!(matches!(
-            parse("garbage\n"),
-            Err(CheckpointError::BadHeader)
-        ));
-        assert!(matches!(parse(""), Err(CheckpointError::BadHeader)));
-        assert!(parse("sofia-checkpoint v2\nnot-model\nsteps 0\n").is_err());
-        assert!(parse("sofia-checkpoint v2\nmodel x\nsteps nope\n").is_err());
-        assert!(parse("sofia-checkpoint v2\nmodel \nsteps 1\n").is_err());
-        // v1 without its steps trailer cannot express the counter.
-        assert!(parse("sofia-checkpoint v1\nconfig 1\n").is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "kind tag")]
-    fn wrap_rejects_unprintable_kind() {
-        wrap("two words", 0, "");
-    }
 
     #[test]
     fn wire_roundtrips_special_floats() {
@@ -401,13 +313,7 @@ mod tests {
                 "v ",
                 "v3ff0000000000000",
             ] {
-                assert!(
-                    matches!(
-                        wire::parse_f64s(line, "v"),
-                        Err(CheckpointError::Malformed(_))
-                    ),
-                    "{line:?}"
-                );
+                assert!(wire::parse_f64s(line, "v").is_err(), "{line:?}");
             }
             for token in [
                 "+3ff000000000000",

@@ -12,7 +12,7 @@
 //! What it shows, in order: round-robin slot ownership, a stream
 //! existing on exactly one node (a direct client to the other node gets
 //! a typed `UnknownStream`), cluster-wide flush and merged stats, and a
-//! migration of the stream's route slot — checkpoint envelope shipped
+//! migration of the stream's route slot — checkpoint shipped
 //! through the wire `snapshot` → `register` path, slot owner flipped and
 //! published, old copy unloaded — with the forecast asserted bit-exact
 //! across the move. The same choreography
@@ -113,14 +113,14 @@ fn main() {
         .expect("SOFIA forecasts");
 
     // --- 5. Migrate the stream's route slot (it is the slot's only
-    // stream): flush → snapshot (checkpoint envelope over the wire) →
+    // stream): flush → snapshot (checkpoint over the wire) →
     // register on the target → flip the slot's owner, bump and publish
     // the epoch → deregister the old copy. Single-writer coordination,
     // no consensus.
     let slot = router.map().shard_of(stream);
     router.migrate_slot(slot, &other).expect("migrate");
     println!(
-        "migrated slot {slot} with `{stream}` {owner} -> {other} (envelope over the wire, epoch {})",
+        "migrated slot {slot} with `{stream}` {owner} -> {other} (checkpoint over the wire, epoch {})",
         router.map().epoch()
     );
 

@@ -53,7 +53,7 @@ fn main() {
     .expect("start engine");
 
     // --- 2. Register five synthetic sensor streams, one SOFIA model
-    // each, checkpointed as tagged v2 envelopes.
+    // each, checkpointed in the one SOFIA checkpoint format.
     let streams: Vec<SeasonalStream> = (0..STREAMS)
         .map(|i| SeasonalStream::paper_fig2(&[6, 5], rank, period, 40 + i as u64))
         .collect();

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! What it shows, in order: the handshake shard map, registering a
-//! model *over the socket* (its checkpoint envelope is the wire form),
+//! model *over the socket* (its checkpoint is the wire form),
 //! batched seq-tagged ingest of partially observed, corrupted slices
 //! (only the observed values cross the wire) with flush as the
 //! read-your-writes barrier, pipelined queries on one connection, a
@@ -94,7 +94,7 @@ fn main() {
     );
 
     // --- 3. Register streams over the socket. The model's wire form is
-    // its checkpoint envelope — the server restores it through the same
+    // its checkpoint — the server restores it through the same
     // bit-exact path crash recovery uses. The control fleet gets an
     // identical model in-process.
     let control = Fleet::new(FleetConfig::with_shards(2)).expect("control");
@@ -106,7 +106,7 @@ fn main() {
         control
             .register(&id, make_model(i, startup))
             .expect("register in-process");
-        println!("registered `{id}` over the wire (checkpoint envelope as payload)");
+        println!("registered `{id}` over the wire (checkpoint as payload)");
     }
 
     // --- 4. Ingest two seasons per stream over the socket — batched,

@@ -1,14 +1,13 @@
 //! The bytes a SOFIA stream checkpoints, and the round trip through
-//! them: `save → wrap → parse → load → step-N` must be bit-exact against
-//! an uninterrupted run, exactly as the fleet's durability layer does it,
-//! and the envelope a served SOFIA stream writes is pinned byte for byte.
+//! them: `save → load → step-N` must be bit-exact against an
+//! uninterrupted run, over exactly the text the fleet's durability layer
+//! writes, and that text is pinned byte for byte.
 
 use proptest::prelude::*;
 use sofia::core::checkpoint;
 use sofia::core::config::SofiaConfig;
 use sofia::core::dynamic::DynamicState;
 use sofia::core::hw::HwBank;
-use sofia::core::snapshot::{self, SOFIA_KIND};
 use sofia::core::traits::StreamingFactorizer;
 use sofia::core::Sofia;
 use sofia::datagen::seasonal::SeasonalStream;
@@ -18,14 +17,16 @@ use sofia::fleet::ModelHandle;
 use sofia::tensor::{kruskal, Mask, Matrix, ObservedTensor};
 use sofia::timeseries::holt_winters::{HoltWinters, HwParams, HwState};
 
-/// Round-trips a SOFIA model through the v2 envelope (the exact path
-/// the fleet's durability layer takes) and returns the restored model.
-fn through_envelope(model: &Sofia, steps: u64) -> Sofia {
-    let text = snapshot::wrap(SOFIA_KIND, steps, &checkpoint::save(model));
-    let env = snapshot::parse(&text).expect("envelope parses");
-    assert_eq!(env.kind, SOFIA_KIND);
-    assert_eq!(env.steps, steps);
-    checkpoint::load(&env.payload).expect("payload restores")
+/// Round-trips a SOFIA model through the checkpoint text a served
+/// SOFIA stream writes and returns the restored model.
+fn through_checkpoint(model: &Sofia) -> Sofia {
+    let text = ModelHandle::sofia(model.clone())
+        .checkpoint_text()
+        .expect("a SOFIA stream is durable");
+    assert_eq!(text, checkpoint::save(model));
+    let restored = checkpoint::load(&text).expect("the checkpoint restores");
+    assert_eq!(restored.dynamic().steps(), model.dynamic().steps());
+    restored
 }
 
 /// Asserts two models produce byte-identical outputs over `slices`.
@@ -66,7 +67,7 @@ proptest! {
         for t in t0..t0 + warm {
             StreamingFactorizer::step(&mut model, &ObservedTensor::fully_observed(stream.clean_slice(t)));
         }
-        let mut restored = through_envelope(&model, warm as u64);
+        let mut restored = through_checkpoint(&model);
         let future: Vec<ObservedTensor> = (t0 + warm..t0 + warm + 2 * period)
             .map(|t| ObservedTensor::fully_observed(stream.clean_slice(t)))
             .collect();
@@ -127,21 +128,19 @@ fn arithmetic_sofia(steps: usize) -> Sofia {
     model
 }
 
-/// The bytes a SOFIA stream checkpoints, registers and exports: the v2
-/// envelope header, then exactly the v1 text of `checkpoint::save`,
-/// pinned by digest so a change to either layer shows up here.
+/// The bytes a SOFIA stream checkpoints, registers and exports: exactly
+/// the text of `checkpoint::save`, with the step counter as its trailer,
+/// pinned by digest so a change to the format shows up here.
 #[test]
 fn sofia_envelope_bytes_are_pinned() {
     let model = arithmetic_sofia(6);
     let text = ModelHandle::sofia(model.clone())
         .checkpoint_text()
         .expect("a SOFIA stream is durable");
-    let payload = checkpoint::save(&model);
-    assert_eq!(
-        text,
-        format!("sofia-checkpoint v2\nmodel sofia\nsteps 6\n{payload}")
-    );
-    assert_eq!((text.len(), fnv1a(&text)), (1286, 0x0848_ee72_d9e4_96db));
-    let restored = restore_handle("pinned", &text).expect("the envelope restores");
+    assert_eq!(text, checkpoint::save(&model));
+    assert!(text.ends_with("\nsteps 6\n"), "{text}");
+    assert_eq!((text.len(), fnv1a(&text)), (1246, 0xfdee_6f2b_ab92_78d4));
+    let restored = restore_handle("pinned", &text).expect("the checkpoint restores");
+    assert_eq!(restored.model_steps(), 6);
     assert_eq!(restored.checkpoint_text().as_deref(), Some(text.as_str()));
 }
